@@ -2,8 +2,8 @@
 //! aggregates computed straight from a [`ColumnarCampaign`]'s columns,
 //! without materialising row-struct records.
 //!
-//! The JSON path reads `campaign.json` → row structs → one-pass index.
-//! The columnar path can skip the middle step: every aggregate the
+//! The report path decodes `campaign.col` → row structs → one-pass
+//! index. A column scan can skip the middle step: every aggregate the
 //! figures consume is a scan over a handful of columns plus id-space
 //! set operations against the intern table — allocation happens only
 //! for the final domain-keyed maps, and domains are `Arc`-cloned out of

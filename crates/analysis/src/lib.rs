@@ -10,8 +10,6 @@
 //!   reads instead of re-scanning the outcome.
 //! * [`colscan`] — the same aggregates computed straight from a
 //!   columnar store's columns, no row structs materialised.
-//! * [`query`] — typed per-figure queries answered off the scanned
-//!   columns (what `topics-lab serve` uses per request).
 //! * [`mod@table1`] — Table 1, the overall usage matrix.
 //! * [`figures`] — Figures 2 (presence vs calls), 3 (enabled fractions),
 //!   5 (questionable calls per CP) and 6 (geographic breakdown).
@@ -44,7 +42,6 @@ pub mod dossier;
 pub mod export;
 pub mod figures;
 pub mod index;
-pub mod query;
 pub mod report;
 pub mod table1;
 pub mod timeline;
@@ -62,6 +59,5 @@ pub use dataset::{CpClass, DatasetId, Datasets};
 pub use dossier::{dossier, Dossier};
 pub use figures::{fig2, fig3, fig5, fig6, GeoRow, PresenceRow, QuestionableRow};
 pub use index::{CampaignIndex, PresenceCount, VisitTags};
-pub use query::ColumnQueries;
 pub use table1::{table1, Table1};
 pub use timeline::{timeline, Timeline};

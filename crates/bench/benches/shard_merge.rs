@@ -2,8 +2,9 @@
 //!
 //! A sharded campaign pays three costs the single-process run does not:
 //! encoding each shard's segment, decoding every segment back, and the
-//! deterministic merge that must reproduce `campaign.json` byte for
-//! byte. The split here is synthesised from the shared campaign via
+//! deterministic merge, streamed into the columnar writer, that must
+//! reproduce `campaign.col` byte for byte. The split here is
+//! synthesised from the shared campaign via
 //! `split_outcome`, so the segments carry exactly the payload a real
 //! `topics-lab shard` run would write (traces excluded — trace merge is
 //! covered by the obs unit suite).
@@ -11,7 +12,7 @@
 use criterion::Criterion;
 use std::hint::black_box;
 use topics_bench::{banner, shared};
-use topics_core::crawler::{merge_segments, split_outcome, Segment, ShardPlan};
+use topics_core::crawler::{merge_to_store, split_outcome, Segment, ShardPlan};
 use topics_core::net::seed;
 
 fn main() {
@@ -58,7 +59,9 @@ fn main() {
             })
         });
         c.bench_function(&format!("shard/merge-{shards}"), |b| {
-            b.iter(|| black_box(merge_segments(&segments).expect("own segments merge")))
+            b.iter(|| {
+                black_box(merge_to_store(segments.iter().cloned()).expect("own segments merge"))
+            })
         });
     }
     c.final_summary();

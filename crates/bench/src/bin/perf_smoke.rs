@@ -10,7 +10,7 @@
 //! * `report_wall_ms`  — full evaluation + report render;
 //! * `alloc_bytes`     — heap allocated across the run (counting allocator);
 //! * `shard_merge_wall_ms` — decode a 4-way segment split of the final
-//!   run, merge it, and re-serialise the merged campaign;
+//!   run and stream it through the merge into the columnar writer;
 //! * `encode_wall_ms` / `store_bytes` / `query_wall_ms` — columnar
 //!   store encode time, encoded size, and a full column scan over a
 //!   freshly decoded store;
@@ -46,7 +46,7 @@ use topics_bench::{
 };
 use topics_core::analysis::colscan;
 use topics_core::crawler::columnar::ColumnarCampaign;
-use topics_core::crawler::{merge_segments, split_outcome, Segment, ShardPlan};
+use topics_core::crawler::{merge_to_store, split_outcome, Segment, ShardPlan};
 use topics_core::net::seed;
 use topics_core::{evaluate, Lab, LabConfig};
 use topics_obs::{alloc, CountingAlloc};
@@ -161,8 +161,8 @@ fn main() {
     let peak_rss_bytes = alloc::peak_rss_bytes().unwrap_or(0);
 
     // Shard-merge roundtrip: encode a 4-way split of the final run once,
-    // then time decode + merge + re-serialise (the `merge` subcommand's
-    // hot path, minus disk I/O).
+    // then time decode + streaming merge into the columnar writer (the
+    // `merge` subcommand's hot path, minus disk I/O).
     let fault_seed = lab
         .campaign
         .fault_seed
@@ -180,19 +180,16 @@ fn main() {
     let mut shard_merge_wall_ms = u64::MAX;
     for _ in 0..runs {
         let started = Instant::now();
-        let segments: Vec<Segment> = encoded
+        let segments = encoded
             .iter()
-            .map(|e| Segment::decode(e).expect("own segments decode"))
-            .collect();
-        let merged = merge_segments(&segments).expect("own segments merge");
-        std::hint::black_box(serde_json::to_string(&merged).expect("campaign serialises"));
+            .map(|e| Segment::decode(e).expect("own segments decode"));
+        std::hint::black_box(merge_to_store(segments).expect("own segments merge"));
         shard_merge_wall_ms = shard_merge_wall_ms.min(started.elapsed().as_millis() as u64);
     }
 
     // Columnar store roundtrip: time the struct-of-arrays encode, record
     // the store size, and time a full column scan over a freshly decoded
-    // store (the zero-deserialization query path `report` uses when the
-    // bundle was written with `--store columnar`).
+    // store (the zero-deserialization query path over `campaign.col`).
     let mut encode_wall_ms = u64::MAX;
     let mut store_bytes = 0u64;
     let mut query_wall_ms = u64::MAX;

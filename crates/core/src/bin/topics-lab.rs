@@ -7,17 +7,14 @@
 //!                    [--metrics-out FILE] [--events-out FILE]
 //!                    [--fault-profile off|light|heavy|RATE] [--fault-seed S]
 //!                    [--probe-threads N] [--trace-out FILE] [--alloc-stats]
-//!                    [--store json|columnar]
 //!     Generate a synthetic web, run the Before/After-Accept campaign,
-//!     and write the artefact bundle (campaign dataset, report,
-//!     comparison, per-figure CSVs) to DIR (default: ./topics-lab-out).
-//!     --store picks the dataset backend: `json` (campaign.json, the
-//!     default row store) or `columnar` (campaign.col, the interned
-//!     struct-of-arrays store with checksummed sections). Every other
-//!     artefact is byte-identical between the two. With
+//!     and write the artefact bundle to DIR (default: ./topics-lab-out):
+//!     the campaign dataset campaign.col (the interned struct-of-arrays
+//!     store with checksummed sections), the report, the comparison and
+//!     the per-figure CSVs. With
 //!     --metrics-out / --events-out, also write the Prometheus-style
 //!     metrics snapshot and the JSONL event stream (relative paths land
-//!     next to campaign.json). --fault-profile injects seeded network
+//!     next to campaign.col). --fault-profile injects seeded network
 //!     faults (DNS failures, resets, 5xx, slow responses, truncated
 //!     attestations) at a named band or uniform RATE in [0,1];
 //!     --fault-seed repositions the faults without changing the world.
@@ -48,15 +45,13 @@
 //!     schedules are derived from the *global* rank, so the shards of a
 //!     seed reassemble byte-identically.
 //!
-//! topics-lab merge   --segments DIR [--out DIR] [--store json|columnar]
+//! topics-lab merge   --segments DIR [--out DIR]
 //!     Verify and merge every *.seg in DIR back into one campaign:
 //!     checks each segment's checksum, shard coverage and header
-//!     agreement, reassembles the outcome, and writes the same artefact
-//!     bundle `crawl` writes (campaign dataset, report, CSVs) plus the
-//!     merged stripped trace (trace.jsonl) to DIR (default: the
-//!     segments directory). With --store columnar, segments stream one
-//!     at a time straight into the columnar writer and campaign.col is
-//!     byte-identical to a single-process `crawl --store columnar`.
+//!     agreement, streams the segments one at a time straight into the
+//!     columnar writer, and writes the same artefact bundle `crawl`
+//!     writes (campaign.col, report, CSVs) plus the merged stripped
+//!     trace (trace.jsonl) to DIR (default: the segments directory).
 //!     The bundle is byte-identical to a single-process `crawl` of the
 //!     same seed. Exits non-zero with a named violation on truncated,
 //!     corrupted, duplicated or missing segments.
@@ -86,7 +81,7 @@
 //!     self/total time, worker utilization, retry hot-spots, allocation
 //!     balance (phase windows vs attributed children, when the trace
 //!     carries memory attribution), and the top-N slowest visits.
-//!     --campaign accepts the bundle directory or the campaign.json
+//!     --campaign accepts the bundle directory or the campaign.col
 //!     path; --trace defaults to trace.jsonl next to it. With --trace
 //!     and no --campaign, runs in trace-only mode: integrity,
 //!     phases and allocation balance without campaign reconciliation
@@ -104,25 +99,22 @@
 //!     the bundle directory. Exits non-zero when the trace carries no
 //!     allocation attribution.
 //!
-//! topics-lab report  --campaign DIR|FILE [--store json|columnar]
-//!     Re-render the evaluation report from a dumped campaign. The
-//!     backend is sniffed from the file's magic bytes, so either store
-//!     loads; a directory resolves to its campaign file (--store forces
-//!     which one when both exist).
+//! topics-lab report  --campaign DIR|FILE
+//!     Re-render the evaluation report from a dumped campaign; a
+//!     directory resolves to its campaign.col.
 //!
-//! topics-lab metrics --campaign DIR/campaign.json
+//! topics-lab metrics --campaign DIR/campaign.col
 //!     Re-derive the metrics snapshot from a dumped campaign and print
 //!     it in Prometheus text format.
 //!
-//! topics-lab compare --campaign DIR/campaign.json [--full-scale]
+//! topics-lab compare --campaign DIR/campaign.col [--full-scale]
 //!     Print the paper-vs-measured table from a dumped campaign.
 //!
-//! topics-lab dossier --campaign DIR/campaign.json --cp DOMAIN
+//! topics-lab dossier --campaign DIR/campaign.col --cp DOMAIN
 //!     Print everything the campaign knows about one calling party.
 //!
 //! topics-lab serve   --campaign DIR|FILE [--addr HOST:PORT] [--threads N]
-//!                    [--trace FILE] [--addr-file FILE]
-//!                    [--store json|columnar] [--quiet]
+//!                    [--trace FILE] [--addr-file FILE] [--quiet]
 //!     Hold the campaign resident and answer per-figure queries over
 //!     HTTP: `/api/report`, `/api/table1`, `/api/fig2`…`/api/fig7`,
 //!     `/api/anomalous` (each byte-identical to the offline artefact),
@@ -148,7 +140,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use topics_core::crawler::campaign::AllowListSetup;
-use topics_core::export::{load_campaign, write_artefacts, write_bundle, StoreKind};
+use topics_core::export::{
+    load_campaign, write_artefacts, write_bundle, StoreKind, CAMPAIGN_COLUMNAR_FILE,
+};
 use topics_core::obs::Obs;
 use topics_core::{
     comparison_rows, diagnose, evaluate, metrics_snapshot_of, render_comparison, Lab, LabConfig,
@@ -162,7 +156,7 @@ static ALLOC: topics_core::obs::CountingAlloc = topics_core::obs::CountingAlloc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  topics-lab crawl   [--sites N] [--seed S] [--full] [--out DIR] [--allow-list corrupted|healthy|fail-closed] [--reject] [--vantage eu|us] [--quiet] [--metrics-out FILE] [--events-out FILE] [--fault-profile off|light|heavy|RATE] [--fault-seed S] [--probe-threads N] [--trace-out FILE] [--alloc-stats] [--store json|columnar]\n  topics-lab shard   --shard K/N [--sites N] [--seed S] [--full] [--out DIR] [--allow-list corrupted|healthy|fail-closed] [--reject] [--vantage eu|us] [--quiet] [--fault-profile off|light|heavy|RATE] [--fault-seed S] [--probe-threads N] [--store json|columnar]\n  topics-lab merge   --segments DIR [--out DIR] [--store json|columnar]\n  topics-lab simulate [--users N] [--epochs N] [--sites N] [--visits N] [--context N] [--window N] [--sample N] [--noise RATE] [--seed S] [--threads N] [--out DIR] [--metrics-out FILE] [--events-out FILE] [--trace-out FILE] [--alloc-stats] [--quiet]\n  topics-lab report  --campaign DIR|FILE [--store json|columnar]\n  topics-lab metrics --campaign FILE\n  topics-lab compare --campaign FILE [--full-scale]\n  topics-lab dossier --campaign FILE --cp DOMAIN\n  topics-lab doctor  --campaign DIR|FILE [--trace FILE] [--top N] | --trace FILE [--top N]\n  topics-lab memprofile --trace FILE | --campaign DIR [--top N]\n  topics-lab serve   --campaign DIR|FILE [--addr HOST:PORT] [--threads N] [--trace FILE] [--addr-file FILE] [--store json|columnar] [--quiet]\n  topics-lab fetch   --addr HOST:PORT [--path /api/report] [--out FILE] [--post]"
+        "usage:\n  topics-lab crawl   [--sites N] [--seed S] [--full] [--out DIR] [--allow-list corrupted|healthy|fail-closed] [--reject] [--vantage eu|us] [--quiet] [--metrics-out FILE] [--events-out FILE] [--fault-profile off|light|heavy|RATE] [--fault-seed S] [--probe-threads N] [--trace-out FILE] [--alloc-stats]\n  topics-lab shard   --shard K/N [--sites N] [--seed S] [--full] [--out DIR] [--allow-list corrupted|healthy|fail-closed] [--reject] [--vantage eu|us] [--quiet] [--fault-profile off|light|heavy|RATE] [--fault-seed S] [--probe-threads N]\n  topics-lab merge   --segments DIR [--out DIR]\n  topics-lab simulate [--users N] [--epochs N] [--sites N] [--visits N] [--context N] [--window N] [--sample N] [--noise RATE] [--seed S] [--threads N] [--out DIR] [--metrics-out FILE] [--events-out FILE] [--trace-out FILE] [--alloc-stats] [--quiet]\n  topics-lab report  --campaign DIR|FILE\n  topics-lab metrics --campaign FILE\n  topics-lab compare --campaign FILE [--full-scale]\n  topics-lab dossier --campaign FILE --cp DOMAIN\n  topics-lab doctor  --campaign DIR|FILE [--trace FILE] [--top N] | --trace FILE [--top N]\n  topics-lab memprofile --trace FILE | --campaign DIR [--top N]\n  topics-lab serve   --campaign DIR|FILE [--addr HOST:PORT] [--threads N] [--trace FILE] [--addr-file FILE] [--quiet]\n  topics-lab fetch   --addr HOST:PORT [--path /api/report] [--out FILE] [--post]"
     );
     ExitCode::from(2)
 }
@@ -281,16 +275,6 @@ fn load_campaign_cli(
     })
 }
 
-/// Strict `--store` parse: `json` (default) or `columnar`.
-fn parse_store(args: &Args) -> Result<StoreKind, String> {
-    match args.value_of("--store")? {
-        None => Ok(StoreKind::default()),
-        Some(s) => {
-            StoreKind::parse(s).ok_or_else(|| format!("unknown --store {s:?} (json|columnar)"))
-        }
-    }
-}
-
 /// Strict `--probe-threads` parse: a positive integer, nothing else.
 fn parse_probe_threads(s: &str) -> Result<usize, String> {
     match s.parse::<usize>() {
@@ -398,12 +382,10 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
             "--fault-seed",
             "--probe-threads",
             "--trace-out",
-            "--store",
         ],
         &["--full", "--reject", "--quiet", "--alloc-stats"],
     )?;
     let (config, sites, seed) = parse_lab_config(args)?;
-    let store = parse_store(args)?;
     let out = PathBuf::from(args.value_of("--out")?.unwrap_or("topics-lab-out"));
     let metrics_out = args
         .value_of("--metrics-out")?
@@ -458,8 +440,14 @@ fn cmd_crawl(args: &Args) -> Result<(), String> {
     };
     {
         let _span = obs.phase("export");
-        write_bundle(&out, &run.outcome, &eval, sites >= 50_000, store)
-            .map_err(|e| format!("writing bundle to {}: {e}", out.display()))?;
+        write_bundle(
+            &out,
+            &run.outcome,
+            &eval,
+            sites >= 50_000,
+            StoreKind::Columnar,
+        )
+        .map_err(|e| format!("writing bundle to {}: {e}", out.display()))?;
     }
 
     if let Some(path) = &metrics_out {
@@ -512,14 +500,9 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
             "--fault-profile",
             "--fault-seed",
             "--probe-threads",
-            "--store",
         ],
         &["--full", "--reject", "--quiet"],
     )?;
-    // Segments are store-agnostic; the flag is validated here so a
-    // sharded pipeline can pass the same flag set to every stage, and
-    // `merge --store` picks the bundle backend.
-    let _ = parse_store(args)?;
     let (shard, shards) = parse_shard_spec(
         args.value_of("--shard")?
             .ok_or("shard needs --shard K/N (e.g. 2/4)")?,
@@ -561,8 +544,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_merge(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&["--segments", "--out", "--store"], &[])?;
-    let store = parse_store(args)?;
+    args.reject_unknown(&["--segments", "--out"], &[])?;
     let segments = PathBuf::from(
         args.value_of("--segments")?
             .ok_or("merge needs --segments DIR")?,
@@ -573,33 +555,19 @@ fn cmd_merge(args: &Args) -> Result<(), String> {
         .unwrap_or_else(|| segments.clone());
 
     let count = topics_core::segment_paths(&segments)?.len();
-    let (outcome, trace) = match store {
-        StoreKind::Json => {
-            let merged = topics_core::merge_dir(&segments)?;
-            (merged.outcome, merged.trace)
-        }
-        StoreKind::Columnar => {
-            // Stream each segment straight into the columnar writer
-            // and persist the streamed bytes — byte-identical to a
-            // single-process `crawl --store columnar`.
-            let merged = topics_core::merge_dir_columnar(&segments)?;
-            std::fs::create_dir_all(&out)
-                .map_err(|e| format!("creating {}: {e}", out.display()))?;
-            let col_path = out.join(StoreKind::Columnar.campaign_file());
-            std::fs::write(&col_path, merged.store.bytes())
-                .map_err(|e| format!("writing store to {}: {e}", col_path.display()))?;
-            (merged.outcome, merged.trace)
-        }
-    };
-    let eval = evaluate(&outcome);
-    let full_scale = outcome.sites.len() >= 50_000;
-    match store {
-        StoreKind::Json => write_bundle(&out, &outcome, &eval, full_scale, store),
-        StoreKind::Columnar => write_artefacts(&out, &outcome, &eval, full_scale),
-    }
-    .map_err(|e| format!("writing bundle to {}: {e}", out.display()))?;
+    // Stream each segment straight into the columnar writer and persist
+    // the streamed bytes — byte-identical to a single-process `crawl`.
+    let merged = topics_core::merge_dir_columnar(&segments)?;
+    std::fs::create_dir_all(&out).map_err(|e| format!("creating {}: {e}", out.display()))?;
+    let col_path = out.join(CAMPAIGN_COLUMNAR_FILE);
+    std::fs::write(&col_path, merged.store.bytes())
+        .map_err(|e| format!("writing store to {}: {e}", col_path.display()))?;
+    let eval = evaluate(&merged.outcome);
+    let full_scale = merged.outcome.sites.len() >= 50_000;
+    write_artefacts(&out, &merged.outcome, &eval, full_scale)
+        .map_err(|e| format!("writing bundle to {}: {e}", out.display()))?;
     let trace_path = out.join("trace.jsonl");
-    std::fs::write(&trace_path, trace.to_jsonl())
+    std::fs::write(&trace_path, merged.trace.to_jsonl())
         .map_err(|e| format!("writing trace to {}: {e}", trace_path.display()))?;
 
     println!("{}", eval.render_report());
@@ -612,17 +580,11 @@ fn cmd_merge(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_report(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["--campaign", "--store"], &[])?;
-    let store = args
-        .value_of("--store")?
-        .map(|s| {
-            StoreKind::parse(s).ok_or_else(|| format!("unknown --store {s:?} (json|columnar)"))
-        })
-        .transpose()?;
+    args.reject_unknown(&["--campaign"], &[])?;
     let path = args
         .value_of("--campaign")?
         .ok_or("report needs --campaign DIR|FILE")?;
-    let campaign = resolve_campaign_with(path, store);
+    let campaign = resolve_campaign(path);
     let outcome = load_campaign_cli(&campaign)?;
     let eval = evaluate(&outcome);
     println!("{}", eval.render_report());
@@ -675,23 +637,14 @@ fn parse_top(s: &str) -> Result<usize, String> {
     }
 }
 
-/// Resolve `--campaign`: a bundle directory means its campaign file —
-/// the `--store` choice when given, else whichever store is present
-/// (`campaign.json` preferred, `campaign.col` as the fallback).
-fn resolve_campaign_with(path: &str, store: Option<StoreKind>) -> PathBuf {
-    let p = PathBuf::from(path);
-    if !p.is_dir() {
-        return p;
-    }
-    if let Some(s) = store {
-        return p.join(s.campaign_file());
-    }
-    topics_core::export::resolve_campaign_file(&p).unwrap_or_else(|| p.join("campaign.json"))
-}
-
-/// [`resolve_campaign_with`] without a store preference.
+/// Resolve `--campaign`: a bundle directory means its `campaign.col`.
 fn resolve_campaign(path: &str) -> PathBuf {
-    resolve_campaign_with(path, None)
+    let p = PathBuf::from(path);
+    if p.is_dir() {
+        p.join(CAMPAIGN_COLUMNAR_FILE)
+    } else {
+        p
+    }
 }
 
 /// Read and parse a span trace, classifying a missing file as exit 3.
@@ -739,17 +692,17 @@ fn cmd_doctor(args: &Args) -> Result<(), CliError> {
     let outcome = load_campaign_cli(&campaign)?;
     let trace = load_trace_cli(&trace_path)?;
 
-    // Shard segments and a columnar store next to the campaign are
+    // Shard segments and the columnar store next to the campaign are
     // verified automatically: segment checksums, coverage, and
-    // byte-identity of their merge; campaign.col section checksums,
-    // intern referential integrity, and dataset agreement.
+    // byte-identity of their merge with campaign.col; campaign.col
+    // section checksums and intern referential integrity.
     let mut report = diagnose(&outcome, &trace, top);
     if let Some(dir) = campaign.parent().filter(|d| d.is_dir()) {
-        let (checked, violations) = topics_core::doctor::verify_segments(dir, &outcome);
+        let (checked, violations) = topics_core::doctor::verify_segments(dir);
         if checked > 0 {
             report = report.with_segment_checks(checked, violations);
         }
-        if let Some(check) = topics_core::doctor::verify_columnar(dir, &outcome) {
+        if let Some(check) = topics_core::doctor::verify_columnar(dir) {
             report = report.with_columnar_check(check);
         }
     }
@@ -963,20 +916,13 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             "--threads",
             "--trace",
             "--addr-file",
-            "--store",
         ],
         &["--quiet"],
     )?;
-    let store = args
-        .value_of("--store")?
-        .map(|s| {
-            StoreKind::parse(s).ok_or_else(|| format!("unknown --store {s:?} (json|columnar)"))
-        })
-        .transpose()?;
     let path = args
         .value_of("--campaign")?
         .ok_or("serve needs --campaign DIR|FILE")?;
-    let mut config = topics_core::ServeConfig::new(resolve_campaign_with(path, store));
+    let mut config = topics_core::ServeConfig::new(resolve_campaign(path));
     if let Some(addr) = args.value_of("--addr")? {
         config.addr = addr.to_owned();
     }
@@ -1198,7 +1144,6 @@ mod tests {
                     "--threads",
                     "--trace",
                     "--addr-file",
-                    "--store"
                 ],
                 &["--quiet"],
             )
@@ -1290,15 +1235,15 @@ mod tests {
             .unwrap_err()
             .contains("--trase"));
         // A campaign file path passes through; only directories gain
-        // the campaign.json suffix (exercised with a real temp dir).
+        // the campaign.col suffix (exercised with a real temp dir).
         assert_eq!(
-            resolve_campaign("bundle/campaign.json"),
-            PathBuf::from("bundle/campaign.json")
+            resolve_campaign("bundle/campaign.col"),
+            PathBuf::from("bundle/campaign.col")
         );
         let dir = std::env::temp_dir();
         assert_eq!(
             resolve_campaign(dir.to_str().unwrap()),
-            dir.join("campaign.json")
+            dir.join("campaign.col")
         );
     }
 
@@ -1328,7 +1273,7 @@ mod tests {
             a.value_of("--top").unwrap().map(parse_top).transpose(),
             Ok(Some(7))
         );
-        // --campaign DIR resolves to trace.jsonl next to campaign.json.
+        // --campaign DIR resolves to trace.jsonl next to campaign.col.
         let dir = std::env::temp_dir();
         assert_eq!(
             resolve_campaign(dir.to_str().unwrap()).with_file_name("trace.jsonl"),
@@ -1343,49 +1288,36 @@ mod tests {
     }
 
     #[test]
-    fn store_flag_parses_strictly() {
-        assert_eq!(parse_store(&args(&[])).unwrap(), StoreKind::Json);
-        assert_eq!(
-            parse_store(&args(&["--store", "json"])).unwrap(),
-            StoreKind::Json
-        );
-        assert_eq!(
-            parse_store(&args(&["--store", "columnar"])).unwrap(),
-            StoreKind::Columnar
-        );
-        // Unknown backends and missing values are hard errors — never a
-        // silent fallback to JSON.
-        let err = parse_store(&args(&["--store", "parquet"])).unwrap_err();
-        assert!(err.contains("--store"), "{err}");
-        let err = parse_store(&args(&["--store", "--quiet"])).unwrap_err();
-        assert!(err.contains("requires a value"), "{err}");
-        // A typo'd flag name is rejected by the crawl/merge flag sets.
-        let a = args(&["--stor", "columnar"]);
-        assert!(a
-            .reject_unknown(&["--store"], &[])
-            .unwrap_err()
-            .contains("--stor"));
+    fn store_flag_is_rejected_by_every_subcommand() {
+        // There is one campaign store, so no subcommand takes --store:
+        // each rejects it before doing any work.
+        let with_store = args(&["--store", "columnar"]);
+        let errors = [
+            cmd_crawl(&with_store).unwrap_err(),
+            cmd_shard(&with_store).unwrap_err(),
+            cmd_merge(&with_store).unwrap_err(),
+            cmd_report(&with_store).unwrap_err().message().to_owned(),
+            cmd_serve(&with_store).unwrap_err().message().to_owned(),
+        ];
+        for err in errors {
+            assert!(err.contains("unknown flag \"--store\""), "{err}");
+        }
     }
 
     #[test]
     fn campaign_resolution_prefers_an_existing_store() {
-        // A file path passes through untouched.
+        // A file path passes through untouched, whatever its name.
         assert_eq!(
-            resolve_campaign_with("bundle/campaign.col", None),
-            PathBuf::from("bundle/campaign.col")
+            resolve_campaign("bundle/old.col"),
+            PathBuf::from("bundle/old.col")
         );
-        // A directory with only campaign.col resolves to it...
+        // A directory resolves to its campaign.col — never to a
+        // campaign.json an older bundle left beside it.
         let dir = std::env::temp_dir().join(format!("topics-lab-resolve-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("campaign.col"), b"x").unwrap();
-        let dirs = dir.to_str().unwrap();
-        assert_eq!(resolve_campaign(dirs), dir.join("campaign.col"));
-        // ...until campaign.json appears (the compatibility default),
-        // and an explicit --store always wins.
         std::fs::write(dir.join("campaign.json"), b"{}").unwrap();
-        assert_eq!(resolve_campaign(dirs), dir.join("campaign.json"));
         assert_eq!(
-            resolve_campaign_with(dirs, Some(StoreKind::Columnar)),
+            resolve_campaign(dir.to_str().unwrap()),
             dir.join("campaign.col")
         );
         std::fs::remove_dir_all(&dir).unwrap();

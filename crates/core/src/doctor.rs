@@ -1,7 +1,7 @@
 //! Run-health doctor: reconcile a saved campaign with its trace.
 //!
 //! The doctor cross-checks three independent records of the same run —
-//! the measurement dataset (`campaign.json`), the authoritative metric
+//! the measurement dataset (`campaign.col`), the authoritative metric
 //! tally recomputed from it, and the span trace — and renders one
 //! report: outcome partition, trace/metric reconciliation, critical
 //! path, per-phase self/total time, worker utilization, retry
@@ -9,6 +9,7 @@
 //! reconciliation mismatch makes the report unhealthy (the CLI exits
 //! non-zero on those).
 
+use crate::export::CAMPAIGN_COLUMNAR_FILE;
 use crate::lab::metrics_snapshot_of;
 use std::path::Path;
 use topics_crawler::columnar::{ColumnarCampaign, SectionInfo};
@@ -86,43 +87,27 @@ pub struct ColumnarCheck {
     /// Per-section directory entries (empty when the header itself is
     /// unreadable).
     pub sections: Vec<SectionInfo>,
-    /// Checksum, referential-integrity, and campaign-consistency
-    /// violations.
+    /// Checksum and referential-integrity violations.
     pub violations: Vec<String>,
 }
 
-/// Verify a `campaign.col` next to the loaded campaign, if one exists:
-/// header and per-section FNV-1a checksums, intern referential
-/// integrity (every id in range, no orphan strings, visit/call range
-/// tiling — [`ColumnarCampaign::verify`]), and agreement with the
-/// campaign the doctor loaded (the two stores must describe the same
-/// dataset). Returns `None` when the directory has no columnar store.
-pub fn verify_columnar(dir: &Path, outcome: &CampaignOutcome) -> Option<ColumnarCheck> {
-    let path = dir.join(crate::export::CAMPAIGN_COLUMNAR_FILE);
-    let bytes = std::fs::read(&path).ok()?;
+/// Verify the `campaign.col` in `dir`, if one exists: header and
+/// per-section FNV-1a checksums and intern referential integrity
+/// (every id in range, no orphan strings, visit/call range tiling —
+/// [`ColumnarCampaign::verify`]). Returns `None` when the directory has
+/// no columnar store.
+pub fn verify_columnar(dir: &Path) -> Option<ColumnarCheck> {
+    let bytes = std::fs::read(dir.join(CAMPAIGN_COLUMNAR_FILE)).ok()?;
     let mut check = ColumnarCheck {
         bytes: bytes.len() as u64,
         sections: Vec::new(),
         violations: Vec::new(),
     };
-    let store = match ColumnarCampaign::decode(bytes) {
-        Ok(s) => s,
-        Err(e) => {
-            check.violations.push(format!("campaign.col: {e}"));
-            return Some(check);
-        }
-    };
-    check.sections = store.section_map();
-    if let Err(e) = store.verify() {
-        check.violations.push(format!("campaign.col: {e}"));
-        return Some(check);
-    }
-    match store.to_outcome() {
-        Ok(col_outcome) => {
-            if serde_json::to_string(&col_outcome).ok() != serde_json::to_string(outcome).ok() {
-                check.violations.push(
-                    "campaign.col does not describe the same dataset as the loaded campaign".into(),
-                );
+    match ColumnarCampaign::decode(bytes) {
+        Ok(store) => {
+            check.sections = store.section_map();
+            if let Err(e) = store.verify() {
+                check.violations.push(format!("campaign.col: {e}"));
             }
         }
         Err(e) => check.violations.push(format!("campaign.col: {e}")),
@@ -133,44 +118,34 @@ pub fn verify_columnar(dir: &Path, outcome: &CampaignOutcome) -> Option<Columnar
 /// Segment-integrity and shard-coverage checks over every `*.seg` file
 /// in `dir`: each segment must decode (checksum, line count, version,
 /// required sections), the set must merge (exact shard coverage of the
-/// plan's rank space, matching tokens and headers), and the merged
-/// outcome must reproduce the loaded `campaign.json` byte for byte.
-/// Returns `(files checked, violations)`.
-pub fn verify_segments(dir: &Path, outcome: &CampaignOutcome) -> (usize, Vec<String>) {
-    let paths = match crate::shard::segment_paths(dir) {
-        Ok(p) => p,
+/// plan's rank space, matching tokens and headers), and the store the
+/// merge streams out must equal the `campaign.col` in `dir` byte for
+/// byte. Returns `(files checked, violations)`.
+pub fn verify_segments(dir: &Path) -> (usize, Vec<String>) {
+    let count = match crate::shard::segment_paths(dir) {
+        Ok(p) => p.len(),
         Err(e) => return (0, vec![e]),
     };
-    if paths.is_empty() {
+    if count == 0 {
         return (0, Vec::new());
     }
-    let mut violations = Vec::new();
-    let mut segments = Vec::new();
-    for p in &paths {
-        match crate::shard::read_segment(p) {
-            Ok(s) => segments.push(s),
-            Err(e) => violations.push(e),
-        }
-    }
-    if !violations.is_empty() {
-        return (paths.len(), violations);
-    }
-    match topics_crawler::shard::merge_segments(&segments) {
-        Ok(merged) => {
-            if merged.sites.len() != outcome.sites.len() {
-                violations.push(format!(
-                    "shard coverage gap: segments cover {} sites, campaign has {}",
-                    merged.sites.len(),
-                    outcome.sites.len()
-                ));
-            } else if serde_json::to_string(&merged).ok() != serde_json::to_string(outcome).ok() {
-                violations
-                    .push("merged segments do not reproduce campaign.json byte-for-byte".into());
-            }
-        }
-        Err(e) => violations.push(e.to_string()),
-    }
-    (paths.len(), violations)
+    let merged = match crate::shard::merge_dir_columnar(dir) {
+        Ok(m) => m.store,
+        Err(e) => return (count, vec![e]),
+    };
+    let violation = match std::fs::read(dir.join(CAMPAIGN_COLUMNAR_FILE)) {
+        Err(e) => Some(format!("reading campaign.col: {e}")),
+        Ok(bytes) if bytes == merged.bytes() => None,
+        Ok(bytes) => Some(match ColumnarCampaign::decode(bytes) {
+            Ok(store) if store.site_count() != merged.site_count() => format!(
+                "shard coverage gap: segments cover {} sites, campaign.col has {}",
+                merged.site_count(),
+                store.site_count()
+            ),
+            _ => "merged segments do not reproduce campaign.col byte-for-byte".to_owned(),
+        }),
+    };
+    (count, violation.into_iter().collect())
 }
 
 fn u64_field(trace: &Trace, span_name: &str, key: &str) -> u64 {
@@ -511,7 +486,7 @@ impl DoctorReport {
             out.push_str("== Shard segments ==\n");
             if self.segment_violations.is_empty() {
                 out.push_str(&format!(
-                    "[ok] {} segment file(s): checksums verified, shard coverage complete, merge reproduces campaign.json\n",
+                    "[ok] {} segment file(s): checksums verified, shard coverage complete, merge reproduces campaign.col\n",
                     self.segments_checked,
                 ));
             } else {
@@ -526,7 +501,7 @@ impl DoctorReport {
             out.push_str("== Columnar store ==\n");
             if col.violations.is_empty() {
                 out.push_str(&format!(
-                    "[ok] campaign.col ({} B): header + section checksums verified, intern table referentially intact, dataset matches the loaded campaign\n",
+                    "[ok] campaign.col ({} B): header + section checksums verified, intern table referentially intact\n",
                     col.bytes,
                 ));
             } else {
@@ -705,9 +680,21 @@ mod tests {
             let segment = crate::shard::run_shard(&config, shard, 2, &Obs::new().with_trace());
             paths.push(crate::shard::write_segment(&dir, &segment).unwrap());
         }
-        let merged = crate::shard::merge_dir(&dir).unwrap();
+        let merged = crate::shard::merge_dir_columnar(&dir).unwrap();
+        let col_path = dir.join(CAMPAIGN_COLUMNAR_FILE);
 
-        let (checked, violations) = verify_segments(&dir, &merged.outcome);
+        // Segments without a store next to them have nothing to reproduce.
+        let (checked, violations) = verify_segments(&dir);
+        assert_eq!(checked, 2);
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("reading campaign.col")),
+            "{violations:?}"
+        );
+
+        std::fs::write(&col_path, merged.store.bytes()).unwrap();
+        let (checked, violations) = verify_segments(&dir);
         assert_eq!(checked, 2);
         assert!(violations.is_empty(), "{violations:?}");
         let report =
@@ -716,20 +703,22 @@ mod tests {
         assert!(report.render().contains("== Shard segments =="));
         assert!(report.render().contains("[ok] 2 segment file(s)"));
 
-        // A campaign that does not match the segments is a coverage gap.
+        // A store that does not match the segments is a coverage gap.
         let mut short = merged.outcome.clone();
         short.sites.pop();
-        let (_, violations) = verify_segments(&dir, &short);
+        std::fs::write(&col_path, ColumnarCampaign::from_outcome(&short).bytes()).unwrap();
+        let (_, violations) = verify_segments(&dir);
         assert!(
             violations.iter().any(|v| v.contains("coverage gap")),
             "{violations:?}"
         );
+        std::fs::write(&col_path, merged.store.bytes()).unwrap();
 
         // Flip one byte in a segment (still valid JSON, so only the
         // checksum can catch it): the check names the file.
         let text = std::fs::read_to_string(&paths[0]).unwrap();
         std::fs::write(&paths[0], text.replacen("\"rank\":0", "\"rank\":9", 1)).unwrap();
-        let (checked, violations) = verify_segments(&dir, &merged.outcome);
+        let (checked, violations) = verify_segments(&dir);
         assert_eq!(checked, 2);
         assert!(
             violations.iter().any(|v| v.contains("checksum mismatch")),
@@ -742,7 +731,7 @@ mod tests {
 
         // Truncation is named too.
         std::fs::write(&paths[0], &text[..text.len() / 2]).unwrap();
-        let (_, violations) = verify_segments(&dir, &merged.outcome);
+        let (_, violations) = verify_segments(&dir);
         assert!(
             violations.iter().any(|v| v.contains("truncated")),
             "{violations:?}"
@@ -758,13 +747,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
 
         // No store, no check.
-        assert!(verify_columnar(&dir, &outcome).is_none());
+        assert!(verify_columnar(&dir).is_none());
 
         // A healthy store validates and lists every section.
         let store = ColumnarCampaign::from_outcome(&outcome);
-        let path = dir.join(crate::export::CAMPAIGN_COLUMNAR_FILE);
+        let path = dir.join(CAMPAIGN_COLUMNAR_FILE);
         std::fs::write(&path, store.bytes()).unwrap();
-        let check = verify_columnar(&dir, &outcome).unwrap();
+        let check = verify_columnar(&dir).unwrap();
         assert!(check.violations.is_empty(), "{:?}", check.violations);
         assert_eq!(check.sections.len(), 8);
         assert_eq!(check.bytes, store.bytes().len() as u64);
@@ -775,30 +764,20 @@ mod tests {
         assert!(text.contains("[ok] campaign.col"));
         assert!(text.contains("section strings"));
 
-        // A store describing a different campaign is a violation.
-        let mut short = outcome.clone();
-        short.sites.pop();
-        let check = verify_columnar(&dir, &short).unwrap();
+        // A flipped payload byte is a named section-checksum violation.
+        let mut bytes = store.bytes().to_vec();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let check = verify_columnar(&dir).unwrap();
         assert!(
-            check.violations.iter().any(|v| v.contains("same dataset")),
+            check.violations.iter().any(|v| v.contains("checksum")),
             "{:?}",
             check.violations
         );
         let report = diagnose(&outcome, &trace, 5).with_columnar_check(check);
         assert!(!report.is_healthy());
         assert!(report.render().contains("[FAIL]"));
-
-        // A flipped payload byte is a named section-checksum violation.
-        let mut bytes = store.bytes().to_vec();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        let check = verify_columnar(&dir, &outcome).unwrap();
-        assert!(
-            check.violations.iter().any(|v| v.contains("checksum")),
-            "{:?}",
-            check.violations
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -4,65 +4,27 @@
 use crate::lab::Evaluation;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use topics_analysis::dataset::{DatasetId, Datasets};
 use topics_analysis::export as csv;
-use topics_crawler::columnar::{ColumnarCampaign, COLUMNAR_MAGIC};
+use topics_crawler::columnar::{ColumnarCampaign, ColumnarError};
 use topics_crawler::record::CampaignOutcome;
 
-/// The row-store file written by the JSON backend.
-pub const CAMPAIGN_JSON_FILE: &str = "campaign.json";
-/// The column-store file written by the columnar backend.
+/// The bundle's dataset file: the columnar campaign store.
 pub const CAMPAIGN_COLUMNAR_FILE: &str = "campaign.col";
 
-/// Which on-disk representation a bundle's campaign dataset uses.
-///
-/// Both stores hold the identical dataset — [`load_campaign`] sniffs
-/// the file's magic bytes, so every consumer (report, doctor, compare)
-/// accepts either. `Json` stays the compatibility default; `Columnar`
-/// is the interned struct-of-arrays layout in
+/// The on-disk representation of a bundle's campaign dataset. There is
+/// one: the interned struct-of-arrays layout in
 /// [`topics_crawler::columnar`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreKind {
-    /// `campaign.json` — serde row structs, human-greppable.
-    #[default]
-    Json,
     /// `campaign.col` — checksummed columnar sections, lazy readable.
     Columnar,
 }
 
-impl StoreKind {
-    /// Parse a `--store` flag value.
-    pub fn parse(s: &str) -> Option<StoreKind> {
-        match s {
-            "json" => Some(StoreKind::Json),
-            "columnar" | "col" => Some(StoreKind::Columnar),
-            _ => None,
-        }
-    }
-
-    /// The campaign file name this store writes.
-    pub fn campaign_file(self) -> &'static str {
-        match self {
-            StoreKind::Json => CAMPAIGN_JSON_FILE,
-            StoreKind::Columnar => CAMPAIGN_COLUMNAR_FILE,
-        }
-    }
-}
-
-impl std::fmt::Display for StoreKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            StoreKind::Json => "json",
-            StoreKind::Columnar => "columnar",
-        })
-    }
-}
-
-/// File names written by [`write_bundle`] with the default JSON store;
-/// the columnar store swaps `campaign.json` for `campaign.col`.
+/// File names written by [`write_bundle`].
 pub const BUNDLE_FILES: [&str; 13] = [
-    "campaign.json",
+    "campaign.col",
     "report.txt",
     "comparison.txt",
     "calls.csv",
@@ -79,17 +41,12 @@ pub const BUNDLE_FILES: [&str; 13] = [
 
 /// Write the full artefact bundle for a campaign:
 ///
-/// * `campaign.json` or `campaign.col` (per `store`) — the raw dataset
-///   (every visit, call and probe), loadable back with
-///   [`load_campaign`];
+/// * `campaign.col` — the raw dataset (every visit, call and probe),
+///   loadable back with [`load_campaign`];
 /// * `report.txt` / `comparison.txt` — the rendered evaluation and the
 ///   paper-vs-measured table;
 /// * one CSV per reproduced table/figure plus the raw calls/sites CSVs
 ///   and the enrolment timeline.
-///
-/// Every rendered artefact is computed from the in-memory outcome, so
-/// the two stores produce byte-identical reports/CSVs — only the
-/// campaign file differs.
 pub fn write_bundle(
     dir: &Path,
     outcome: &CampaignOutcome,
@@ -99,10 +56,6 @@ pub fn write_bundle(
 ) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     match store {
-        StoreKind::Json => {
-            let json = serde_json::to_string(outcome).expect("campaign serialises");
-            fs::write(dir.join(CAMPAIGN_JSON_FILE), json)?;
-        }
         StoreKind::Columnar => {
             let col = ColumnarCampaign::from_outcome(outcome);
             fs::write(dir.join(CAMPAIGN_COLUMNAR_FILE), col.bytes())?;
@@ -113,8 +66,8 @@ pub fn write_bundle(
 
 /// Write every rendered artefact except the campaign file itself —
 /// what [`write_bundle`] adds on top of the store. Used directly by
-/// `merge --store columnar`, which already holds the streamed store
-/// bytes and must not re-encode them.
+/// `merge`, which already holds the streamed store bytes and must not
+/// re-encode them.
 pub fn write_artefacts(
     dir: &Path,
     outcome: &CampaignOutcome,
@@ -155,43 +108,18 @@ pub fn write_artefacts(
     Ok(())
 }
 
-/// Load a campaign dumped by [`write_bundle`], from either store.
-///
-/// The backend is sniffed from the file's magic bytes, not its name:
-/// a `TOPICCOL` header means the columnar decoder (section checksums
-/// and schema verified on the way in), anything else is parsed as
-/// JSON. Unknown future `schema_version`s are a typed refusal in both
-/// paths rather than a misparse.
+/// Load a campaign dumped by [`write_bundle`]. The columnar decoder
+/// verifies the magic bytes, section checksums and schema version on
+/// the way in: any other file — a `campaign.json` from an older bundle,
+/// say — is an `InvalidData` error naming the typed decode failure, a
+/// missing one `NotFound`.
 pub fn load_campaign(path: &Path) -> io::Result<CampaignOutcome> {
-    let bytes = fs::read(path)?;
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    if bytes.starts_with(&COLUMNAR_MAGIC) {
-        let col =
-            ColumnarCampaign::decode(bytes).map_err(|e| bad(format!("bad campaign.col: {e}")))?;
-        return col
-            .to_outcome()
-            .map_err(|e| bad(format!("bad campaign.col: {e}")));
-    }
-    let json = String::from_utf8(bytes).map_err(|e| bad(format!("bad campaign.json: {e}")))?;
-    let outcome: CampaignOutcome =
-        serde_json::from_str(&json).map_err(|e| bad(format!("bad campaign.json: {e}")))?;
-    outcome
-        .check_schema()
-        .map_err(|e| bad(format!("bad campaign.json: {e}")))?;
-    Ok(outcome)
-}
-
-/// The campaign file inside a bundle directory, whichever store wrote
-/// it. Prefers `campaign.json` when both exist (the stores hold the
-/// same dataset, and JSON is the compatibility reader).
-pub fn resolve_campaign_file(dir: &Path) -> Option<PathBuf> {
-    for name in [CAMPAIGN_JSON_FILE, CAMPAIGN_COLUMNAR_FILE] {
-        let p = dir.join(name);
-        if p.is_file() {
-            return Some(p);
-        }
-    }
-    None
+    let bad = |e: ColumnarError| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("bad campaign.col: {e}"))
+    };
+    ColumnarCampaign::decode(fs::read(path)?)
+        .and_then(|col| col.to_outcome())
+        .map_err(bad)
 }
 
 /// Quick sanity accessor used by tests: dataset sizes of a loaded
@@ -215,14 +143,13 @@ mod tests {
         let outcome = lab.run();
         let eval = evaluate(&outcome);
         let dir = std::env::temp_dir().join(format!("topics-lab-test-{}", std::process::id()));
-        write_bundle(&dir, &outcome, &eval, false, StoreKind::Json).unwrap();
+        write_bundle(&dir, &outcome, &eval, false, StoreKind::Columnar).unwrap();
         for f in BUNDLE_FILES {
             let p = dir.join(f);
             assert!(p.exists(), "missing {f}");
             assert!(fs::metadata(&p).unwrap().len() > 0, "{f} is empty");
         }
-        assert_eq!(resolve_campaign_file(&dir), Some(dir.join("campaign.json")));
-        let back = load_campaign(&dir.join("campaign.json")).unwrap();
+        let back = load_campaign(&dir.join("campaign.col")).unwrap();
         assert_eq!(dataset_sizes(&back), dataset_sizes(&outcome));
         assert_eq!(back.allow_list, outcome.allow_list);
         fs::remove_dir_all(&dir).unwrap();
@@ -235,9 +162,7 @@ mod tests {
         let eval = evaluate(&outcome);
         let dir = std::env::temp_dir().join(format!("topics-lab-coltest-{}", std::process::id()));
         write_bundle(&dir, &outcome, &eval, false, StoreKind::Columnar).unwrap();
-        assert!(!dir.join("campaign.json").exists());
         let col_path = dir.join("campaign.col");
-        assert_eq!(resolve_campaign_file(&dir), Some(col_path.clone()));
         let back = load_campaign(&col_path).unwrap();
         assert_eq!(
             serde_json::to_string(&back).unwrap(),
@@ -248,23 +173,16 @@ mod tests {
     }
 
     #[test]
-    fn store_kind_parses_flag_values() {
-        assert_eq!(StoreKind::parse("json"), Some(StoreKind::Json));
-        assert_eq!(StoreKind::parse("columnar"), Some(StoreKind::Columnar));
-        assert_eq!(StoreKind::parse("col"), Some(StoreKind::Columnar));
-        assert_eq!(StoreKind::parse("parquet"), None);
-        assert_eq!(StoreKind::Json.campaign_file(), "campaign.json");
-        assert_eq!(StoreKind::Columnar.campaign_file(), "campaign.col");
-        assert_eq!(StoreKind::default(), StoreKind::Json);
-    }
-
-    #[test]
     fn load_rejects_garbage() {
         let dir = std::env::temp_dir().join(format!("topics-lab-garbage-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("campaign.json");
-        fs::write(&p, "not json at all").unwrap();
-        assert!(load_campaign(&p).is_err());
+        let p = dir.join("campaign.col");
+        fs::write(&p, "not a campaign at all").unwrap();
+        let err = load_campaign(&p).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bad magic"), "{err}");
+        let missing = load_campaign(&dir.join("absent.col")).unwrap_err();
+        assert_eq!(missing.kind(), io::ErrorKind::NotFound);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

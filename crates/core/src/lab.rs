@@ -48,7 +48,7 @@ impl std::ops::Deref for CampaignRun {
 
 /// The tally-only metrics snapshot of an outcome (a fresh registry fed
 /// through [`tally_outcome`]). This is what the `topics-lab metrics`
-/// subcommand re-renders from a saved `campaign.json` — by construction
+/// subcommand re-renders from a saved `campaign.col` — by construction
 /// it reconciles with the §2.4 report numbers.
 pub fn metrics_snapshot_of(outcome: &CampaignOutcome) -> MetricsSnapshot {
     let registry = MetricsRegistry::new();

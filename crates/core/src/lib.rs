@@ -19,15 +19,15 @@
 //!   comparison rows (the EXPERIMENTS.md source of truth).
 //! * [`doctor`] — run-health report reconciling a saved campaign with
 //!   its span trace (the `topics-lab doctor` subcommand).
-//! * [`export`] — artefact bundles: the campaign dataset (JSON row
-//!   store or columnar store, see [`export::StoreKind`]) plus one CSV
-//!   per table/figure (the `topics-lab` CLI writes these).
+//! * [`export`] — artefact bundles: the campaign dataset
+//!   (`campaign.col`, the columnar store) plus one CSV per table/figure
+//!   (the `topics-lab` CLI writes these).
 //! * [`shard`] — sharded campaign execution (`topics-lab shard`) and
 //!   the deterministic merge (`topics-lab merge`) back into a bundle
 //!   byte-identical to a single-process run.
 //! * [`serve`] — the live query + observability service
 //!   (`topics-lab serve`): a dependency-free HTTP server answering
-//!   per-figure queries off the resident columnar store, responses
+//!   per-figure queries from the resident columnar store, responses
 //!   byte-identical to the offline artefacts, self-observed at
 //!   `/metrics`.
 //! * [`sim`] — the population-scale privacy testbed
@@ -66,8 +66,8 @@ pub use serve::{
     API_ENDPOINTS,
 };
 pub use shard::{
-    merge_dir, merge_dir_columnar, read_segment, run_shard, segment_file_name, segment_paths,
-    write_segment, Merged, MergedColumnar, MERGE_RULES,
+    merge_dir_columnar, read_segment, run_shard, segment_file_name, segment_paths, write_segment,
+    MergedColumnar, MERGE_RULES,
 };
 pub use sim::{
     publish_sim_metrics, run_simulation, write_sim_artefacts, SIM_KANON_FILE, SIM_REIDENT_FILE,

@@ -4,16 +4,12 @@
 //! The batch pipeline renders every artefact once and exits; this
 //! module keeps a campaign resident and answers per-figure queries
 //! over HTTP/1.1 — dependency-free, `std::net::TcpListener` plus a
-//! small scoped worker pool. At startup the store is loaded **once**:
-//! the interned [`ColumnarCampaign`] arena and its scanned
-//! [`ColumnIndex`](topics_analysis::ColumnIndex) stay in memory (a
-//! JSON campaign is encoded into the same columnar form first), every
-//! endpoint body is rendered into an immutable cache, and the row
-//! structs are dropped. From then on a request is a map lookup — zero
-//! row-struct materialisation per query — and the column-computable
-//! figures (2, 3, 5) are rendered through
-//! [`ColumnQueries`](topics_analysis::ColumnQueries), the typed query
-//! API over the scanned columns. Every `/api/*` response is
+//! small scoped worker pool. At startup `campaign.col` is loaded
+//! **once**: the interned [`ColumnarCampaign`] arena stays in memory,
+//! every endpoint body is rendered into an immutable cache from the
+//! same evaluation the offline pipeline runs, and the row structs are
+//! dropped. From then on a request is a map lookup — zero row-struct
+//! materialisation per query. Every `/api/*` response is
 //! byte-identical to the artefact the offline `crawl`/`merge`
 //! pipeline writes for the same store (`tests/integration_serve.rs`
 //! proves it).
@@ -21,10 +17,11 @@
 //! The server is observed with the repo's own stack: per-endpoint
 //! request counters, an in-flight gauge and a latency histogram live
 //! in a [`MetricsRegistry`](topics_obs::MetricsRegistry) exported at
-//! `/metrics` (Prometheus text), every request is an `http-access`
-//! event through the structured [`EventLog`](topics_obs::EventLog),
-//! and `POST /shutdown` drains gracefully: the accept loop stops,
-//! queued connections finish, workers join.
+//! `/metrics` (Prometheus text), every request is echoed to stderr as
+//! an `http-access` line when the [`EventLog`](topics_obs::EventLog)
+//! echoes (never stored, so a long-lived server's memory does not grow
+//! with its request count), and `POST /shutdown` drains gracefully:
+//! the accept loop stops, queued connections finish, workers join.
 //!
 //! | Path              | Body (byte-identical artefact)         |
 //! |-------------------|----------------------------------------|
@@ -50,10 +47,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use topics_analysis::export as csv;
-use topics_analysis::{colscan, ColumnQueries};
-use topics_crawler::columnar::{ColumnarCampaign, COLUMNAR_MAGIC};
-use topics_crawler::record::CampaignOutcome;
-use topics_obs::{FieldValue, Obs, Trace};
+use topics_crawler::columnar::ColumnarCampaign;
+use topics_obs::{FieldValue, Level, Obs, Trace};
 
 /// The eight artefact-backed API endpoints: URL path → the bundle file
 /// whose bytes the endpoint serves. `/api/doctor` and `/api/profile`
@@ -107,7 +102,7 @@ impl std::error::Error for ServeError {}
 /// Configuration for [`Server::bind`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// The campaign file (either store; a directory must be resolved
+    /// The campaign file (`campaign.col`; a directory must be resolved
     /// by the caller, the CLI does).
     pub campaign: PathBuf,
     /// The span trace backing `/api/doctor` and `/api/profile`.
@@ -135,23 +130,19 @@ impl ServeConfig {
 }
 
 /// The immutable query state built once at startup: the resident
-/// columnar store (interned arena), the scanned column index wrapped
-/// in its typed query API, and every endpoint body pre-rendered.
+/// columnar store (interned arena) and every endpoint body
+/// pre-rendered.
 pub struct QueryService {
     store: ColumnarCampaign,
-    queries: ColumnQueries,
     bodies: BTreeMap<&'static str, (&'static str, Arc<[u8]>)>,
     build_wall_ms: u64,
 }
 
 impl QueryService {
-    /// Load a campaign file (either store) and build the service: the
-    /// rows are materialised once here to render the row-dependent
-    /// artefacts (report, table 1, figures 6/7, anomalous), then
-    /// dropped — queries never touch row structs again. The
-    /// column-computable figures (2, 3, 5) are rendered through
-    /// [`ColumnQueries`] so the serving path exercises the same code a
-    /// live per-request query would.
+    /// Load a `campaign.col` and build the service: the rows are
+    /// materialised once here to render every artefact through the
+    /// offline pipeline's own evaluation, then dropped — queries never
+    /// touch row structs again.
     pub fn build(campaign: &Path, trace: Option<&Path>) -> Result<QueryService, ServeError> {
         let started = Instant::now();
         let bytes = std::fs::read(campaign).map_err(|e| match e.kind() {
@@ -159,19 +150,8 @@ impl QueryService {
             _ => ServeError::Io(campaign.to_path_buf(), e.to_string()),
         })?;
         let corrupt = |e: String| -> ServeError { ServeError::Corrupt(campaign.to_path_buf(), e) };
-        let (store, outcome) = if bytes.starts_with(&COLUMNAR_MAGIC) {
-            let store = ColumnarCampaign::decode(bytes).map_err(|e| corrupt(e.to_string()))?;
-            let outcome = store.to_outcome().map_err(|e| corrupt(e.to_string()))?;
-            (store, outcome)
-        } else {
-            let json = String::from_utf8(bytes).map_err(|e| corrupt(e.to_string()))?;
-            let outcome: CampaignOutcome =
-                serde_json::from_str(&json).map_err(|e| corrupt(e.to_string()))?;
-            outcome.check_schema().map_err(|e| corrupt(e.to_string()))?;
-            (ColumnarCampaign::from_outcome(&outcome), outcome)
-        };
-        let queries =
-            ColumnQueries::new(colscan::scan(&store).map_err(|e| corrupt(e.to_string()))?);
+        let store = ColumnarCampaign::decode(bytes).map_err(|e| corrupt(e.to_string()))?;
+        let outcome = store.to_outcome().map_err(|e| corrupt(e.to_string()))?;
 
         let eval = crate::evaluate(&outcome);
         let mut bodies: BTreeMap<&'static str, (&'static str, Arc<[u8]>)> = BTreeMap::new();
@@ -182,9 +162,9 @@ impl QueryService {
         const CSV: &str = "text/csv; charset=utf-8";
         put("/api/report", TEXT, eval.render_report());
         put("/api/table1", CSV, csv::table1_csv(&eval.table1));
-        put("/api/fig2", CSV, csv::presence_csv(&queries.fig2(15)));
-        put("/api/fig3", CSV, csv::presence_csv(&queries.fig3(15)));
-        put("/api/fig5", CSV, csv::questionable_csv(&queries.fig5(15)));
+        put("/api/fig2", CSV, csv::presence_csv(&eval.fig2));
+        put("/api/fig3", CSV, csv::presence_csv(&eval.fig3));
+        put("/api/fig5", CSV, csv::questionable_csv(&eval.fig5));
         put("/api/fig6", CSV, csv::geo_csv(&eval.fig6));
         put("/api/fig7", CSV, csv::cmp_csv(&eval.fig7));
         put("/api/anomalous", CSV, csv::anomalous_csv(&eval.anomalous));
@@ -199,11 +179,11 @@ impl QueryService {
                 .map_err(|e| corrupt(format!("trace {}: {e}", trace_path.display())))?;
             let mut report = crate::diagnose(&outcome, &trace, 10);
             if let Some(dir) = campaign.parent().filter(|d| d.is_dir()) {
-                let (checked, violations) = crate::doctor::verify_segments(dir, &outcome);
+                let (checked, violations) = crate::doctor::verify_segments(dir);
                 if checked > 0 {
                     report = report.with_segment_checks(checked, violations);
                 }
-                if let Some(check) = crate::doctor::verify_columnar(dir, &outcome) {
+                if let Some(check) = crate::doctor::verify_columnar(dir) {
                     report = report.with_columnar_check(check);
                 }
             }
@@ -217,10 +197,9 @@ impl QueryService {
 
         let build_wall_ms = started.elapsed().as_millis() as u64;
         // `outcome` and `eval` drop here: the resident state is the
-        // columnar arena, the scanned index, and the body cache.
+        // columnar arena and the body cache.
         Ok(QueryService {
             store,
-            queries,
             bodies,
             build_wall_ms,
         })
@@ -232,12 +211,7 @@ impl QueryService {
         &self.store
     }
 
-    /// The typed column queries over the resident index.
-    pub fn queries(&self) -> &ColumnQueries {
-        &self.queries
-    }
-
-    /// Milliseconds the one-time load + scan + render took (the cold
+    /// Milliseconds the one-time load + render took (the cold
     /// cost a first query would otherwise pay).
     pub fn build_wall_ms(&self) -> u64 {
         self.build_wall_ms
@@ -362,7 +336,7 @@ pub struct Server {
 
 impl Server {
     /// Load the campaign and bind the listen address. The service is
-    /// fully built (store decoded, index scanned, bodies rendered)
+    /// fully built (store decoded, bodies rendered)
     /// before this returns, so `/readyz` is truthful immediately; the
     /// one-time cost is published as `serve_build_wall_ms`.
     pub fn bind(config: &ServeConfig, obs: Arc<Obs>) -> Result<Server, ServeError> {
@@ -502,7 +476,8 @@ impl Server {
         }
     }
 
-    /// Handle one connection: parse, count, answer, log.
+    /// Handle one connection: parse, count, answer, echo the access
+    /// line.
     fn handle_conn(&self, mut conn: TcpStream) {
         let started = Instant::now();
         let _ = conn.set_read_timeout(Some(READ_TIMEOUT));
@@ -548,9 +523,13 @@ impl Server {
             .observe(wall_us / 1_000);
         inflight.add(-1);
         self.served.fetch_add(1, Ordering::SeqCst);
-        self.obs.events.info(
+        if !self.obs.events.echo_enabled() {
+            return;
+        }
+        self.obs.events.echo(
+            Level::Info,
             "http-access",
-            vec![
+            &[
                 (
                     "method".to_owned(),
                     FieldValue::Str(if method.is_empty() {

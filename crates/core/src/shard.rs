@@ -4,10 +4,10 @@
 //! shards ([`topics_crawler::shard::ShardPlan`]) and run as independent
 //! processes: each shard crawls only its stripe, probes only the
 //! parties its stripe encountered (plus the allow-list), and writes a
-//! checksummed record segment (`shard-K-of-N.seg`). [`merge_dir`]
-//! reassembles the segments into one [`CampaignOutcome`], metrics
-//! snapshot, and stripped trace that are **byte-identical** to a
-//! single-process run of the same seed — the contract proven by
+//! checksummed record segment (`shard-K-of-N.seg`).
+//! [`merge_dir_columnar`] streams the segments back into one
+//! `campaign.col`, metrics snapshot, and stripped trace that are
+//! **byte-identical** to a single-process run of the same seed — the contract proven by
 //! `tests/integration_shard.rs` and enforced in CI.
 //!
 //! Why byte-identity holds: every per-visit input (global rank,
@@ -27,8 +27,7 @@ use topics_crawler::campaign::{run_campaign_stripe, CrawlTarget};
 use topics_crawler::columnar::{ColumnarBuilder, ColumnarCampaign};
 use topics_crawler::record::{CampaignOutcome, CAMPAIGN_SCHEMA_VERSION};
 use topics_crawler::shard::{
-    merge_segments, shard_token, tally_snapshot, Segment, SegmentHeader, ShardPlan, StreamingMerge,
-    SEGMENT_VERSION,
+    shard_token, tally_snapshot, Segment, SegmentHeader, ShardPlan, StreamingMerge, SEGMENT_VERSION,
 };
 use topics_net::seed;
 use topics_obs::{merge_stripped, MergeRule, MetricsSnapshot, Obs, Trace};
@@ -160,78 +159,36 @@ pub fn segment_paths(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(paths)
 }
 
-/// A merged campaign: the reassembled outcome, its authoritative
-/// metrics snapshot (re-tallied from the merged records — per-shard
-/// tallies are *not* additive for deduplicated probe series), and the
-/// merged stripped trace.
-#[derive(Debug, Clone)]
-pub struct Merged {
-    /// The reassembled campaign, byte-identical to a single-process run.
+/// A merged campaign, streamed straight into the columnar writer.
+#[derive(Debug)]
+pub struct MergedColumnar {
+    /// The merged campaign as an encoded columnar store — byte-identical
+    /// to the store a single-process `crawl` writes.
+    pub store: ColumnarCampaign,
+    /// The reassembled outcome (reconstructed from the store's arena,
+    /// so equal domains share storage).
     pub outcome: CampaignOutcome,
-    /// Tally snapshot of the merged outcome.
+    /// Tally snapshot of the merged outcome, re-tallied from the merged
+    /// records (per-shard tallies are *not* additive for deduplicated
+    /// probe series).
     pub metrics: MetricsSnapshot,
     /// Merged stripped trace, byte-identical to the single run's
     /// [`Trace::stripped`] view.
     pub trace: Trace,
 }
 
-/// Read every `*.seg` under `dir`, verify and merge them. Any decode
-/// failure (truncation, checksum mismatch, malformed line) or merge
-/// violation (missing/duplicate shard, stripe or token mismatch,
-/// diverging duplicates) is a named error.
-pub fn merge_dir(dir: &Path) -> Result<Merged, String> {
-    let paths = segment_paths(dir)?;
-    if paths.is_empty() {
-        return Err(format!("no segment files (*.seg) in {}", dir.display()));
-    }
-    let segments: Vec<Segment> = paths
-        .iter()
-        .map(|p| read_segment(p))
-        .collect::<Result<_, _>>()?;
-    let outcome = merge_segments(&segments).map_err(|e| e.to_string())?;
-    let traces: Vec<Trace> = segments
-        .iter()
-        .map(|s| Trace {
-            spans: s.trace.clone(),
-        })
-        .collect();
-    let trace =
-        merge_stripped(&traces, &MERGE_RULES).map_err(|e| format!("merging traces: {e}"))?;
-    let metrics = tally_snapshot(&outcome);
-    Ok(Merged {
-        outcome,
-        metrics,
-        trace,
-    })
-}
-
-/// A merge streamed straight into the columnar writer: the encoded
-/// store plus everything [`Merged`] carries.
-#[derive(Debug)]
-pub struct MergedColumnar {
-    /// The merged campaign as an encoded columnar store — byte-identical
-    /// to the store a single-process `--store columnar` crawl writes.
-    pub store: ColumnarCampaign,
-    /// The reassembled outcome (reconstructed from the store's arena,
-    /// so equal domains share storage).
-    pub outcome: CampaignOutcome,
-    /// Tally snapshot of the merged outcome.
-    pub metrics: MetricsSnapshot,
-    /// Merged stripped trace.
-    pub trace: Trace,
-}
-
 /// Merge every `*.seg` under `dir` by streaming each segment's sites
 /// directly into a [`ColumnarBuilder`] — one decoded segment in memory
-/// at a time, never the full `Vec<Segment>` that [`merge_dir`] holds.
+/// at a time. Any decode failure (truncation, checksum mismatch,
+/// malformed line) or merge violation (missing/duplicate shard, stripe
+/// or token mismatch, diverging duplicates) is a named error.
 ///
 /// Shard order is validated per segment by
 /// [`topics_crawler::shard::StreamingMerge`] (the canonical zero-padded
 /// file names make sorted directory order shard order). Because the
 /// builder interns strings in first-use order of the same rank-order
 /// site walk a single-process crawl performs, the resulting store is
-/// byte-identical to the one `--store columnar` writes without
-/// sharding.
+/// byte-identical to the one `crawl` writes without sharding.
 pub fn merge_dir_columnar(dir: &Path) -> Result<MergedColumnar, String> {
     let paths = segment_paths(dir)?;
     if paths.is_empty() {
@@ -277,7 +234,7 @@ mod tests {
         let config = LabConfig::quick(91, 60).with_threads(2);
         let single_obs = shard_obs();
         let single = Lab::new(config.clone()).run_observed(&single_obs);
-        let single_json = serde_json::to_string(&single.outcome).unwrap();
+        let single_store = ColumnarCampaign::from_outcome(&single.outcome);
         let single_trace = single_obs.trace.finish().stripped();
 
         let dir = std::env::temp_dir().join(format!("topics-shard-core-{}", std::process::id()));
@@ -286,8 +243,8 @@ mod tests {
             let segment = run_shard(&config, shard, 3, &shard_obs());
             write_segment(&dir, &segment).unwrap();
         }
-        let merged = merge_dir(&dir).unwrap();
-        assert_eq!(serde_json::to_string(&merged.outcome).unwrap(), single_json);
+        let merged = merge_dir_columnar(&dir).unwrap();
+        assert_eq!(merged.store.bytes(), single_store.bytes());
         assert_eq!(merged.trace, single_trace);
         assert_eq!(merged.metrics, crate::metrics_snapshot_of(&merged.outcome));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -315,9 +272,7 @@ mod tests {
             serde_json::to_string(&merged.outcome).unwrap(),
             serde_json::to_string(&single).unwrap()
         );
-        let batch = merge_dir(&dir).unwrap();
-        assert_eq!(merged.metrics, batch.metrics);
-        assert_eq!(merged.trace, batch.trace);
+        assert_eq!(merged.metrics, crate::metrics_snapshot_of(&single));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -341,7 +296,7 @@ mod tests {
     fn merge_dir_demands_segments() {
         let dir = std::env::temp_dir().join(format!("topics-shard-empty-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let err = merge_dir(&dir).unwrap_err();
+        let err = merge_dir_columnar(&dir).unwrap_err();
         assert!(err.contains("no segment files"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

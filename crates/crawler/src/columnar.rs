@@ -1,10 +1,10 @@
 //! Columnar campaign store: interned struct-of-arrays record layout.
 //!
-//! The analyses are column scans over visit/call fields, yet
-//! `campaign.json` stores row-structs — every `report` run
-//! re-deserializes the full world and re-allocates every domain string
-//! once per occurrence. This module stores a [`CampaignOutcome`] as
-//! parallel arrays with one campaign-wide string-interning table for
+//! The analyses are column scans over visit/call fields, and a row
+//! store would re-deserialize the full world and re-allocate every
+//! domain string once per occurrence on every `report` run. This
+//! module stores a [`CampaignOutcome`] as parallel arrays with one
+//! campaign-wide string-interning table for
 //! [`Domain`]s: `party_domains` becomes a range into a shared id
 //! vector, every call's caller/caller-site/script-source a `u32`, and
 //! booleans bitsets. Rebuilding the outcome clones `Arc`s out of the
@@ -26,7 +26,7 @@
 //! The eight sections (`strings`, `errors`, `sites`, `visits`,
 //! `parties`, `calls`, `allow`, `probes`) are length-prefixed by the
 //! directory and individually checksummed with the same FNV-1a as the
-//! shard segments ([`Fnv`]), so truncation, bit-rot, and editing are
+//! shard segments ([`fnv1a`]), so truncation, bit-rot, and editing are
 //! named errors ([`ColumnarError`]) in the segment taxonomy's style.
 //! Sections are decoded lazily and independently — the row counts live
 //! in the header, so a reader that only needs the call columns never
@@ -43,7 +43,6 @@ use crate::record::{
     AttestationInfo, AttestationProbe, CampaignOutcome, FaultStats, Phase, SiteOutcome,
     TopicsCallRecord, UnknownSchemaVersion, VisitRecord, CAMPAIGN_SCHEMA_VERSION,
 };
-use crate::shard::Fnv;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -52,6 +51,7 @@ use topics_browser::attestation::AllowDecision;
 use topics_browser::observer::CallType;
 use topics_net::clock::Timestamp;
 use topics_net::domain::Domain;
+use topics_net::seed::fnv1a;
 
 /// First eight bytes of every columnar campaign file.
 pub const COLUMNAR_MAGIC: [u8; 8] = *b"TOPICCOL";
@@ -736,14 +736,11 @@ fn assemble(
         bytes.push(*tag);
         put_u64(&mut bytes, offset);
         put_u64(&mut bytes, payload.len() as u64);
-        let mut fnv = Fnv::new();
-        fnv.update(payload);
-        put_u64(&mut bytes, fnv.digest());
+        put_u64(&mut bytes, fnv1a(payload));
         offset += payload.len() as u64;
     }
-    let mut fnv = Fnv::new();
-    fnv.update(&bytes);
-    put_u64(&mut bytes, fnv.digest());
+    let header_checksum = fnv1a(&bytes);
+    put_u64(&mut bytes, header_checksum);
     for (_, payload) in sections {
         bytes.extend_from_slice(payload);
     }
@@ -819,8 +816,8 @@ impl fmt::Debug for ColumnarCampaign {
 }
 
 impl ColumnarCampaign {
-    /// Build the columnar form of an outcome (the `crawl --store
-    /// columnar` path). Deterministic: same outcome, same bytes.
+    /// Build the columnar form of an outcome (what `crawl` writes).
+    /// Deterministic: same outcome, same bytes.
     pub fn from_outcome(outcome: &CampaignOutcome) -> ColumnarCampaign {
         let mut b = ColumnarBuilder::new();
         for site in &outcome.sites {
@@ -837,6 +834,13 @@ impl ColumnarCampaign {
     /// Parse and validate the header + directory of an encoded file.
     /// Section payloads stay raw until first use.
     pub fn decode(bytes: Vec<u8>) -> Result<ColumnarCampaign, ColumnarError> {
+        // Magic first, so any other file (a `campaign.json` from an
+        // older bundle, say) is named as such rather than as a short
+        // columnar one; a cut-off prefix of the magic is truncation.
+        let magic = bytes.len().min(COLUMNAR_MAGIC.len());
+        if bytes[..magic] != COLUMNAR_MAGIC[..magic] {
+            return Err(ColumnarError::BadMagic);
+        }
         let fixed = 8 + 4 + 4 + 8 + 8 * 4 + 4;
         if bytes.len() < fixed {
             return Err(ColumnarError::Truncated {
@@ -844,9 +848,6 @@ impl ColumnarCampaign {
                 need: fixed,
                 have: bytes.len(),
             });
-        }
-        if bytes[..8] != COLUMNAR_MAGIC {
-            return Err(ColumnarError::BadMagic);
         }
         let mut cur = Cur::new(&bytes[8..], "header");
         let version = cur.u32()?;
@@ -866,7 +867,8 @@ impl ColumnarCampaign {
             *c = cur.u32()?;
         }
         let section_count = cur.u32()? as usize;
-        let mut dir = Vec::with_capacity(section_count);
+        // The count is not yet checksummed: never size by it.
+        let mut dir = Vec::with_capacity(section_count.min(SECTION_TAGS.len()));
         {
             let dir_cur = &mut cur;
             for _ in 0..section_count {
@@ -883,9 +885,7 @@ impl ColumnarCampaign {
             }
         }
         let dir_end = 8 + cur.pos;
-        let mut fnv = Fnv::new();
-        fnv.update(&bytes[..dir_end]);
-        let actual = fnv.digest();
+        let actual = fnv1a(&bytes[..dir_end]);
         let expected = {
             let mut c = Cur::new(&bytes[dir_end..], "header");
             c.u64()?
@@ -913,7 +913,9 @@ impl ColumnarCampaign {
                     offset
                 )));
             }
-            offset += e.len;
+            offset = offset.checked_add(e.len).ok_or_else(|| {
+                ColumnarError::Malformed(format!("section {} length overflows", tag_name(e.tag)))
+            })?;
         }
         for tag in SECTION_TAGS {
             if !dir.iter().any(|e| e.tag == tag) {
@@ -1021,13 +1023,12 @@ impl ColumnarCampaign {
             .find(|e| e.tag == tag)
             .ok_or(ColumnarError::MissingSection(tag_name(tag)))?;
         let payload = &self.bytes[e.offset as usize..(e.offset + e.len) as usize];
-        let mut fnv = Fnv::new();
-        fnv.update(payload);
-        if fnv.digest() != e.fnv1a {
+        let actual = fnv1a(payload);
+        if actual != e.fnv1a {
             return Err(ColumnarError::SectionChecksum {
                 section: tag_name(tag),
                 expected: e.fnv1a,
-                actual: fnv.digest(),
+                actual,
             });
         }
         Ok(payload)
@@ -1061,7 +1062,8 @@ impl ColumnarCampaign {
                 let payload = self.section(TAG_STRINGS)?;
                 let n = self.counts[C_STRINGS] as usize;
                 let mut cur = Cur::new(payload, "strings");
-                let mut arena = Vec::with_capacity(n);
+                // Every string costs at least its 4-byte length prefix.
+                let mut arena = Vec::with_capacity(n.min(payload.len() / 4));
                 for i in 0..n {
                     let len = cur.u32()? as usize;
                     let raw = cur.take(len)?;
@@ -1089,7 +1091,7 @@ impl ColumnarCampaign {
                 let payload = self.section(TAG_ERRORS)?;
                 let n = self.counts[C_ERRORS] as usize;
                 let mut cur = Cur::new(payload, "errors");
-                let mut errors = Vec::with_capacity(n);
+                let mut errors = Vec::with_capacity(n.min(payload.len() / 4));
                 for i in 0..n {
                     let len = cur.u32()? as usize;
                     let raw = cur.take(len)?;
@@ -1703,8 +1705,8 @@ impl ColumnarCampaign {
     }
 
     /// Rebuild the row-struct [`CampaignOutcome`]. Domain strings are
-    /// `Arc`-cloned out of the arena, so — unlike the JSON reader —
-    /// every repeated domain shares one allocation.
+    /// `Arc`-cloned out of the arena, so every repeated domain shares
+    /// one allocation.
     pub fn to_outcome(&self) -> Result<CampaignOutcome, ColumnarError> {
         let arena = self.domains()?;
         let s = self.site_cols()?;
@@ -2157,6 +2159,43 @@ mod tests {
             ColumnarCampaign::decode(trailing).unwrap_err(),
             ColumnarError::TrailingData("file")
         );
+    }
+
+    #[test]
+    fn crafted_headers_are_typed_errors_not_aborts() {
+        let good = ColumnarCampaign::from_outcome(&outcome()).bytes().to_vec();
+        // Header layout: counts at 24..56, section count at 56..60, eight
+        // 25-byte directory entries at 60..260, header checksum 260..268.
+        let reseal = |mut bytes: Vec<u8>| {
+            let sum = fnv1a(&bytes[..260]);
+            bytes[260..268].copy_from_slice(&sum.to_le_bytes());
+            bytes
+        };
+
+        // A huge section count is read before the checksum covers it.
+        let mut huge_dir = good.clone();
+        huge_dir[56..60].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            ColumnarCampaign::decode(huge_dir).unwrap_err(),
+            ColumnarError::Truncated { .. }
+        ));
+
+        // A section length that overflows the offset arithmetic.
+        let mut huge_len = good.clone();
+        huge_len[244..252].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            ColumnarCampaign::decode(reseal(huge_len)).unwrap_err(),
+            ColumnarError::Malformed(_)
+        ));
+
+        // A row count far beyond what the section holds.
+        let mut huge_count = good.clone();
+        huge_count[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
+        let store = ColumnarCampaign::decode(reseal(huge_count)).unwrap();
+        assert!(matches!(
+            store.domains().unwrap_err(),
+            ColumnarError::Truncated { .. }
+        ));
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub use record::{
     CAMPAIGN_SCHEMA_VERSION,
 };
 pub use shard::{
-    merge_segments, shard_token, split_outcome, tally_snapshot, Fnv, MergeError, Segment,
-    SegmentError, SegmentHeader, ShardPlan, StreamingMerge, SEGMENT_VERSION,
+    merge_to_store, shard_token, split_outcome, tally_snapshot, MergeError, Segment, SegmentError,
+    SegmentHeader, ShardPlan, StreamingMerge, SEGMENT_VERSION,
 };
 pub use visit::{
     run_site, run_site_full, run_site_instrumented, run_site_with_action, run_site_with_policy,

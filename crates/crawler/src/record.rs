@@ -286,8 +286,8 @@ pub struct AttestationInfo {
     pub has_enrollment_site: bool,
 }
 
-/// Version of the campaign record schema, stamped into every store
-/// (the JSON header field and the columnar file header). Bump it when
+/// Version of the campaign record schema, stamped into the columnar
+/// file header (and the outcome's serialized form). Bump it when
 /// a field changes meaning — additive `#[serde(default)]` evolution
 /// (like `duration_ms`) stays within one version.
 pub const CAMPAIGN_SCHEMA_VERSION: u32 = 1;
@@ -318,8 +318,8 @@ impl std::error::Error for UnknownSchemaVersion {}
 pub struct CampaignOutcome {
     /// Schema version the store was written with. `0` marks a legacy
     /// file from before versioning existed (the field defaults when
-    /// absent); anything above [`CAMPAIGN_SCHEMA_VERSION`] is rejected
-    /// with a typed [`UnknownSchemaVersion`] at load time.
+    /// absent); the columnar decoder rejects anything above
+    /// [`CAMPAIGN_SCHEMA_VERSION`] with a typed [`UnknownSchemaVersion`].
     #[serde(default)]
     pub schema_version: u32,
     /// Per-site outcomes in rank order.
@@ -356,20 +356,6 @@ impl OutcomeCounts {
 }
 
 impl CampaignOutcome {
-    /// Check that this build understands the store's schema version.
-    /// `0` (legacy, pre-versioning) and every version up to
-    /// [`CAMPAIGN_SCHEMA_VERSION`] pass.
-    pub fn check_schema(&self) -> Result<(), UnknownSchemaVersion> {
-        if self.schema_version <= CAMPAIGN_SCHEMA_VERSION {
-            Ok(())
-        } else {
-            Err(UnknownSchemaVersion {
-                found: self.schema_version,
-                supported: CAMPAIGN_SCHEMA_VERSION,
-            })
-        }
-    }
-
     /// Number of successfully visited sites (|D_BA|).
     pub fn visited_count(&self) -> usize {
         self.sites.iter().filter(|s| s.visited()).count()
@@ -596,23 +582,27 @@ mod tests {
 
     #[test]
     fn schema_version_gates_unknown_futures() {
-        // Legacy files carry no version field and deserialize to 0,
-        // which is accepted.
+        use crate::columnar::{ColumnarCampaign, ColumnarError};
+
+        // Legacy outcomes carry no version field and deserialize to 0.
         let legacy = r#"{"sites":[],"allow_list":[],"attestation_probes":[],"started":0}"#;
         let outcome: CampaignOutcome = serde_json::from_str(legacy).unwrap();
         assert_eq!(outcome.schema_version, 0);
-        assert!(outcome.check_schema().is_ok());
 
-        // Current files lead with the version and pass.
+        // Current stores carry the version and decode.
         let mut current = outcome.clone();
         current.schema_version = CAMPAIGN_SCHEMA_VERSION;
-        let json = serde_json::to_string(&current).unwrap();
-        assert!(json.starts_with("{\"schema_version\":1,"), "{json}");
-        assert!(current.check_schema().is_ok());
+        let store = ColumnarCampaign::from_outcome(&current);
+        let back = ColumnarCampaign::decode(store.bytes().to_vec()).unwrap();
+        assert_eq!(back.schema_version(), CAMPAIGN_SCHEMA_VERSION);
 
-        // A future version is a typed error, not a silent best-effort read.
-        current.schema_version = CAMPAIGN_SCHEMA_VERSION + 1;
-        let err = current.check_schema().unwrap_err();
+        // A future version (bytes 12..16 of the header) is a typed
+        // error, not a silent best-effort read.
+        let mut future = store.bytes().to_vec();
+        future[12..16].copy_from_slice(&(CAMPAIGN_SCHEMA_VERSION + 1).to_le_bytes());
+        let Err(ColumnarError::UnknownSchema(err)) = ColumnarCampaign::decode(future) else {
+            panic!("a future schema version must be refused");
+        };
         assert_eq!(err.found, CAMPAIGN_SCHEMA_VERSION + 1);
         assert_eq!(err.supported, CAMPAIGN_SCHEMA_VERSION);
         assert!(err.to_string().contains("unknown campaign schema version"));

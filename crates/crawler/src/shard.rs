@@ -1,9 +1,9 @@
 //! Sharded campaigns: rank-stripe planning, the on-disk record segment
 //! a shard process writes, and the deterministic merge that reassembles
-//! segments into the single-process [`CampaignOutcome`].
+//! segments into the single-process campaign store.
 //!
 //! The contract is byte-identity: running `N` shards of the same seeded
-//! world and merging their segments must produce a `campaign.json`
+//! world and merging their segments must produce a `campaign.col`
 //! identical to one unsharded run. Three properties make that hold:
 //!
 //! 1. **Global ranks.** A shard visits only its stripe, but every
@@ -25,10 +25,11 @@
 //! A segment is a JSONL stream — header, per-site records, allow-list,
 //! probe results, the shard's tally-derived metrics snapshot, stripped
 //! trace spans — terminated by an FNV-1a checksum line over every
-//! preceding byte (same constants as [`seed::fnv1a`]) plus a line
+//! preceding byte ([`Fnv`]) plus a line
 //! count, so truncation, bit-rot, and editing are all detected before
 //! a merge can silently produce a wrong campaign.
 
+use crate::columnar::{ColumnarBuilder, ColumnarCampaign};
 use crate::metrics::tally_outcome;
 use crate::record::{AttestationProbe, CampaignOutcome, SiteOutcome, CAMPAIGN_SCHEMA_VERSION};
 use serde::{Content, Deserialize, Serialize};
@@ -37,45 +38,11 @@ use std::fmt;
 use std::ops::Range;
 use topics_net::clock::Timestamp;
 use topics_net::domain::Domain;
-use topics_net::seed;
+use topics_net::seed::{self, Fnv};
 use topics_obs::{MetricsRegistry, MetricsSnapshot, SpanRecord};
 
 /// Current segment format version; bumped on incompatible change.
 pub const SEGMENT_VERSION: u32 = 1;
-
-/// Incremental FNV-1a (64-bit) — the same function as [`seed::fnv1a`],
-/// but fed in chunks so a streaming segment writer can checksum as it
-/// goes.
-#[derive(Debug, Clone)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv::new()
-    }
-}
-
-impl Fnv {
-    /// Start a fresh digest (FNV-1a offset basis).
-    pub fn new() -> Fnv {
-        Fnv(0xCBF2_9CE4_8422_2325)
-    }
-
-    /// Absorb bytes.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        self.0 = h;
-    }
-
-    /// The digest over everything absorbed so far.
-    pub fn digest(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Rank-stripe assignment: shard `k` of `n` owns a contiguous range of
 /// site ranks, with the first `num_sites % n` stripes one rank longer
@@ -518,128 +485,20 @@ pub fn tally_snapshot(outcome: &CampaignOutcome) -> MetricsSnapshot {
     registry.snapshot()
 }
 
-/// Reassemble segments into the unsharded [`CampaignOutcome`].
-///
-/// Verifies header agreement, exact shard coverage (each index of the
-/// plan exactly once, stripes on plan, ranks gapless), allow-list
-/// equality, probe consistency across shards, and that every segment's
-/// stored metrics snapshot reproduces from its own records. Segments
-/// may be given in any order.
-pub fn merge_segments(segments: &[Segment]) -> Result<CampaignOutcome, MergeError> {
-    let first = segments.first().ok_or(MergeError::Empty)?;
-    let h0 = &first.header;
-    for s in segments {
-        let h = &s.header;
-        let same = h.seed == h0.seed
-            && h.shards == h0.shards
-            && h.num_sites == h0.num_sites
-            && h.started == h0.started
-            && h.fault == h0.fault
-            && h.fault_seed == h0.fault_seed;
-        if !same {
-            return Err(MergeError::HeaderMismatch(format!(
-                "shard {} disagrees with shard {} on campaign parameters",
-                h.shard, h0.shard
-            )));
-        }
-    }
-    let plan = ShardPlan::new(h0.shards, h0.num_sites);
-    let mut by_shard: Vec<Option<&Segment>> = vec![None; plan.shards()];
-    for s in segments {
-        let k = s.header.shard;
-        if k >= plan.shards() {
-            return Err(MergeError::HeaderMismatch(format!(
-                "shard index {k} out of range for {} shards",
-                plan.shards()
-            )));
-        }
-        if by_shard[k].replace(s).is_some() {
-            return Err(MergeError::DuplicateShard(k));
-        }
-    }
-    let mut ordered: Vec<&Segment> = Vec::with_capacity(plan.shards());
-    for (k, slot) in by_shard.iter().enumerate() {
-        ordered.push(slot.ok_or(MergeError::MissingShard(k))?);
-    }
-
-    let mut sites: Vec<SiteOutcome> = Vec::with_capacity(plan.num_sites());
-    let mut probe_map: BTreeMap<Domain, AttestationProbe> = BTreeMap::new();
-    for (k, s) in ordered.iter().enumerate() {
-        let stripe = plan.stripe(k);
-        if s.header.stripe_start != stripe.start || s.header.stripe_end != stripe.end {
-            return Err(MergeError::StripeMismatch(k));
-        }
-        if s.header.token != shard_token(h0.seed, k) {
-            return Err(MergeError::TokenMismatch(k));
-        }
-        if s.allow_list != first.allow_list {
-            return Err(MergeError::AllowListMismatch);
-        }
-        if s.sites.len() != stripe.len() {
-            return Err(MergeError::CoverageGap(format!(
-                "shard {k} holds {} sites for a stripe of {}",
-                s.sites.len(),
-                stripe.len()
-            )));
-        }
-        for (site, rank) in s.sites.iter().zip(stripe.clone()) {
-            if site.rank != rank {
-                return Err(MergeError::CoverageGap(format!(
-                    "shard {k} records rank {} where the plan expects {rank}",
-                    site.rank
-                )));
-            }
-        }
-        // The stored snapshot must reproduce from the records alongside
-        // it; anything else means the segment was assembled from
-        // mismatched runs.
-        let shard_outcome = CampaignOutcome {
-            schema_version: CAMPAIGN_SCHEMA_VERSION,
-            sites: s.sites.clone(),
-            allow_list: s.allow_list.clone(),
-            attestation_probes: s.probes.clone(),
-            started: s.header.started,
-        };
-        if tally_snapshot(&shard_outcome) != s.metrics {
-            return Err(MergeError::TallyMismatch(k));
-        }
-        sites.extend(s.sites.iter().cloned());
-        for p in &s.probes {
-            match probe_map.get(&p.domain) {
-                Some(existing) if existing != p => {
-                    return Err(MergeError::ProbeConflict(p.domain.clone()))
-                }
-                Some(_) => {}
-                None => {
-                    probe_map.insert(p.domain.clone(), p.clone());
-                }
-            }
-        }
-    }
-
-    // BTreeMap iteration is domain-sorted — exactly the order the
-    // unsharded run's BTreeSet probe collection produces.
-    Ok(CampaignOutcome {
-        schema_version: CAMPAIGN_SCHEMA_VERSION,
-        sites,
-        allow_list: first.allow_list.clone(),
-        attestation_probes: probe_map.into_values().collect(),
-        started: h0.started,
-    })
-}
-
-/// Segment-at-a-time variant of [`merge_segments`] for consumers that
-/// can stream sites as they arrive — the columnar writer pushes each
-/// accepted stripe straight into its column vectors, so the merge never
-/// holds more than one decoded segment plus the growing columns (the
-/// row-struct path holds every segment *and* the full outcome at once).
+/// The deterministic merge, one segment at a time: the columnar writer
+/// pushes each accepted stripe straight into its column vectors, so the
+/// merge never holds more than one decoded segment plus the growing
+/// columns.
 ///
 /// Segments must arrive in shard order — exactly what iterating the
 /// canonical `shard-K-of-N.seg` file names in sorted order yields.
-/// Every per-segment check of [`merge_segments`] runs in
-/// [`StreamingMerge::accept`]; [`StreamingMerge::finish`] performs the
-/// whole-campaign ones and releases the merged probe set in the sorted
-/// order the unsharded run produces.
+/// [`StreamingMerge::accept`] verifies header agreement, the shard's
+/// place in the plan (stripe, token, gapless ranks), allow-list
+/// equality, probe consistency across shards, and that the segment's
+/// stored metrics snapshot reproduces from its own records;
+/// [`StreamingMerge::finish`] checks that every shard arrived and
+/// releases the merged probe set in the sorted order the unsharded run
+/// produces.
 #[derive(Debug, Default)]
 pub struct StreamingMerge {
     first: Option<(SegmentHeader, Vec<Domain>)>,
@@ -758,11 +617,28 @@ impl StreamingMerge {
     }
 }
 
+/// Merge in-memory segments, given in shard order, through
+/// [`StreamingMerge`] into the columnar store a single-process crawl of
+/// the same campaign writes.
+pub fn merge_to_store(
+    segments: impl IntoIterator<Item = Segment>,
+) -> Result<ColumnarCampaign, MergeError> {
+    let mut merge = StreamingMerge::new();
+    let mut builder = ColumnarBuilder::new();
+    for segment in segments {
+        for site in &merge.accept(segment)? {
+            builder.push_site(site);
+        }
+    }
+    let (allow_list, probes, started) = merge.finish()?;
+    Ok(builder.finish(CAMPAIGN_SCHEMA_VERSION, &allow_list, &probes, started))
+}
+
 /// Slice an unsharded outcome into the segments its sharded run would
 /// have produced (traces empty): each shard keeps its stripe's sites
 /// and the probes for the allow-list plus the parties that stripe
-/// encountered. `merge_segments(split_outcome(o, ..)) == o` — the
-/// roundtrip the `shard_merge` bench exercises.
+/// encountered. `merge_to_store(split_outcome(o, ..))` is the store of
+/// `o` — the roundtrip the `shard_merge` bench exercises.
 pub fn split_outcome(
     outcome: &CampaignOutcome,
     plan: ShardPlan,
@@ -849,31 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_merge_matches_batch_merge() {
-        let (world, outcome) = campaign(57, 40);
-        let segments = split(&outcome, world.seed(), 4);
-        let batch = merge_segments(&segments).unwrap();
-
-        let mut sm = StreamingMerge::new();
-        let mut sites: Vec<SiteOutcome> = Vec::new();
-        for seg in segments {
-            sites.extend(sm.accept(seg).unwrap());
-        }
-        let (allow_list, probes, started) = sm.finish().unwrap();
-        let streamed = CampaignOutcome {
-            schema_version: CAMPAIGN_SCHEMA_VERSION,
-            sites,
-            allow_list,
-            attestation_probes: probes,
-            started,
-        };
-        assert_eq!(
-            serde_json::to_string(&streamed).unwrap(),
-            serde_json::to_string(&batch).unwrap()
-        );
-    }
-
-    #[test]
     fn streaming_merge_demands_shard_order() {
         let (world, outcome) = campaign(58, 12);
         let segments = split(&outcome, world.seed(), 3);
@@ -909,20 +760,6 @@ mod tests {
             StreamingMerge::new().finish().unwrap_err(),
             MergeError::Empty
         );
-    }
-
-    #[test]
-    fn incremental_fnv_matches_one_shot() {
-        for input in [&b""[..], b"a", b"hello segment", b"\n\n\n"] {
-            let mut f = Fnv::new();
-            f.update(input);
-            assert_eq!(f.digest(), seed::fnv1a(input));
-        }
-        // Chunked feeding gives the same digest as one shot.
-        let mut f = Fnv::new();
-        f.update(b"hello ");
-        f.update(b"segment");
-        assert_eq!(f.digest(), seed::fnv1a(b"hello segment"));
     }
 
     #[test]
@@ -974,22 +811,15 @@ mod tests {
     #[test]
     fn merge_of_split_is_the_identity() {
         let (world, outcome) = campaign(93, 80);
+        let single = ColumnarCampaign::from_outcome(&outcome);
         for shards in [1usize, 2, 3, 7] {
-            let merged = merge_segments(&split(&outcome, world.seed(), shards)).expect("merges");
+            let merged = merge_to_store(split(&outcome, world.seed(), shards)).expect("merges");
             assert_eq!(
-                serde_json::to_string(&merged).unwrap(),
-                serde_json::to_string(&outcome).unwrap(),
-                "{shards}-way split/merge changed the outcome"
+                merged.bytes(),
+                single.bytes(),
+                "{shards}-way split/merge changed the store"
             );
         }
-        // Segment order must not matter.
-        let mut segs = split(&outcome, world.seed(), 3);
-        segs.reverse();
-        let merged = merge_segments(&segs).expect("merges reversed");
-        assert_eq!(
-            serde_json::to_string(&merged).unwrap(),
-            serde_json::to_string(&outcome).unwrap()
-        );
     }
 
     #[test]
@@ -1041,44 +871,44 @@ mod tests {
 
         let dup = vec![segs[0].clone(), segs[1].clone(), segs[1].clone()];
         assert_eq!(
-            merge_segments(&dup).unwrap_err(),
+            merge_to_store(dup).unwrap_err(),
             MergeError::DuplicateShard(1)
         );
 
         let missing = vec![segs[0].clone(), segs[2].clone()];
         assert_eq!(
-            merge_segments(&missing).unwrap_err(),
+            merge_to_store(missing).unwrap_err(),
             MergeError::MissingShard(1)
         );
 
         let mut wrong_stripe = segs.clone();
         wrong_stripe[1].header.stripe_start += 1;
         assert_eq!(
-            merge_segments(&wrong_stripe).unwrap_err(),
+            merge_to_store(wrong_stripe).unwrap_err(),
             MergeError::StripeMismatch(1)
         );
 
         let mut wrong_token = segs.clone();
         wrong_token[2].header.token ^= 1;
         assert_eq!(
-            merge_segments(&wrong_token).unwrap_err(),
+            merge_to_store(wrong_token).unwrap_err(),
             MergeError::TokenMismatch(2)
         );
 
         let mut wrong_seed = segs.clone();
-        wrong_seed[0].header.seed ^= 1;
+        wrong_seed[1].header.seed ^= 1;
         assert!(matches!(
-            merge_segments(&wrong_seed),
+            merge_to_store(wrong_seed),
             Err(MergeError::HeaderMismatch(_))
         ));
 
         let mut stale_tally = segs.clone();
         stale_tally[0].metrics = MetricsSnapshot::default();
         assert_eq!(
-            merge_segments(&stale_tally).unwrap_err(),
+            merge_to_store(stale_tally).unwrap_err(),
             MergeError::TallyMismatch(0)
         );
 
-        assert_eq!(merge_segments(&[]).unwrap_err(), MergeError::Empty);
+        assert_eq!(merge_to_store([]).unwrap_err(), MergeError::Empty);
     }
 }

@@ -17,16 +17,50 @@ pub fn splitmix64(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Incremental FNV-1a (64-bit): the digest [`fnv1a`] computes, fed in
+/// chunks so a streaming writer (shard segments, the columnar store's
+/// section checksums) can hash as it goes.
+#[derive(Debug, Clone)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
+
+impl Fnv {
+    /// Start a fresh digest (FNV-1a offset basis).
+    #[inline]
+    pub fn new() -> Fnv {
+        Fnv(0xCBF2_9CE4_8422_2325)
+    }
+
+    /// Absorb bytes.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        self.0 = h;
+    }
+
+    /// The digest over everything absorbed so far.
+    #[inline]
+    pub fn digest(&self) -> u64 {
+        self.0
+    }
+}
+
 /// FNV-1a hash of a byte string, used to turn stable labels (domain names,
 /// purposes) into seed material.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    let mut fnv = Fnv::new();
+    fnv.update(bytes);
+    fnv.digest()
 }
 
 /// Derive a child seed from a parent seed and a stable string label.
@@ -82,6 +116,20 @@ mod tests {
     fn fnv1a_matches_known_vectors() {
         assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
+    }
+
+    #[test]
+    fn incremental_fnv_matches_one_shot() {
+        for input in [&b""[..], b"a", b"hello segment", b"\n\n\n"] {
+            let mut f = Fnv::new();
+            f.update(input);
+            assert_eq!(f.digest(), fnv1a(input));
+        }
+        // Chunked feeding gives the same digest as one shot.
+        let mut f = Fnv::new();
+        f.update(b"hello ");
+        f.update(b"segment");
+        assert_eq!(f.digest(), fnv1a(b"hello segment"));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! allocation counts depend on thread scheduling and allocator
 //! internals, so they are *operational* data, outside the determinism
 //! contract. Crucially the counters only ever *observe*: enabling or
-//! disabling them cannot change a single byte of `campaign.json` or a
+//! disabling them cannot change a single byte of `campaign.col` or a
 //! stripped trace (the determinism suite pins this).
 
 // The one place in the workspace that genuinely needs `unsafe`: a

@@ -166,7 +166,7 @@ impl EventLog {
         self.echo
     }
 
-    /// Record an event.
+    /// Record an event (echoing it first, see [`EventLog::echo`]).
     pub fn event(
         &self,
         level: Level,
@@ -174,6 +174,7 @@ impl EventLog {
         sim_ms: Option<u64>,
         fields: Vec<(String, FieldValue)>,
     ) {
+        self.echo(level, name, &fields);
         let event = Event {
             level,
             name: name.to_owned(),
@@ -181,14 +182,20 @@ impl EventLog {
             sim_ms,
             fields,
         };
+        self.events.lock().push(event);
+    }
+
+    /// Print an info-and-above event line to stderr when echo is on,
+    /// without recording it — for per-request lines of a long-lived
+    /// process, whose log would otherwise grow without bound.
+    pub fn echo(&self, level: Level, name: &str, fields: &[(String, FieldValue)]) {
         if self.echo && level >= Level::Info {
-            let mut line = format!("[topics-lab] {} {}", event.level.label(), event.name);
-            for (k, v) in &event.fields {
+            let mut line = format!("[topics-lab] {} {name}", level.label());
+            for (k, v) in fields {
                 line.push_str(&format!(" {k}={v}"));
             }
             eprintln!("{line}");
         }
-        self.events.lock().push(event);
     }
 
     /// Record an info event without a simulated timestamp.

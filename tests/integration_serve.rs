@@ -209,6 +209,51 @@ fn concurrent_clients_get_identical_bytes_and_metrics_reconcile() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn requests_are_counted_but_not_stored_as_events() {
+    const REQUESTS: u64 = 1_000;
+    let dir = temp_dir("no-event-growth");
+    let outcome = Lab::new(LabConfig::quick(57, 40).with_threads(2))
+        .run()
+        .outcome;
+    let eval = evaluate(&outcome);
+    topics_core::write_bundle(&dir, &outcome, &eval, false, StoreKind::Columnar).unwrap();
+
+    let obs = Arc::new(Obs::new());
+    let server = Server::bind(
+        &ServeConfig {
+            threads: 2,
+            ..ServeConfig::new(dir.join("campaign.col"))
+        },
+        Arc::clone(&obs),
+    )
+    .expect("server binds");
+    let events_after_bind = obs.events.len();
+    let addr = server.local_addr().to_string();
+    std::thread::scope(|scope| {
+        let runner = scope.spawn(|| server.run());
+        for i in 0..REQUESTS {
+            let (path, _) = API_ENDPOINTS[i as usize % API_ENDPOINTS.len()];
+            assert_eq!(http_fetch(&addr, "GET", path).unwrap().status, 200);
+        }
+        assert_eq!(
+            obs.events.len(),
+            events_after_bind,
+            "serving must not grow the event log"
+        );
+        let scrape = String::from_utf8(http_fetch(&addr, "GET", "/metrics").unwrap().body).unwrap();
+        let counted: u64 = scrape
+            .lines()
+            .filter(|l| l.starts_with("http_requests_total{"))
+            .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+            .sum();
+        assert_eq!(counted, REQUESTS + 1, "/metrics counts every request");
+        server.handle().stop();
+        runner.join().expect("server thread");
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 fn lab(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_topics-lab"))
         .args(args)

@@ -3,7 +3,7 @@
 //! The shard/merge contract: splitting a seeded world into N rank
 //! stripes, running each shard independently, and merging the record
 //! segments must reproduce the single-process campaign **byte for
-//! byte** — the `campaign.json` serialization, the stripped span
+//! byte** — the `campaign.col` store, the stripped span
 //! trace, and the rendered report — for every shard count, including
 //! under fault injection and probe-pool parallelism. Corrupted,
 //! truncated, duplicated or missing segments must be rejected with
@@ -12,9 +12,10 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use topics_core::crawler::columnar::ColumnarCampaign;
 use topics_core::net::fault::FaultProfile;
 use topics_core::obs::Obs;
-use topics_core::{evaluate, merge_dir, run_shard, write_segment, Lab, LabConfig};
+use topics_core::{evaluate, merge_dir_columnar, run_shard, write_segment, Lab, LabConfig};
 
 const SITES: usize = 200;
 
@@ -25,13 +26,15 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The single-process artefacts: campaign JSON, stripped trace JSONL,
-/// rendered report.
-fn single_run(config: &LabConfig) -> (String, String, String) {
+/// The single-process artefacts: `campaign.col` bytes, stripped trace
+/// JSONL, rendered report.
+fn single_run(config: &LabConfig) -> (Vec<u8>, String, String) {
     let obs = Obs::new().with_trace();
     let run = Lab::new(config.clone()).run_observed(&obs);
     (
-        serde_json::to_string(&run.outcome).unwrap(),
+        ColumnarCampaign::from_outcome(&run.outcome)
+            .bytes()
+            .to_vec(),
         obs.trace.finish().stripped().to_jsonl(),
         evaluate(&run.outcome).render_report(),
     )
@@ -39,14 +42,14 @@ fn single_run(config: &LabConfig) -> (String, String, String) {
 
 /// Run every shard of an N-way split into `dir` and merge the segments
 /// back into the same three artefacts.
-fn sharded_run(config: &LabConfig, shards: usize, dir: &Path) -> (String, String, String) {
+fn sharded_run(config: &LabConfig, shards: usize, dir: &Path) -> (Vec<u8>, String, String) {
     for shard in 0..shards {
         let segment = run_shard(config, shard, shards, &Obs::new().with_trace());
         write_segment(dir, &segment).unwrap();
     }
-    let merged = merge_dir(dir).unwrap();
+    let merged = merge_dir_columnar(dir).unwrap();
     (
-        serde_json::to_string(&merged.outcome).unwrap(),
+        merged.store.bytes().to_vec(),
         merged.trace.to_jsonl(),
         evaluate(&merged.outcome).render_report(),
     )
@@ -55,12 +58,12 @@ fn sharded_run(config: &LabConfig, shards: usize, dir: &Path) -> (String, String
 #[test]
 fn one_two_and_four_shards_reassemble_byte_identically() {
     let config = LabConfig::quick(47, SITES).with_threads(2);
-    let (json, trace, report) = single_run(&config);
-    assert!(!json.is_empty() && !trace.is_empty());
+    let (store, trace, report) = single_run(&config);
+    assert!(!store.is_empty() && !trace.is_empty());
     for shards in [1, 2, 4] {
         let dir = temp_dir(&format!("plain-{shards}"));
-        let (mjson, mtrace, mreport) = sharded_run(&config, shards, &dir);
-        assert_eq!(mjson, json, "{shards}-shard campaign.json differs");
+        let (mstore, mtrace, mreport) = sharded_run(&config, shards, &dir);
+        assert!(mstore == store, "{shards}-shard campaign.col differs");
         assert_eq!(mtrace, trace, "{shards}-shard stripped trace differs");
         assert_eq!(mreport, report, "{shards}-shard report differs");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -73,11 +76,14 @@ fn sharding_is_byte_identical_under_faults_and_probe_parallelism() {
         .with_threads(2)
         .with_fault_profile(FaultProfile::parse("0.05").unwrap())
         .with_probe_threads(4);
-    let (json, trace, report) = single_run(&config);
+    let (store, trace, report) = single_run(&config);
     for shards in [1, 4] {
         let dir = temp_dir(&format!("fault-{shards}"));
-        let (mjson, mtrace, mreport) = sharded_run(&config, shards, &dir);
-        assert_eq!(mjson, json, "{shards}-shard faulty campaign.json differs");
+        let (mstore, mtrace, mreport) = sharded_run(&config, shards, &dir);
+        assert!(
+            mstore == store,
+            "{shards}-shard faulty campaign.col differs"
+        );
         assert_eq!(mtrace, trace, "{shards}-shard faulty trace differs");
         assert_eq!(mreport, report, "{shards}-shard faulty report differs");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -105,23 +111,23 @@ fn merge_rejects_corrupted_segments_with_named_violations() {
 
     // Truncation: no checksum trailer survives.
     std::fs::write(&paths[0], &pristine[..pristine.len() / 2]).unwrap();
-    let err = merge_dir(&dir).unwrap_err();
+    let err = merge_dir_columnar(&dir).unwrap_err();
     assert!(err.contains("truncated"), "{err}");
 
     // Bit flip that stays valid JSON: only the checksum can catch it.
     std::fs::write(&paths[0], pristine.replacen("\"rank\":0", "\"rank\":9", 1)).unwrap();
-    let err = merge_dir(&dir).unwrap_err();
+    let err = merge_dir_columnar(&dir).unwrap_err();
     assert!(err.contains("checksum mismatch"), "{err}");
 
     // Duplicated shard: the same segment under both file names.
     std::fs::write(&paths[0], &pristine).unwrap();
     std::fs::copy(&paths[0], &paths[1]).unwrap();
-    let err = merge_dir(&dir).unwrap_err();
+    let err = merge_dir_columnar(&dir).unwrap_err();
     assert!(err.contains("duplicate shard"), "{err}");
 
     // Missing shard: only one of the two segments present.
     std::fs::remove_file(&paths[1]).unwrap();
-    let err = merge_dir(&dir).unwrap_err();
+    let err = merge_dir_columnar(&dir).unwrap_err();
     assert!(err.contains("missing shard"), "{err}");
 
     std::fs::remove_dir_all(&dir).unwrap();
@@ -175,10 +181,10 @@ fn cli_shard_merge_doctor_round_trip_and_failure_exits() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    for artefact in ["campaign.json", "report.txt"] {
-        assert_eq!(
-            std::fs::read_to_string(single.join(artefact)).unwrap(),
-            std::fs::read_to_string(segs.join(artefact)).unwrap(),
+    for artefact in ["campaign.col", "report.txt"] {
+        assert!(
+            std::fs::read(single.join(artefact)).unwrap()
+                == std::fs::read(segs.join(artefact)).unwrap(),
             "merged {artefact} differs from the single-process run"
         );
     }

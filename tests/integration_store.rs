@@ -1,18 +1,19 @@
-//! Integration: the two campaign stores are interchangeable.
+//! Integration: `campaign.col` is the one campaign store.
 //!
-//! The store contract: a bundle written with `--store columnar` holds
-//! the identical dataset as the JSON default — every rendered artefact
-//! (report, comparison, table/figure CSVs) is **byte-identical**, the
-//! loaded `CampaignOutcome` serialises identically, and the column-scan
-//! index agrees with the row-struct `CampaignIndex` field for field —
-//! under fault injection and across 1/2/4-shard merges. The columnar
-//! bytes themselves are deterministic: same seed → same file,
-//! regardless of thread count, run repetition, or whether the store was
-//! written by a single crawl or streamed out of a segment merge.
+//! The store contract: a bundle's `campaign.col` loads back the exact
+//! dataset the crawl produced, and the column-scan index agrees with
+//! the row-struct `CampaignIndex` field for field — plain and under
+//! fault injection. The bytes themselves are deterministic: same seed →
+//! same file, regardless of thread count, run repetition, or whether
+//! the store was written by a single crawl or streamed out of a
+//! segment merge. And the decoder answers every truncation and every
+//! flipped byte with a typed error, never a panic or a wrong campaign.
 
+use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 use topics_core::analysis::colscan::{self, ColumnIndex};
 use topics_core::analysis::dataset::DatasetId;
 use topics_core::analysis::index::{CampaignIndex, PresenceCount};
@@ -24,7 +25,7 @@ use topics_core::net::fault::FaultProfile;
 use topics_core::obs::Obs;
 use topics_core::{
     evaluate, load_campaign, merge_dir_columnar, run_shard, write_bundle, write_segment, Lab,
-    LabConfig, StoreKind,
+    LabConfig, QueryService, ServeError, StoreKind, API_ENDPOINTS,
 };
 
 const SITES: usize = 200;
@@ -100,57 +101,42 @@ fn assert_index_equiv(outcome: &CampaignOutcome, col: &ColumnIndex, tag: &str) {
     );
 }
 
-/// Write both bundles for one outcome and assert every rendered
-/// artefact is byte-identical, both stores load back the same dataset,
-/// and the column scan matches the row index.
-fn assert_stores_equivalent(outcome: &CampaignOutcome, tag: &str) {
+/// Write the bundle for one outcome and assert every artefact is
+/// there, the store loads back the same dataset, and the column scan
+/// matches the row index.
+fn assert_bundle_round_trips(outcome: &CampaignOutcome, tag: &str) {
     let eval = evaluate(outcome);
-    let dir_json = temp_dir(&format!("{tag}-json"));
-    let dir_col = temp_dir(&format!("{tag}-col"));
-    write_bundle(&dir_json, outcome, &eval, false, StoreKind::Json).unwrap();
-    write_bundle(&dir_col, outcome, &eval, false, StoreKind::Columnar).unwrap();
-
-    assert!(dir_col.join("campaign.col").is_file(), "{tag}: no .col");
-    assert!(
-        !dir_col.join("campaign.json").exists(),
-        "{tag}: columnar bundle must not write campaign.json"
-    );
-    for artefact in BUNDLE_FILES.iter().filter(|f| **f != "campaign.json") {
-        assert_eq!(
-            std::fs::read(dir_json.join(artefact)).unwrap(),
-            std::fs::read(dir_col.join(artefact)).unwrap(),
-            "{tag}: {artefact} differs between stores"
-        );
+    let dir = temp_dir(tag);
+    write_bundle(&dir, outcome, &eval, false, StoreKind::Columnar).unwrap();
+    for artefact in BUNDLE_FILES {
+        assert!(dir.join(artefact).is_file(), "{tag}: no {artefact}");
     }
 
-    let from_json = load_campaign(&dir_json.join("campaign.json")).unwrap();
-    let from_col = load_campaign(&dir_col.join("campaign.col")).unwrap();
+    let loaded = load_campaign(&dir.join("campaign.col")).unwrap();
     assert_eq!(
-        serde_json::to_string(&from_json).unwrap(),
-        serde_json::to_string(&from_col).unwrap(),
-        "{tag}: loaded datasets differ between stores"
+        serde_json::to_string(&loaded).unwrap(),
+        serde_json::to_string(outcome).unwrap(),
+        "{tag}: the loaded dataset differs from the crawled one"
     );
 
-    let store =
-        ColumnarCampaign::decode(std::fs::read(dir_col.join("campaign.col")).unwrap()).unwrap();
+    let store = ColumnarCampaign::decode(std::fs::read(dir.join("campaign.col")).unwrap()).unwrap();
     store.verify().unwrap();
     let col = colscan::scan(&store).unwrap();
-    assert_index_equiv(&from_json, &col, tag);
+    assert_index_equiv(outcome, &col, tag);
 
-    std::fs::remove_dir_all(&dir_json).unwrap();
-    std::fs::remove_dir_all(&dir_col).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn both_stores_render_identical_artefacts() {
+fn columnar_bundle_round_trips_and_scans_like_the_row_index() {
     let outcome = Lab::new(LabConfig::quick(67, SITES).with_threads(2))
         .run()
         .outcome;
-    assert_stores_equivalent(&outcome, "plain");
+    assert_bundle_round_trips(&outcome, "plain");
 }
 
 #[test]
-fn both_stores_agree_under_fault_injection() {
+fn columnar_bundle_round_trips_under_fault_injection() {
     let config = LabConfig::quick(73, SITES)
         .with_threads(2)
         .with_fault_profile(FaultProfile::parse("0.05").unwrap());
@@ -160,7 +146,7 @@ fn both_stores_agree_under_fault_injection() {
         counts.degraded + counts.failed > 0,
         "fault profile must actually degrade some sites"
     );
-    assert_stores_equivalent(&outcome, "faulted");
+    assert_bundle_round_trips(&outcome, "faulted");
 }
 
 #[test]
@@ -231,46 +217,49 @@ fn read(dir: &Path, name: &str) -> Vec<u8> {
 }
 
 #[test]
-fn cli_store_flag_equivalence_and_doctor() {
+fn cli_crawl_merge_and_doctor_share_one_store() {
     let dir = temp_dir("cli");
-    let json_dir = dir.join("json");
-    let col_dir = dir.join("col");
+    let bundle = dir.join("bundle");
     let segs = dir.join("segs");
 
-    // The same crawl through both backends.
-    for (out, extra) in [(&json_dir, None), (&col_dir, Some("columnar"))] {
-        let mut args = vec!["crawl", "--sites", "60", "--seed", "13", "--quiet", "--out"];
-        args.push(out.to_str().unwrap());
-        if let Some(store) = extra {
-            args.extend(["--store", store]);
-        }
-        let out = lab(&args);
+    let out = lab(&[
+        "crawl",
+        "--sites",
+        "60",
+        "--seed",
+        "13",
+        "--quiet",
+        "--out",
+        bundle.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(bundle.join("campaign.col").is_file());
+    assert!(!bundle.join("campaign.json").exists());
+
+    // `report` renders the crawl's report from the bundle directory.
+    let out = lab(&["report", "--campaign", bundle.to_str().unwrap()]);
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout).trim_end(),
+        String::from_utf8_lossy(&read(&bundle, "report.txt")).trim_end()
+    );
+
+    // There is no store to choose: --store is an unknown flag everywhere.
+    for cmd in ["crawl", "shard", "merge", "report", "serve"] {
+        let out = lab(&[cmd, "--store", "columnar"]);
+        assert!(!out.status.success(), "{cmd} accepted --store");
         assert!(
-            out.status.success(),
-            "{}",
+            String::from_utf8_lossy(&out.stderr).contains("unknown flag \"--store\""),
+            "{cmd}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
     }
 
-    // Every rendered artefact byte-identical; only the store differs.
-    for artefact in BUNDLE_FILES.iter().filter(|f| **f != "campaign.json") {
-        assert_eq!(
-            read(&json_dir, artefact),
-            read(&col_dir, artefact),
-            "{artefact} differs between --store backends"
-        );
-    }
-    assert!(col_dir.join("campaign.col").is_file());
-    assert!(!col_dir.join("campaign.json").exists());
-
-    // `report` renders the same text from either bundle.
-    let report_json = lab(&["report", "--campaign", json_dir.to_str().unwrap()]);
-    let report_col = lab(&["report", "--campaign", col_dir.to_str().unwrap()]);
-    assert!(report_json.status.success() && report_col.status.success());
-    assert_eq!(report_json.stdout, report_col.stdout);
-
-    // A merged columnar bundle reproduces the crawl-written store byte
-    // for byte.
+    // A merged bundle reproduces the crawl-written store byte for byte.
     for spec in ["1/2", "2/2"] {
         let out = lab(&[
             "shard",
@@ -290,27 +279,20 @@ fn cli_store_flag_equivalence_and_doctor() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    let out = lab(&[
-        "merge",
-        "--segments",
-        segs.to_str().unwrap(),
-        "--store",
-        "columnar",
-    ]);
+    let out = lab(&["merge", "--segments", segs.to_str().unwrap()]);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert_eq!(
-        read(&segs, "campaign.col"),
-        read(&col_dir, "campaign.col"),
-        "merge --store columnar must stream the same bytes the crawl wrote"
+    assert!(
+        read(&segs, "campaign.col") == read(&bundle, "campaign.col"),
+        "merge must stream the same bytes the crawl wrote"
     );
     assert!(!segs.join("campaign.json").exists());
 
     // Doctor on the merged bundle verifies segments AND the columnar
-    // store (checksums, intern integrity, dataset agreement).
+    // store (checksums, intern integrity).
     let out = lab(&["doctor", "--campaign", segs.to_str().unwrap()]);
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(out.status.success(), "{stdout}");
@@ -325,23 +307,149 @@ fn cli_store_flag_equivalence_and_doctor() {
     bytes[last] ^= 0xFF;
     std::fs::write(segs.join("campaign.col"), &bytes).unwrap();
     let out = lab(&["doctor", "--campaign", segs.to_str().unwrap()]);
-    assert!(!out.status.success(), "doctor must fail on a corrupt store");
+    assert_eq!(
+        out.status.code(),
+        Some(4),
+        "doctor must fail on a corrupt store"
+    );
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("campaign.col"),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // An explicit `--store json` against a columnar-only bundle is a
-    // clean load error, not a misparse.
-    let out = lab(&[
-        "report",
-        "--campaign",
-        col_dir.to_str().unwrap(),
-        "--store",
-        "json",
-    ]);
-    assert!(!out.status.success());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
 
+/// A small crawled store plus what it must decode to: the outcome's
+/// serialization and every body `serve` renders from it.
+struct Fixture {
+    bytes: Vec<u8>,
+    outcome: String,
+    bodies: Vec<Vec<u8>>,
+}
+
+fn fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let outcome = Lab::new(LabConfig::quick(89, 12).with_threads(2))
+            .run()
+            .outcome;
+        let bytes = ColumnarCampaign::from_outcome(&outcome).bytes().to_vec();
+        let dir = temp_dir("fixture");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("campaign.col");
+        std::fs::write(&path, &bytes).unwrap();
+        let bodies = served_bodies(&QueryService::build(&path, None).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+        Fixture {
+            bytes,
+            outcome: serde_json::to_string(&outcome).unwrap(),
+            bodies,
+        }
+    })
+}
+
+fn served_bodies(service: &QueryService) -> Vec<Vec<u8>> {
+    API_ENDPOINTS
+        .iter()
+        .map(|(path, _)| service.body(path).expect("artefact endpoint").1.to_vec())
+        .collect()
+}
+
+/// Load `bytes` through both readers of the store: each must refuse
+/// them with an error, or — if they still decode — reproduce the
+/// original campaign exactly.
+fn assert_rejected_or_identical(path: &Path, bytes: &[u8]) {
+    let fixture = fixture();
+    std::fs::write(path, bytes).unwrap();
+    if let Ok(outcome) = load_campaign(path) {
+        assert_eq!(serde_json::to_string(&outcome).unwrap(), fixture.outcome);
+    }
+    if let Ok(service) = QueryService::build(path, None) {
+        assert!(served_bodies(&service) == fixture.bodies);
+    }
+}
+
+#[test]
+fn every_truncation_of_the_store_is_a_typed_error() {
+    let fixture = fixture();
+    let dir = temp_dir("truncate");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("campaign.col");
+    for len in 0..fixture.bytes.len() {
+        std::fs::write(&path, &fixture.bytes[..len]).unwrap();
+        let err = load_campaign(&path).expect_err("a truncated store must not load");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "len {len}");
+        assert!(
+            matches!(
+                QueryService::build(&path, None),
+                Err(ServeError::Corrupt(..))
+            ),
+            "serve built from {len} of {} bytes",
+            fixture.bytes.len()
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn every_header_byte_flip_is_rejected() {
+    // The header (magic, versions, counts, section directory and its
+    // checksum) is read before any checksum vouches for it, so every
+    // byte of it is flipped, not a random sample.
+    const HEADER_BYTES: usize = 8 + 4 + 4 + 8 + 8 * 4 + 4 + 8 * 25 + 8;
+    let dir = temp_dir("header-flips");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("campaign.col");
+    for at in 0..HEADER_BYTES {
+        for mask in [0x01, 0x80, 0xFF] {
+            let mut bytes = fixture().bytes.clone();
+            bytes[at] ^= mask;
+            assert_rejected_or_identical(&path, &bytes);
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn flipped_store_bytes_never_load_a_wrong_campaign(
+        at in any::<usize>(),
+        mask in 1u8..=255u8,
+    ) {
+        let fixture = fixture();
+        let mut bytes = fixture.bytes.clone();
+        let at = at % bytes.len();
+        bytes[at] ^= mask;
+        let dir = temp_dir("flip");
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_rejected_or_identical(&dir.join("campaign.col"), &bytes);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn a_legacy_campaign_json_is_a_typed_bad_magic_error() {
+    let dir = temp_dir("legacy");
+    std::fs::create_dir_all(&dir).unwrap();
+    let legacy = dir.join("campaign.json");
+    std::fs::write(&legacy, &fixture().outcome).unwrap();
+
+    let err = load_campaign(&legacy).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("bad magic"), "{err}");
+
+    // The CLI classifies it as a corrupt store: exit 4.
+    let out = lab(&["report", "--campaign", legacy.to_str().unwrap()]);
+    assert_eq!(
+        out.status.code(),
+        Some(4),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad magic"));
     std::fs::remove_dir_all(&dir).unwrap();
 }
