@@ -13,7 +13,9 @@
 //!   reproducing the engine's answer path slot-for-slot: per-epoch
 //!   uniform noise, pads, and the witness rule (a real topic is only
 //!   returned if the caller observed the user on a matching site in
-//!   that epoch).
+//!   that epoch). Both panels are collected in one pass per user: each
+//!   back-epoch's visit list is drawn once and fills both panels'
+//!   witness sets.
 //! * Returned topics accumulate into **sparse CSR profiles** — one
 //!   `(topic, count)` run per user — instead of the dense
 //!   `TAXONOMY_SIZE` histograms `reident.rs` uses.
@@ -21,7 +23,9 @@
 //!   context-B profiles against all context-A profiles by cosine,
 //!   using per-profile norms computed once and per-topic **inverted
 //!   candidate lists** so each query only touches users it shares a
-//!   topic with — no all-pairs scan.
+//!   topic with — no all-pairs scan. Dot products are exact `u64`
+//!   integers in a zeroed scratch array, where zero marks an untouched
+//!   user, so candidates are gathered without a per-update branch.
 //!
 //! Everything is a pure function of `(seed, config)`: collection
 //!   fans out over user blocks through the same claim-queue pool as
@@ -30,7 +34,6 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use topics_net::seed;
 use topics_taxonomy::{Taxonomy, TAXONOMY_SIZE};
@@ -92,6 +95,15 @@ impl SimConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.users < 2 {
             return Err("simulate needs --users ≥ 2".into());
+        }
+        if u32::try_from(self.users).is_err() {
+            // Profiles, inverted lists, the sample and the best-match
+            // ids all store user ids as `u32`.
+            return Err(format!(
+                "simulate needs --users ≤ {} (user ids are 32-bit), got {}",
+                u32::MAX,
+                self.users
+            ));
         }
         if self.epochs == 0 {
             return Err("simulate needs --epochs ≥ 1".into());
@@ -299,41 +311,38 @@ fn weighted_percentile(sorted_sizes: &[u64], users: u64, pct: u64) -> u64 {
     sorted_sizes.last().copied().unwrap_or(0)
 }
 
-/// An adversary context panel: an ordered set of embedding sites.
-struct ContextPanel {
-    sites: Vec<u32>,
-    member: Vec<bool>,
+/// The adversary's two disjoint context panels of embedding sites:
+/// panel A is index 0, panel B index 1.
+struct Panels {
+    /// Each panel's sites, in draw order.
+    sites: [Vec<u32>; 2],
+    /// Per universe site: the panel it belongs to, or [`NO_PANEL`].
+    panel_of: Vec<u8>,
 }
 
+/// [`Panels::panel_of`] marker for a site in neither panel.
+const NO_PANEL: u8 = u8::MAX;
+
 /// Draw two disjoint context panels from the universe.
-fn pick_contexts(cfg: &SimConfig, n_sites: usize) -> (ContextPanel, ContextPanel) {
+fn pick_panels(cfg: &SimConfig, n_sites: usize) -> Panels {
     let s = seed::derive(cfg.seed, "ctx");
     let want = cfg.context_sites * 2;
     let mut picked: Vec<u32> = Vec::with_capacity(want);
-    let mut taken = vec![false; n_sites];
+    let mut panel_of = vec![NO_PANEL; n_sites];
     let mut j = 0u64;
     while picked.len() < want {
         let idx = (seed::derive_idx(s, j) % n_sites as u64) as usize;
         j += 1;
-        if !taken[idx] {
-            taken[idx] = true;
+        if panel_of[idx] == NO_PANEL {
+            panel_of[idx] = (picked.len() / cfg.context_sites) as u8;
             picked.push(idx as u32);
         }
     }
-    let make = |sites: &[u32]| {
-        let mut member = vec![false; n_sites];
-        for &i in sites {
-            member[i as usize] = true;
-        }
-        ContextPanel {
-            sites: sites.to_vec(),
-            member,
-        }
-    };
-    (
-        make(&picked[..cfg.context_sites]),
-        make(&picked[cfg.context_sites..]),
-    )
+    let b = picked.split_off(cfg.context_sites);
+    Panels {
+        sites: [picked, b],
+        panel_of,
+    }
 }
 
 /// Sparse per-user topic profiles in CSR form: user `u`'s
@@ -395,7 +404,7 @@ fn merge_csr(cum: &Csr, inc: &Csr) -> Csr {
     out
 }
 
-/// Counters one collection epoch produces.
+/// Counters one collection epoch produces for one panel.
 #[derive(Default)]
 struct CollectStats {
     api_calls: u64,
@@ -403,155 +412,174 @@ struct CollectStats {
     noised: u64,
 }
 
-/// One block's worth of freshly collected profiles.
+/// One block's worth of freshly collected profiles for one panel.
 struct BlockOut {
     first_user: usize,
     lens: Vec<u32>,
     topics: Vec<u16>,
     counts: Vec<u16>,
+    stats: CollectStats,
 }
 
-/// Run one collection epoch `e` for one context panel: every panel
-/// site calls the API once per user, answers are reproduced
-/// slot-for-slot from the arena (noise → replacement topic; real
-/// topics gated on the witness rule; pads always returnable), and the
-/// per-call engine dedup (smallest epoch wins per topic) is applied
-/// before topics land in the epoch's CSR increment.
+impl BlockOut {
+    fn new(first_user: usize, users: usize) -> BlockOut {
+        BlockOut {
+            first_user,
+            lens: Vec::with_capacity(users),
+            topics: Vec::new(),
+            counts: Vec::new(),
+            stats: CollectStats::default(),
+        }
+    }
+}
+
+/// A back-epoch one API call can draw from: its index into the witness
+/// sets, the epoch, its slot, and the slot seed's per-epoch root.
+type LiveEpoch<'a> = (usize, u64, &'a [u16], u64);
+
+/// Run one collection epoch `e` for both context panels in one pass
+/// per user: every panel site calls the API once per user, answers are
+/// reproduced slot-for-slot from the arena (noise → replacement topic;
+/// real topics gated on the witness rule; pads always returnable), and
+/// the per-call engine dedup (smallest epoch wins per topic) is applied
+/// before topics land in the panel's CSR increment.
+///
+/// Each reachable back-epoch's visit list is drawn once per user and
+/// fills both panels' witness sets; the slot lookup and the per-epoch
+/// slot-seed root are resolved once per user rather than once per
+/// panel site. Returns the `[A, B]` increments.
 fn collect_epoch(
     cfg: &SimConfig,
     universe: &SiteUniverse,
     arena: &PopulationArena,
-    ctx: &ContextPanel,
+    panels: &Panels,
     e: u64,
     first: u64,
     threads: usize,
-) -> (Csr, CollectStats) {
+) -> [(Csr, CollectStats); 2] {
     let taxonomy = Taxonomy::global();
     let users = cfg.users;
-    let outputs: Mutex<Vec<BlockOut>> = Mutex::new(Vec::with_capacity(users.div_ceil(BLOCK)));
-    let api_calls = AtomicU64::new(0);
-    let topics_returned = AtomicU64::new(0);
-    let noised_total = AtomicU64::new(0);
+    let outputs: Mutex<Vec<[BlockOut; 2]>> = Mutex::new(Vec::with_capacity(users.div_ceil(BLOCK)));
 
     let jobs: Vec<usize> = (0..users.div_ceil(BLOCK)).collect();
     run_jobs(jobs, threads, |block| {
         let lo = block * BLOCK;
         let hi = (lo + BLOCK).min(users);
-        let mut out = BlockOut {
-            first_user: lo,
-            lens: Vec::with_capacity(hi - lo),
-            topics: Vec::new(),
-            counts: Vec::new(),
-        };
+        let mut out = [BlockOut::new(lo, hi - lo), BlockOut::new(lo, hi - lo)];
         let mut counts = vec![0u16; TAXONOMY_SIZE + 1];
         let mut touched: Vec<u16> = Vec::with_capacity(64);
         let mut visits: Vec<u32> = Vec::with_capacity(cfg.visits_per_epoch);
-        let mut wit = [TopicBitset::new(); WINDOW_BACK as usize];
+        // Per panel, per back-epoch: topics the panel observed the user
+        // on (only in epochs the adversary was actually collecting in).
+        let mut wit = [[TopicBitset::new(); WINDOW_BACK as usize]; 2];
+        let mut live: Vec<LiveEpoch> = Vec::with_capacity(WINDOW_BACK as usize);
         let mut cand: Vec<(u16, u64, bool)> = Vec::with_capacity(WINDOW_BACK as usize);
-        let (mut calls, mut returned, mut noised) = (0u64, 0u64, 0u64);
         for u in lo..hi {
             let us = user_seed(arena.seed(), u);
             let slot_root = seed::derive(us, "slot");
-            // Witness sets: topics the panel observed the user on in
-            // each reachable back-epoch (only epochs the adversary was
-            // actually collecting in).
+            live.clear();
             for back in 1..=WINDOW_BACK {
-                let w = &mut wit[back as usize - 1];
-                w.clear();
                 let Some(pe) = e.checked_sub(back) else {
                     continue;
                 };
-                if pe < first {
+                let slot = arena.slot(pe, u);
+                if slot[0] == SLOT_EMPTY {
+                    // Epoch with no classifiable browsing: the engine
+                    // answers nothing, not even noise.
                     continue;
                 }
-                visits_for(
-                    us,
-                    arena.interests_of(u),
-                    universe,
-                    pe,
-                    cfg.visits_per_epoch,
-                    &mut visits,
-                );
-                for &si in &visits {
-                    if ctx.member[si as usize] {
-                        for &t in universe.topics(si as usize) {
-                            w.insert(t);
+                let b = back as usize - 1;
+                wit[0][b].clear();
+                wit[1][b].clear();
+                if pe >= first {
+                    visits_for(
+                        us,
+                        arena.interests_of(u),
+                        universe,
+                        pe,
+                        cfg.visits_per_epoch,
+                        &mut visits,
+                    );
+                    for &si in &visits {
+                        let p = panels.panel_of[si as usize];
+                        if p != NO_PANEL {
+                            for &t in universe.topics(si as usize) {
+                                wit[p as usize][b].insert(t);
+                            }
                         }
                     }
                 }
+                live.push((b, pe, slot, seed::derive_idx(slot_root, pe)));
             }
-            for &site in &ctx.sites {
-                calls += 1;
-                cand.clear();
-                for back in 1..=WINDOW_BACK {
-                    let Some(pe) = e.checked_sub(back) else {
-                        continue;
-                    };
-                    let slot = arena.slot(pe, u);
-                    if slot[0] == SLOT_EMPTY {
-                        // Epoch with no classifiable browsing: the
-                        // engine answers nothing, not even noise.
-                        continue;
-                    }
-                    let slot_seed = seed::derive_idx(seed::derive_idx(slot_root, pe), site as u64);
-                    if seed::unit_f64(seed::derive(slot_seed, "noise")) < cfg.noise {
-                        let t = arena::random_returnable(
-                            taxonomy,
-                            seed::derive(slot_seed, "replacement"),
-                        );
-                        cand.push((t.get(), pe, true));
-                        continue;
-                    }
-                    let idx = (seed::derive(slot_seed, "pick") % TOP_N as u64) as usize;
-                    let Some((t, real)) = slot_topic(slot[idx]) else {
-                        continue;
-                    };
-                    if real {
-                        // Real topics need a witness: the caller saw
-                        // the user on a matching site in that epoch.
-                        if pe >= first && wit[back as usize - 1].contains(t) {
-                            cand.push((t.get(), pe, false));
+            for ((sites, out), wit) in panels.sites.iter().zip(&mut out).zip(&wit) {
+                out.stats.api_calls += sites.len() as u64;
+                for &site in sites {
+                    cand.clear();
+                    for &(b, pe, slot, epoch_root) in &live {
+                        let slot_seed = seed::derive_idx(epoch_root, site as u64);
+                        if seed::unit_f64(seed::derive(slot_seed, "noise")) < cfg.noise {
+                            let t = arena::random_returnable(
+                                taxonomy,
+                                seed::derive(slot_seed, "replacement"),
+                            );
+                            cand.push((t.get(), pe, true));
+                            continue;
                         }
-                    } else {
-                        cand.push((t.get(), pe, true));
+                        let idx = (seed::derive(slot_seed, "pick") % TOP_N as u64) as usize;
+                        let Some((t, real)) = slot_topic(slot[idx]) else {
+                            continue;
+                        };
+                        if real {
+                            // Real topics need a witness: the caller saw
+                            // the user on a matching site in that epoch
+                            // (the set is empty before collection began).
+                            if wit[b].contains(t) {
+                                cand.push((t.get(), pe, false));
+                            }
+                        } else {
+                            cand.push((t.get(), pe, true));
+                        }
+                    }
+                    // Engine dedup: one result per topic, oldest epoch wins.
+                    cand.sort_unstable_by_key(|&(t, pe, _)| (t, pe));
+                    cand.dedup_by_key(|&mut (t, _, _)| t);
+                    for &(t, _, n) in cand.iter() {
+                        out.stats.topics_returned += 1;
+                        out.stats.noised += n as u64;
+                        if counts[t as usize] == 0 {
+                            touched.push(t);
+                        }
+                        counts[t as usize] = counts[t as usize].saturating_add(1);
                     }
                 }
-                // Engine dedup: one result per topic, oldest epoch wins.
-                cand.sort_unstable_by_key(|&(t, pe, _)| (t, pe));
-                cand.dedup_by_key(|&mut (t, _, _)| t);
-                for &(t, _, n) in cand.iter() {
-                    returned += 1;
-                    if n {
-                        noised += 1;
-                    }
-                    if counts[t as usize] == 0 {
-                        touched.push(t);
-                    }
-                    counts[t as usize] = counts[t as usize].saturating_add(1);
+                touched.sort_unstable();
+                out.lens.push(touched.len() as u32);
+                for &t in &touched {
+                    out.topics.push(t);
+                    out.counts.push(counts[t as usize]);
+                    counts[t as usize] = 0;
                 }
+                touched.clear();
             }
-            touched.sort_unstable();
-            out.lens.push(touched.len() as u32);
-            for &t in &touched {
-                out.topics.push(t);
-                out.counts.push(counts[t as usize]);
-                counts[t as usize] = 0;
-            }
-            touched.clear();
         }
-        api_calls.fetch_add(calls, Ordering::Relaxed);
-        topics_returned.fetch_add(returned, Ordering::Relaxed);
-        noised_total.fetch_add(noised, Ordering::Relaxed);
         outputs.lock().expect("collect outputs lock").push(out);
     });
 
     let mut blocks = outputs.into_inner().expect("collect outputs lock");
-    blocks.sort_unstable_by_key(|b| b.first_user);
+    blocks.sort_unstable_by_key(|[a, _]| a.first_user);
+    let (a, b): (Vec<BlockOut>, Vec<BlockOut>) = blocks.into_iter().map(|[a, b]| (a, b)).unzip();
+    [concat_blocks(users, a), concat_blocks(users, b)]
+}
+
+/// Stitch one panel's per-block outputs (sorted by first user) into a
+/// CSR increment and sum their counters.
+fn concat_blocks(users: usize, blocks: Vec<BlockOut>) -> (Csr, CollectStats) {
     let mut csr = Csr {
         offsets: Vec::with_capacity(users + 1),
         topics: Vec::with_capacity(blocks.iter().map(|b| b.topics.len()).sum()),
         counts: Vec::with_capacity(blocks.iter().map(|b| b.counts.len()).sum()),
     };
+    let mut stats = CollectStats::default();
     csr.offsets.push(0);
     for b in blocks {
         for len in b.lens {
@@ -560,15 +588,11 @@ fn collect_epoch(
         }
         csr.topics.extend_from_slice(&b.topics);
         csr.counts.extend_from_slice(&b.counts);
+        stats.api_calls += b.stats.api_calls;
+        stats.topics_returned += b.stats.topics_returned;
+        stats.noised += b.stats.noised;
     }
-    (
-        csr,
-        CollectStats {
-            api_calls: api_calls.into_inner(),
-            topics_returned: topics_returned.into_inner(),
-            noised: noised_total.into_inner(),
-        },
-    )
+    (csr, stats)
 }
 
 /// Per-topic inverted candidate lists over a CSR profile set:
@@ -578,6 +602,14 @@ struct Inverted {
     offsets: Vec<u64>,
     user: Vec<u32>,
     count: Vec<u16>,
+}
+
+impl Inverted {
+    /// Topic `t`'s `(users, counts)` lists.
+    fn list(&self, t: u16) -> (&[u32], &[u16]) {
+        let at = self.offsets[t as usize] as usize..self.offsets[t as usize + 1] as usize;
+        (&self.user[at.clone()], &self.count[at])
+    }
 }
 
 fn invert(csr: &Csr) -> Inverted {
@@ -622,59 +654,78 @@ fn norms(csr: &Csr) -> Vec<f64> {
         .collect()
 }
 
+/// Queries per parallel attack block.
+const QUERY_BLOCK: usize = 512;
+
 /// Link each sampled user's context-B profile against all context-A
-/// profiles; returns how many best-cosine matches hit the true user.
-/// Only users sharing at least one topic with the query are scored
-/// (via the inverted lists); ties break toward the smallest user id.
-fn eval_checkpoint(cum_a: &Csr, cum_b: &Csr, sample: &[u32], threads: usize) -> u64 {
+/// profiles: the best cosine match per query, or `u32::MAX` when the
+/// query shares no topic with any A profile. Only users sharing at
+/// least one topic with the query are scored (via the inverted lists);
+/// ties break toward the smallest user id.
+///
+/// Dot products accumulate as `u64` in a per-block score array that is
+/// zero everywhere between queries. Every CSR count is ≥ 1, so a score
+/// of zero marks an untouched user: candidates append branch-free (the
+/// slot is always written, the cursor only advances on first touch),
+/// and the argmax resets each score as it reads it. Every partial sum
+/// is an integer below `TAXONOMY_SIZE · 65535² < 2⁵³`, so `score as
+/// f64` is the exact dot product and the cosine matches an `f64`
+/// accumulation bit for bit. The query's own norm is a per-query
+/// constant and is left out.
+fn best_matches(cum_a: &Csr, cum_b: &Csr, sample: &[u32], threads: usize) -> Vec<u32> {
     let users = cum_a.offsets.len() - 1;
     let inv = invert(cum_a);
     let norm_a = norms(cum_a);
-    let correct = AtomicU64::new(0);
-    let q_blocks: Vec<usize> = (0..sample.len().div_ceil(512)).collect();
-    run_jobs(q_blocks, threads, |qb| {
-        let mut score = vec![0f64; users];
-        let mut tag = vec![u32::MAX; users];
-        let mut touched: Vec<u32> = Vec::with_capacity(4096);
-        let mut hits = 0u64;
-        for (qi, &q) in sample
-            .iter()
-            .enumerate()
-            .skip(qb * 512)
-            .take(512.min(sample.len() - qb * 512))
-        {
-            let qtag = qi as u32;
-            touched.clear();
+    let mut best = vec![u32::MAX; sample.len()];
+    let jobs: Vec<(&[u32], &mut [u32])> = sample
+        .chunks(QUERY_BLOCK)
+        .zip(best.chunks_mut(QUERY_BLOCK))
+        .collect();
+    run_jobs(jobs, threads, |(queries, out)| {
+        let mut score = vec![0u64; users];
+        let mut touched: Vec<u32> = Vec::new();
+        for (&q, out) in queries.iter().zip(out) {
             let (qt, qc) = cum_b.row(q as usize);
-            for (t, c) in qt.iter().zip(qc) {
-                let at = inv.offsets[*t as usize] as usize..inv.offsets[*t as usize + 1] as usize;
-                let qc = *c as f64;
-                for (u, ac) in inv.user[at.clone()].iter().zip(&inv.count[at]) {
-                    let u = *u as usize;
-                    if tag[u] != qtag {
-                        tag[u] = qtag;
-                        score[u] = 0.0;
-                        touched.push(u as u32);
-                    }
-                    score[u] += qc * *ac as f64;
+            // The cursor stays below both the postings visited and the
+            // distinct users touched.
+            let postings: usize = qt.iter().map(|&t| inv.list(t).0.len()).sum();
+            let need = postings.min(users + 1);
+            if touched.len() < need {
+                touched.resize(need, 0);
+            }
+            let mut n = 0;
+            for (&t, &c) in qt.iter().zip(qc) {
+                let (us, cs) = inv.list(t);
+                let qc = c as u64;
+                for (&u, &ac) in us.iter().zip(cs) {
+                    let s = &mut score[u as usize];
+                    touched[n] = u;
+                    n += (*s == 0) as usize;
+                    *s += qc * ac as u64;
                 }
             }
             let mut best = f64::NEG_INFINITY;
             let mut best_u = u32::MAX;
-            for &u in &touched {
-                let s = score[u as usize] / norm_a[u as usize];
+            for &u in &touched[..n] {
+                let s = std::mem::take(&mut score[u as usize]) as f64 / norm_a[u as usize];
                 if s > best || (s == best && u < best_u) {
                     best = s;
                     best_u = u;
                 }
             }
-            if best_u == q {
-                hits += 1;
-            }
+            *out = best_u;
         }
-        correct.fetch_add(hits, Ordering::Relaxed);
     });
-    correct.into_inner()
+    best
+}
+
+/// How many sampled users' best match is themselves.
+fn eval_checkpoint(cum_a: &Csr, cum_b: &Csr, sample: &[u32], threads: usize) -> u64 {
+    best_matches(cum_a, cum_b, sample, threads)
+        .iter()
+        .zip(sample)
+        .filter(|(best, q)| best == q)
+        .count() as u64
 }
 
 /// The deterministic user sample the adversary queries at every
@@ -704,22 +755,21 @@ pub fn reident_curve(
     arena: &PopulationArena,
     threads: usize,
 ) -> (Vec<ReidentRow>, SimStats) {
-    let (ctx_a, ctx_b) = pick_contexts(cfg, universe.len());
+    let panels = pick_panels(cfg, universe.len());
     let sample = sample_users(cfg);
     let first = cfg.epochs - cfg.window;
-    let mut cum_a = Csr::empty(cfg.users);
-    let mut cum_b = Csr::empty(cfg.users);
+    let mut cum = [Csr::empty(cfg.users), Csr::empty(cfg.users)];
     let mut stats = SimStats::default();
     let mut rows = Vec::with_capacity(cfg.window as usize);
     for e in first..cfg.epochs {
-        for (ctx, cum) in [(&ctx_a, &mut cum_a), (&ctx_b, &mut cum_b)] {
-            let (inc, cs) = collect_epoch(cfg, universe, arena, ctx, e, first, threads);
+        let incs = collect_epoch(cfg, universe, arena, &panels, e, first, threads);
+        for (cum, (inc, cs)) in cum.iter_mut().zip(incs) {
             *cum = merge_csr(cum, &inc);
             stats.api_calls += cs.api_calls;
             stats.topics_returned += cs.topics_returned;
             stats.noised_topics += cs.noised;
         }
-        let correct = eval_checkpoint(&cum_a, &cum_b, &sample, threads);
+        let correct = eval_checkpoint(&cum[0], &cum[1], &sample, threads);
         stats.queries += sample.len() as u64;
         stats.correct += correct;
         rows.push(ReidentRow {
@@ -917,6 +967,18 @@ mod tests {
         }
         .validate()
         .is_err());
+        // User ids are stored as `u32`; a larger population would
+        // silently truncate them (only reachable with a 64-bit usize).
+        if let Ok(users) = usize::try_from(u64::from(u32::MAX) + 1) {
+            let err = SimConfig { users, ..small() }.validate().unwrap_err();
+            assert!(err.contains("--users ≤ 4294967295"), "{err}");
+            assert!(SimConfig {
+                users: users - 1,
+                ..small()
+            }
+            .validate()
+            .is_ok());
+        }
     }
 
     #[test]
@@ -1067,5 +1129,223 @@ mod tests {
         let report = render_sim_report(&r);
         assert!(report.contains("200 users × 6 epochs"));
         assert!(report.contains("re-identification"));
+    }
+
+    /// Build a CSR from per-user `(topic, count)` rows (topics
+    /// ascending, counts ≥ 1 — the invariants collection guarantees).
+    fn csr(rows: &[Vec<(u16, u16)>]) -> Csr {
+        let mut out = Csr::empty(0);
+        for row in rows {
+            for &(t, c) in row {
+                out.topics.push(t);
+                out.counts.push(c);
+            }
+            out.offsets.push(out.topics.len() as u64);
+        }
+        out
+    }
+
+    /// A random CSR over topics `1..=max_topic` with counts in
+    /// `1..=max_count`; a low `density` leaves some rows empty.
+    fn random_csr(s: u64, users: usize, max_topic: u16, max_count: u16, density: f64) -> Csr {
+        let rows: Vec<Vec<(u16, u16)>> = (0..users)
+            .map(|u| {
+                let us = seed::derive_idx(s, u as u64);
+                (1..=max_topic)
+                    .filter_map(|t| {
+                        let ts = seed::derive_idx(us, t as u64);
+                        (seed::unit_f64(ts) < density)
+                            .then(|| (t, 1 + (seed::derive(ts, "c") % max_count as u64) as u16))
+                    })
+                    .collect()
+            })
+            .collect();
+        csr(&rows)
+    }
+
+    /// Naive all-pairs reference for [`best_matches`]: a dense `f64`
+    /// cosine of the query against every A profile (the query's own
+    /// norm, a per-query constant, left out), ties to the smallest id,
+    /// and users sharing no topic with the query are no candidates.
+    fn reference_matches(cum_a: &Csr, cum_b: &Csr, sample: &[u32]) -> Vec<u32> {
+        let users = cum_a.offsets.len() - 1;
+        let mut dense = vec![0f64; TAXONOMY_SIZE + 1];
+        sample
+            .iter()
+            .map(|&q| {
+                dense.fill(0.0);
+                let (qt, qc) = cum_b.row(q as usize);
+                for (&t, &c) in qt.iter().zip(qc) {
+                    dense[t as usize] = c as f64;
+                }
+                let (mut best, mut best_u) = (f64::NEG_INFINITY, u32::MAX);
+                for u in 0..users {
+                    let (at, ac) = cum_a.row(u);
+                    let mut dot = 0f64;
+                    let mut norm2 = 0f64;
+                    for (&t, &c) in at.iter().zip(ac) {
+                        dot += dense[t as usize] * c as f64;
+                        norm2 += c as f64 * c as f64;
+                    }
+                    if dot == 0.0 {
+                        continue;
+                    }
+                    let s = dot / norm2.sqrt();
+                    // Users ascend, so a strict `>` keeps the smallest
+                    // id among equal scores.
+                    if s > best {
+                        best = s;
+                        best_u = u as u32;
+                    }
+                }
+                best_u
+            })
+            .collect()
+    }
+
+    fn assert_matches_reference(a: &Csr, b: &Csr, sample: &[u32]) -> Vec<u32> {
+        let want = reference_matches(a, b, sample);
+        for threads in [1, 3] {
+            assert_eq!(
+                best_matches(a, b, sample, threads),
+                want,
+                "threads {threads}"
+            );
+        }
+        want
+    }
+
+    #[test]
+    fn kernel_matches_the_all_pairs_reference_on_random_profiles() {
+        // (seed, users, topic range, max count, density): narrow topic
+        // ranges and small counts make exact ties common; the wide ones
+        // exercise long inverted lists and large dot products.
+        let shapes = [
+            (1, 50, 12, 2, 0.2),
+            (2, 400, 24, 3, 0.3),
+            (3, 2000, 40, 4, 0.1),
+            (4, 300, 469, 65535, 0.05),
+            (5, 1000, 469, 9, 0.02),
+        ];
+        for (s, users, max_topic, max_count, density) in shapes {
+            let a = random_csr(s, users, max_topic, max_count, density);
+            let b = random_csr(s + 100, users, max_topic, max_count, density);
+            let sample: Vec<u32> = (0..users as u32).step_by(3).collect();
+            let got = assert_matches_reference(&a, &b, &sample);
+            assert!(
+                got.iter().any(|&u| u != u32::MAX),
+                "shape {s} produced no candidates at all"
+            );
+            // Querying A against itself: every non-empty row finds a
+            // best match (itself or an equal-cosine smaller id).
+            assert_matches_reference(&a, &a, &sample);
+        }
+    }
+
+    #[test]
+    fn kernel_breaks_exact_ties_to_the_smallest_id() {
+        // Topic 2 lists user 1 first, so query 0's candidate order is
+        // 1, 0, 3; all three score exactly 1. User 2's row is empty.
+        // Users 4 and 5 are proportional with exact norms (5 and 10),
+        // so their cosines are the same double.
+        let a = csr(&[
+            vec![(9, 1)],
+            vec![(2, 1)],
+            vec![],
+            vec![(9, 1)],
+            vec![(7, 3), (8, 4)],
+            vec![(7, 6), (8, 8)],
+        ]);
+        let b = csr(&[
+            vec![(2, 1), (9, 1)],
+            vec![(7, 1), (8, 1)],
+            vec![(9, 5)],
+            vec![(2, 4)],
+        ]);
+        let got = assert_matches_reference(&a, &b, &[0, 1, 2, 3]);
+        assert_eq!(got, vec![0, 4, 0, 1]);
+    }
+
+    #[test]
+    fn kernel_is_exact_at_saturated_counts() {
+        // The largest possible dot product: every topic at u16::MAX on
+        // both sides. It must stay below 2^53 for the integer scores to
+        // convert to f64 exactly.
+        let max = u16::MAX as u64;
+        assert!((TAXONOMY_SIZE as u64) * max * max < 1 << 53);
+        let all =
+            |c: u16| -> Vec<(u16, u16)> { (1..=TAXONOMY_SIZE as u16).map(|t| (t, c)).collect() };
+        let mut near = all(u16::MAX);
+        near[TAXONOMY_SIZE - 1].1 = u16::MAX - 1;
+        let a = csr(&[
+            vec![(1, u16::MAX)],
+            near.clone(),
+            all(u16::MAX),
+            vec![(2, u16::MAX)],
+            all(u16::MAX),
+        ]);
+        let b = csr(&[
+            all(u16::MAX),
+            near,
+            vec![(1, u16::MAX), (2, 1)],
+            vec![(469, 1)],
+        ]);
+        let got = assert_matches_reference(&a, &b, &[0, 1, 2, 3]);
+        // The all-saturated query prefers the identical rows (2 ties 4
+        // and wins on id) over row 1, one count short; the one-short
+        // query finds row 1 itself, ~1000 ulps ahead of rows 2 and 4.
+        assert_eq!(got[0], 2);
+        assert_eq!(got[1], 1);
+    }
+
+    #[test]
+    fn kernel_misses_on_empty_rows() {
+        let a = csr(&[vec![], vec![(3, 2)], vec![]]);
+        // Query 0 is empty; query 1 shares no topic with any A row;
+        // query 2 only shares topic 3, carried by user 1 alone.
+        let b = csr(&[vec![], vec![(4, 1)], vec![(3, 1), (5, 7)]]);
+        let got = assert_matches_reference(&a, &b, &[0, 1, 2]);
+        assert_eq!(got, vec![u32::MAX, u32::MAX, 1]);
+        assert_eq!(eval_checkpoint(&a, &b, &[0, 1, 2], 2), 0);
+        // No A profile at all: every query misses.
+        let none = csr(&[vec![], vec![], vec![]]);
+        assert_eq!(
+            assert_matches_reference(&none, &b, &[0, 1, 2]),
+            vec![u32::MAX; 3]
+        );
+    }
+
+    #[test]
+    fn noiseless_run_matches_the_reference_checkpoint_by_checkpoint() {
+        // Panels covering the whole universe and no noise: the attack
+        // links a large share of users, so a wrong argmax would show.
+        let cfg = SimConfig {
+            sites: 100,
+            context_sites: 50,
+            sample: 200,
+            noise: 0.0,
+            ..SimConfig::new(11, 200, 8)
+        };
+        let r = run(&cfg, 2).unwrap();
+        let universe = build_universe(&cfg);
+        let arena = build_arena(&cfg, &universe, 2).unwrap();
+        let panels = pick_panels(&cfg, universe.len());
+        let sample = sample_users(&cfg);
+        let first = cfg.epochs - cfg.window;
+        let mut cum = [Csr::empty(cfg.users), Csr::empty(cfg.users)];
+        for (e, row) in (first..cfg.epochs).zip(&r.reident) {
+            let incs = collect_epoch(&cfg, &universe, &arena, &panels, e, first, 2);
+            for (cum, (inc, _)) in cum.iter_mut().zip(incs) {
+                *cum = merge_csr(cum, &inc);
+            }
+            let want = reference_matches(&cum[0], &cum[1], &sample)
+                .iter()
+                .zip(&sample)
+                .filter(|(best, q)| best == q)
+                .count() as u64;
+            assert_eq!(row.correct, want, "checkpoint after epoch {e}");
+        }
+        let last = r.reident.last().unwrap();
+        assert!(last.accuracy() > 0.3, "accuracy {}", last.accuracy());
     }
 }

@@ -152,6 +152,14 @@ for ART in sim_kanon.csv sim_reident.csv sim_report.txt; do
 done
 cmp "$SIM_DIR/t4/sim_kanon.csv" tests/golden/sim_kanon_smoke.csv
 cmp "$SIM_DIR/t4/sim_reident.csv" tests/golden/sim_reident_smoke.csv
+# The smoke shape scores at most one hit in 500 queries, so it cannot
+# notice a wrong argmax. This noiseless shape, whose panels cover the
+# whole universe, links over half the sample at every later checkpoint.
+for T in 1 4; do
+    $TL simulate --users 500 --epochs 12 --sites 200 --context 100 --sample 500 \
+        --noise 0 --seed 7 --threads "$T" --quiet --out "$SIM_DIR/strong$T" > /dev/null
+    cmp "$SIM_DIR/strong$T/sim_reident.csv" tests/golden/sim_reident_strong.csv
+done
 # Trace-only doctor over the simulate trace (no campaign to load).
 $TL doctor --trace "$SIM_DIR/t4/trace.jsonl" > /dev/null
 rm -rf "$SIM_DIR"
