@@ -36,7 +36,7 @@ fn main() {
     for shards in [2usize, 4, 8] {
         let plan = ShardPlan::new(shards, outcome.sites.len());
         let segments = split_outcome(outcome, plan, world_seed, &fault, fault_seed);
-        let encoded: Vec<String> = segments.iter().map(Segment::encode).collect();
+        let encoded: Vec<Vec<u8>> = segments.iter().map(Segment::encode).collect();
 
         c.bench_function(&format!("shard/encode-{shards}"), |b| {
             b.iter(|| {
@@ -44,7 +44,7 @@ fn main() {
                     segments
                         .iter()
                         .map(Segment::encode)
-                        .collect::<Vec<String>>(),
+                        .collect::<Vec<Vec<u8>>>(),
                 )
             })
         });

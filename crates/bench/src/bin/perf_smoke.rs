@@ -167,7 +167,7 @@ fn main() {
         .campaign
         .fault_seed
         .unwrap_or_else(|| seed::derive(lab.world.seed(), "faults"));
-    let encoded: Vec<String> = split_outcome(
+    let encoded: Vec<Vec<u8>> = split_outcome(
         &run.outcome,
         ShardPlan::new(4, run.outcome.sites.len()),
         lab.world.seed(),

@@ -39,8 +39,9 @@
 //!     would run, as an independent process: generate the world, crawl
 //!     only the shard's site-rank stripe, probe only the parties that
 //!     stripe encountered (plus the allow-list), and write a
-//!     checksummed record segment (shard-K-of-N.seg: visits, probes,
-//!     metrics tally, stripped trace, FNV-1a trailer) to DIR (default:
+//!     checksummed binary segment (shard-K-of-N.seg: the stripe's own
+//!     campaign.col, header, metrics tally and stripped trace, each an
+//!     FNV-1a-checked section of one container) to DIR (default:
 //!     ./topics-lab-shards). Per-visit seeds, timestamps, and fault
 //!     schedules are derived from the *global* rank, so the shards of a
 //!     seed reassemble byte-identically.
@@ -54,7 +55,9 @@
 //!     trace (trace.jsonl) to DIR (default: the segments directory).
 //!     The bundle is byte-identical to a single-process `crawl` of the
 //!     same seed. Exits non-zero with a named violation on truncated,
-//!     corrupted, duplicated or missing segments.
+//!     corrupted, duplicated or missing segments: 3 when DIR is absent
+//!     or holds no *.seg file, 4 when a segment fails to read, decode
+//!     or merge.
 //!
 //! topics-lab simulate [--users N] [--epochs N] [--sites N] [--visits N]
 //!                    [--context N] [--window N] [--sample N]
@@ -215,15 +218,15 @@ impl Args {
     }
 }
 
-/// A failure with its exit code attached: missing campaign/trace
-/// inputs exit 3, a store that exists but fails validation exits 4,
-/// everything else 1 (usage errors exit 2 via [`usage`]). Scripts can
-/// branch on the class without parsing stderr.
+/// A failure with its exit code attached: missing campaign, trace or
+/// segment inputs exit 3, a store or segment that exists but fails
+/// validation exits 4, everything else 1 (usage errors exit 2 via
+/// [`usage`]). Scripts can branch on the class without parsing stderr.
 #[derive(Debug, PartialEq, Eq)]
 enum CliError {
     /// A named input file does not exist (exit 3).
     Missing(String),
-    /// A campaign store exists but fails validation (exit 4).
+    /// A campaign store or segment exists but fails validation (exit 4).
     Corrupt(String),
     /// Any other failure (exit 1).
     Other(String),
@@ -543,7 +546,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_merge(args: &Args) -> Result<(), String> {
+fn cmd_merge(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&["--segments", "--out"], &[])?;
     let segments = PathBuf::from(
         args.value_of("--segments")?
@@ -554,10 +557,21 @@ fn cmd_merge(args: &Args) -> Result<(), String> {
         .map(PathBuf::from)
         .unwrap_or_else(|| segments.clone());
 
-    let count = topics_core::segment_paths(&segments)?.len();
+    // An absent directory, or one without segments, is a missing input
+    // (exit 3); a segment that fails to read, decode or merge is a
+    // corrupt one (exit 4).
+    let count = topics_core::segment_paths(&segments)
+        .map_err(CliError::Missing)?
+        .len();
+    if count == 0 {
+        return Err(CliError::Missing(format!(
+            "no segment files (*.seg) in {}",
+            segments.display()
+        )));
+    }
     // Stream each segment straight into the columnar writer and persist
     // the streamed bytes — byte-identical to a single-process `crawl`.
-    let merged = topics_core::merge_dir_columnar(&segments)?;
+    let merged = topics_core::merge_dir_columnar(&segments).map_err(CliError::Corrupt)?;
     std::fs::create_dir_all(&out).map_err(|e| format!("creating {}: {e}", out.display()))?;
     let col_path = out.join(CAMPAIGN_COLUMNAR_FILE);
     std::fs::write(&col_path, merged.store.bytes())
@@ -995,7 +1009,7 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "crawl" => cmd_crawl(&args).map_err(CliError::from),
         "shard" => cmd_shard(&args).map_err(CliError::from),
-        "merge" => cmd_merge(&args).map_err(CliError::from),
+        "merge" => cmd_merge(&args),
         "report" => cmd_report(&args),
         "metrics" => cmd_metrics(&args),
         "compare" => cmd_compare(&args).map_err(CliError::from),
@@ -1295,7 +1309,7 @@ mod tests {
         let errors = [
             cmd_crawl(&with_store).unwrap_err(),
             cmd_shard(&with_store).unwrap_err(),
-            cmd_merge(&with_store).unwrap_err(),
+            cmd_merge(&with_store).unwrap_err().message().to_owned(),
             cmd_report(&with_store).unwrap_err().message().to_owned(),
             cmd_serve(&with_store).unwrap_err().message().to_owned(),
         ];

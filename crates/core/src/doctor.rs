@@ -116,7 +116,7 @@ pub fn verify_columnar(dir: &Path) -> Option<ColumnarCheck> {
 }
 
 /// Segment-integrity and shard-coverage checks over every `*.seg` file
-/// in `dir`: each segment must decode (checksum, line count, version,
+/// in `dir`: each segment must decode (checksums, version, header plan,
 /// required sections), the set must merge (exact shard coverage of the
 /// plan's rank space, matching tokens and headers), and the store the
 /// merge streams out must equal the `campaign.col` in `dir` byte for
@@ -670,6 +670,17 @@ mod tests {
         assert!(report.alloc_balance[0].children_bytes > 0);
     }
 
+    /// Offset of a byte in the middle of a segment's `store` section:
+    /// the directory's second entry (after the 16-byte magic, version
+    /// and section count; each entry is tag u8, offset u64, len u64,
+    /// fnv1a u64).
+    fn store_payload_byte(segment: &[u8]) -> usize {
+        let entry = 16 + 25;
+        assert_eq!(segment[entry], 2, "the second section is the store");
+        let word = |at: usize| u64::from_le_bytes(segment[at..at + 8].try_into().unwrap());
+        (word(entry + 1) + word(entry + 9) / 2) as usize
+    }
+
     #[test]
     fn segment_checks_flow_into_the_report() {
         let config = LabConfig::quick(33, 40).with_threads(2);
@@ -714,14 +725,19 @@ mod tests {
         );
         std::fs::write(&col_path, merged.store.bytes()).unwrap();
 
-        // Flip one byte in a segment (still valid JSON, so only the
-        // checksum can catch it): the check names the file.
-        let text = std::fs::read_to_string(&paths[0]).unwrap();
-        std::fs::write(&paths[0], text.replacen("\"rank\":0", "\"rank\":9", 1)).unwrap();
+        // Flip one byte inside a segment's stripe store: only the
+        // section checksum can catch it, and the check names the file.
+        let pristine = std::fs::read(&paths[0]).unwrap();
+        let mut flipped = pristine.clone();
+        flipped[store_payload_byte(&pristine)] ^= 0x01;
+        std::fs::write(&paths[0], &flipped).unwrap();
         let (checked, violations) = verify_segments(&dir);
         assert_eq!(checked, 2);
+        let name = paths[0].file_name().unwrap().to_str().unwrap();
         assert!(
-            violations.iter().any(|v| v.contains("checksum mismatch")),
+            violations
+                .iter()
+                .any(|v| v.contains("checksum mismatch") && v.contains(name)),
             "{violations:?}"
         );
         let report =
@@ -730,10 +746,12 @@ mod tests {
         assert!(report.render().contains("[FAIL]"));
 
         // Truncation is named too.
-        std::fs::write(&paths[0], &text[..text.len() / 2]).unwrap();
+        std::fs::write(&paths[0], &pristine[..pristine.len() / 2]).unwrap();
         let (_, violations) = verify_segments(&dir);
         assert!(
-            violations.iter().any(|v| v.contains("truncated")),
+            violations
+                .iter()
+                .any(|v| v.contains("truncated") && v.contains(name)),
             "{violations:?}"
         );
         std::fs::remove_dir_all(&dir).unwrap();

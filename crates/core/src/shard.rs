@@ -4,7 +4,9 @@
 //! shards ([`topics_crawler::shard::ShardPlan`]) and run as independent
 //! processes: each shard crawls only its stripe, probes only the
 //! parties its stripe encountered (plus the allow-list), and writes a
-//! checksummed record segment (`shard-K-of-N.seg`).
+//! checksummed binary segment (`shard-K-of-N.seg`: the stripe's own
+//! `campaign.col`, its header, metrics tally and stripped trace as
+//! sections of one container).
 //! [`merge_dir_columnar`] streams the segments back into one
 //! `campaign.col`, metrics snapshot, and stripped trace that are
 //! **byte-identical** to a single-process run of the same seed — the contract proven by
@@ -142,9 +144,9 @@ pub fn write_segment(dir: &Path, segment: &Segment) -> io::Result<PathBuf> {
 
 /// Read and integrity-check one segment file.
 pub fn read_segment(path: &Path) -> Result<Segment, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("reading segment {}: {e}", path.display()))?;
-    Segment::decode(&text).map_err(|e| format!("segment {}: {e}", path.display()))
+    let bytes =
+        std::fs::read(path).map_err(|e| format!("reading segment {}: {e}", path.display()))?;
+    Segment::decode(&bytes).map_err(|e| format!("segment {}: {e}", path.display()))
 }
 
 /// Paths of every `*.seg` file directly under `dir`, sorted by name
@@ -180,7 +182,7 @@ pub struct MergedColumnar {
 /// Merge every `*.seg` under `dir` by streaming each segment's sites
 /// directly into a [`ColumnarBuilder`] — one decoded segment in memory
 /// at a time. Any decode failure (truncation, checksum mismatch,
-/// malformed line) or merge violation (missing/duplicate shard, stripe
+/// malformed section) or merge violation (missing/duplicate shard, stripe
 /// or token mismatch, diverging duplicates) is a named error.
 ///
 /// Shard order is validated per segment by

@@ -23,11 +23,13 @@
 //! section payloads, contiguous, in directory order
 //! ```
 //!
-//! The eight sections (`strings`, `errors`, `sites`, `visits`,
-//! `parties`, `calls`, `allow`, `probes`) are length-prefixed by the
-//! directory and individually checksummed with the same FNV-1a as the
-//! shard segments ([`fnv1a`]), so truncation, bit-rot, and editing are
-//! named errors ([`ColumnarError`]) in the segment taxonomy's style.
+//! This is the sectioned container shard segments use as well (see
+//! `container.rs`), with the schema version, start time and row counts
+//! as its format-specific preamble. The eight sections (`strings`,
+//! `errors`, `sites`, `visits`, `parties`, `calls`, `allow`, `probes`)
+//! are length-prefixed by the directory and individually checksummed
+//! with FNV-1a ([`topics_net::seed::fnv1a`]), so truncation, bit-rot,
+//! and editing are named errors ([`ColumnarError`]).
 //! Sections are decoded lazily and independently — the row counts live
 //! in the header, so a reader that only needs the call columns never
 //! touches the visit columns — and every decoded section is validated
@@ -39,6 +41,7 @@
 //! produces byte-identical files across runs, thread counts, and the
 //! crawl-vs-sharded-merge paths.
 
+use crate::container::{self, fits_u32, put_u32, put_u64, Cur, Directory, Format};
 use crate::record::{
     AttestationInfo, AttestationProbe, CampaignOutcome, FaultStats, Phase, SiteOutcome,
     TopicsCallRecord, UnknownSchemaVersion, VisitRecord, CAMPAIGN_SCHEMA_VERSION,
@@ -51,7 +54,6 @@ use topics_browser::attestation::AllowDecision;
 use topics_browser::observer::CallType;
 use topics_net::clock::Timestamp;
 use topics_net::domain::Domain;
-use topics_net::seed::fnv1a;
 
 /// First eight bytes of every columnar campaign file.
 pub const COLUMNAR_MAGIC: [u8; 8] = *b"TOPICCOL";
@@ -72,35 +74,29 @@ const TAG_CALLS: u8 = 6;
 const TAG_ALLOW: u8 = 7;
 const TAG_PROBES: u8 = 8;
 
-/// Canonical section order: every file carries all eight sections.
-const SECTION_TAGS: [u8; 8] = [
-    TAG_STRINGS,
-    TAG_ERRORS,
-    TAG_SITES,
-    TAG_VISITS,
-    TAG_PARTIES,
-    TAG_CALLS,
-    TAG_ALLOW,
-    TAG_PROBES,
-];
+/// The `campaign.col` container: its preamble carries the record
+/// schema version, the start time and the eight row counts, and every
+/// file holds all eight sections in this order.
+static FORMAT: Format = Format {
+    magic: COLUMNAR_MAGIC,
+    version: COLUMNAR_VERSION,
+    preamble_len: 4 + 8 + 8 * 4,
+    sections: &[
+        (TAG_STRINGS, "strings"),
+        (TAG_ERRORS, "errors"),
+        (TAG_SITES, "sites"),
+        (TAG_VISITS, "visits"),
+        (TAG_PARTIES, "parties"),
+        (TAG_CALLS, "calls"),
+        (TAG_ALLOW, "allow"),
+        (TAG_PROBES, "probes"),
+    ],
+};
 
-fn tag_name(tag: u8) -> &'static str {
-    match tag {
-        TAG_STRINGS => "strings",
-        TAG_ERRORS => "errors",
-        TAG_SITES => "sites",
-        TAG_VISITS => "visits",
-        TAG_PARTIES => "parties",
-        TAG_CALLS => "calls",
-        TAG_ALLOW => "allow",
-        TAG_PROBES => "probes",
-        _ => "unknown",
-    }
-}
-
-/// Everything that can be wrong with a columnar file — the same spirit
-/// as the segment error taxonomy: named, typed, and specific enough to
-/// debug a corrupt store from the message alone.
+/// Everything that can be wrong with a file in the sectioned container
+/// — `campaign.col`, or a shard segment, whose
+/// [`SegmentError`](crate::shard::SegmentError) wraps it: named, typed,
+/// and specific enough to debug a corrupt file from the message alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ColumnarError {
     /// The buffer ends before the advertised data does.
@@ -240,15 +236,7 @@ impl fmt::Display for ColumnarError {
 impl std::error::Error for ColumnarError {}
 
 // ---------------------------------------------------------------------------
-// Little-endian primitives.
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
+// Bit packing.
 
 fn pack_bits(bits: &[bool]) -> Vec<u8> {
     let mut out = vec![0u8; bits.len().div_ceil(8)];
@@ -258,80 +246,6 @@ fn pack_bits(bits: &[bool]) -> Vec<u8> {
         }
     }
     out
-}
-
-/// A bounds-checked reader over one section payload.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8], section: &'static str) -> Cur<'a> {
-        Cur {
-            buf,
-            pos: 0,
-            section,
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ColumnarError> {
-        if self.pos + n > self.buf.len() {
-            return Err(ColumnarError::Truncated {
-                section: self.section,
-                need: n,
-                have: self.buf.len() - self.pos,
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ColumnarError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ColumnarError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, ColumnarError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn u8s(&mut self, n: usize) -> Result<Vec<u8>, ColumnarError> {
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn u32s(&mut self, n: usize) -> Result<Vec<u32>, ColumnarError> {
-        let raw = self.take(n * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    fn u64s(&mut self, n: usize) -> Result<Vec<u64>, ColumnarError> {
-        let raw = self.take(n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    fn bits(&mut self, n: usize) -> Result<Vec<bool>, ColumnarError> {
-        let raw = self.take(n.div_ceil(8))?;
-        Ok((0..n).map(|i| raw[i / 8] & (1 << (i % 8)) != 0).collect())
-    }
-
-    fn done(self) -> Result<(), ColumnarError> {
-        if self.pos != self.buf.len() {
-            return Err(ColumnarError::TrailingData(self.section));
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -441,10 +355,6 @@ struct ProbeCols {
     issued: Vec<u64>,
     valid: Vec<bool>,
     enrollment_site: Vec<bool>,
-}
-
-fn fits_u32(n: usize, what: &str) -> u32 {
-    u32::try_from(n).unwrap_or_else(|_| panic!("{what} count {n} exceeds the columnar u32 limit"))
 }
 
 // ---------------------------------------------------------------------------
@@ -612,7 +522,7 @@ impl ColumnarBuilder {
             fits_u32(allow.len(), "allow-list entry"),
             fits_u32(probe_cols.domain.len(), "probe"),
         ];
-        let sections = vec![
+        let sections = [
             (TAG_STRINGS, encode_strings(&self.arena)),
             (TAG_ERRORS, encode_errors(&self.errors)),
             (TAG_SITES, encode_sites(&self.sites)),
@@ -622,7 +532,14 @@ impl ColumnarBuilder {
             (TAG_ALLOW, encode_u32s(&allow)),
             (TAG_PROBES, encode_probes(&probe_cols)),
         ];
-        let bytes = assemble(schema_version, started.0, counts, &sections);
+        let mut preamble = Vec::with_capacity(FORMAT.preamble_len);
+        put_u32(&mut preamble, schema_version);
+        put_u64(&mut preamble, started.0);
+        for c in counts {
+            put_u32(&mut preamble, c);
+        }
+        let sections: Vec<(u8, &[u8])> = sections.iter().map(|(t, p)| (*t, p.as_slice())).collect();
+        let bytes = container::assemble(&FORMAT, &preamble, &sections);
         ColumnarCampaign::decode(bytes)
             .expect("a freshly assembled columnar campaign always decodes")
     }
@@ -713,40 +630,6 @@ fn encode_probes(p: &ProbeCols) -> Vec<u8> {
     buf
 }
 
-/// Assemble header + directory + payloads into the canonical file bytes.
-fn assemble(
-    schema_version: u32,
-    started: u64,
-    counts: [u32; 8],
-    sections: &[(u8, Vec<u8>)],
-) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&COLUMNAR_MAGIC);
-    put_u32(&mut bytes, COLUMNAR_VERSION);
-    put_u32(&mut bytes, schema_version);
-    put_u64(&mut bytes, started);
-    for c in counts {
-        put_u32(&mut bytes, c);
-    }
-    put_u32(&mut bytes, fits_u32(sections.len(), "section"));
-    // Payloads sit back to back, right after the directory + checksum.
-    let dir_len = sections.len() * (1 + 8 + 8 + 8);
-    let mut offset = (bytes.len() + dir_len + 8) as u64;
-    for (tag, payload) in sections {
-        bytes.push(*tag);
-        put_u64(&mut bytes, offset);
-        put_u64(&mut bytes, payload.len() as u64);
-        put_u64(&mut bytes, fnv1a(payload));
-        offset += payload.len() as u64;
-    }
-    let header_checksum = fnv1a(&bytes);
-    put_u64(&mut bytes, header_checksum);
-    for (_, payload) in sections {
-        bytes.extend_from_slice(payload);
-    }
-    bytes
-}
-
 // ---------------------------------------------------------------------------
 // The decoded store.
 
@@ -760,14 +643,6 @@ pub struct SectionInfo {
     pub len: u64,
     /// FNV-1a digest recorded in the directory.
     pub fnv1a: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct DirEntry {
-    tag: u8,
-    offset: u64,
-    len: u64,
-    fnv1a: u64,
 }
 
 // Indexes into the header's row-count array.
@@ -791,7 +666,7 @@ pub struct ColumnarCampaign {
     schema_version: u32,
     started: Timestamp,
     counts: [u32; 8],
-    dir: Vec<DirEntry>,
+    dir: Directory,
     arena: Lazy<Vec<Domain>>,
     errors: Lazy<Vec<String>>,
     sites: Lazy<SiteCols>,
@@ -834,106 +709,23 @@ impl ColumnarCampaign {
     /// Parse and validate the header + directory of an encoded file.
     /// Section payloads stay raw until first use.
     pub fn decode(bytes: Vec<u8>) -> Result<ColumnarCampaign, ColumnarError> {
-        // Magic first, so any other file (a `campaign.json` from an
-        // older bundle, say) is named as such rather than as a short
-        // columnar one; a cut-off prefix of the magic is truncation.
-        let magic = bytes.len().min(COLUMNAR_MAGIC.len());
-        if bytes[..magic] != COLUMNAR_MAGIC[..magic] {
-            return Err(ColumnarError::BadMagic);
-        }
-        let fixed = 8 + 4 + 4 + 8 + 8 * 4 + 4;
-        if bytes.len() < fixed {
-            return Err(ColumnarError::Truncated {
-                section: "header",
-                need: fixed,
-                have: bytes.len(),
-            });
-        }
-        let mut cur = Cur::new(&bytes[8..], "header");
-        let version = cur.u32()?;
-        if version > COLUMNAR_VERSION {
-            return Err(ColumnarError::UnsupportedVersion(version));
-        }
-        let schema_version = cur.u32()?;
-        if schema_version > CAMPAIGN_SCHEMA_VERSION {
-            return Err(ColumnarError::UnknownSchema(UnknownSchemaVersion {
-                found: schema_version,
-                supported: CAMPAIGN_SCHEMA_VERSION,
-            }));
-        }
-        let started = Timestamp(cur.u64()?);
-        let mut counts = [0u32; 8];
-        for c in counts.iter_mut() {
-            *c = cur.u32()?;
-        }
-        let section_count = cur.u32()? as usize;
-        // The count is not yet checksummed: never size by it.
-        let mut dir = Vec::with_capacity(section_count.min(SECTION_TAGS.len()));
-        {
-            let dir_cur = &mut cur;
-            for _ in 0..section_count {
-                let tag = dir_cur.u8()?;
-                let offset = dir_cur.u64()?;
-                let len = dir_cur.u64()?;
-                let fnv1a = dir_cur.u64()?;
-                dir.push(DirEntry {
-                    tag,
-                    offset,
-                    len,
-                    fnv1a,
-                });
+        // The container checks the magic first, so any other file (a
+        // `campaign.json` from an older bundle, say) is named as such.
+        let ((schema_version, started, counts), dir) = container::parse(&FORMAT, &bytes, |cur| {
+            let schema_version = cur.u32()?;
+            if schema_version > CAMPAIGN_SCHEMA_VERSION {
+                return Err(ColumnarError::UnknownSchema(UnknownSchemaVersion {
+                    found: schema_version,
+                    supported: CAMPAIGN_SCHEMA_VERSION,
+                }));
             }
-        }
-        let dir_end = 8 + cur.pos;
-        let actual = fnv1a(&bytes[..dir_end]);
-        let expected = {
-            let mut c = Cur::new(&bytes[dir_end..], "header");
-            c.u64()?
-        };
-        if expected != actual {
-            return Err(ColumnarError::HeaderChecksum { expected, actual });
-        }
-
-        // The directory must name each known section exactly once, and
-        // payloads must tile the rest of the file contiguously in
-        // directory order — anything else is trailing or missing data.
-        let mut offset = (dir_end + 8) as u64;
-        for e in &dir {
-            if !SECTION_TAGS.contains(&e.tag) {
-                return Err(ColumnarError::UnknownSection(e.tag));
+            let started = Timestamp(cur.u64()?);
+            let mut counts = [0u32; 8];
+            for c in counts.iter_mut() {
+                *c = cur.u32()?;
             }
-            if dir.iter().filter(|o| o.tag == e.tag).count() > 1 {
-                return Err(ColumnarError::DuplicateSection(tag_name(e.tag)));
-            }
-            if e.offset != offset {
-                return Err(ColumnarError::Malformed(format!(
-                    "section {} at offset {} where {} was expected",
-                    tag_name(e.tag),
-                    e.offset,
-                    offset
-                )));
-            }
-            offset = offset.checked_add(e.len).ok_or_else(|| {
-                ColumnarError::Malformed(format!("section {} length overflows", tag_name(e.tag)))
-            })?;
-        }
-        for tag in SECTION_TAGS {
-            if !dir.iter().any(|e| e.tag == tag) {
-                return Err(ColumnarError::MissingSection(tag_name(tag)));
-            }
-        }
-        match offset.cmp(&(bytes.len() as u64)) {
-            std::cmp::Ordering::Less => return Err(ColumnarError::TrailingData("file")),
-            std::cmp::Ordering::Greater => {
-                return Err(ColumnarError::Truncated {
-                    section: "file",
-                    need: offset as usize,
-                    have: bytes.len(),
-                })
-            }
-            std::cmp::Ordering::Equal => {}
-        }
-
+            Ok((schema_version, started, counts))
+        })?;
         Ok(ColumnarCampaign {
             bytes,
             schema_version,
@@ -1006,9 +798,10 @@ impl ColumnarCampaign {
     /// The section directory (name, payload length, checksum).
     pub fn section_map(&self) -> Vec<SectionInfo> {
         self.dir
+            .entries()
             .iter()
             .map(|e| SectionInfo {
-                name: tag_name(e.tag),
+                name: self.dir.tag_name(e.tag),
                 len: e.len,
                 fnv1a: e.fnv1a,
             })
@@ -1017,21 +810,7 @@ impl ColumnarCampaign {
 
     /// Checksum-verified raw payload of one section.
     fn section(&self, tag: u8) -> Result<&[u8], ColumnarError> {
-        let e = self
-            .dir
-            .iter()
-            .find(|e| e.tag == tag)
-            .ok_or(ColumnarError::MissingSection(tag_name(tag)))?;
-        let payload = &self.bytes[e.offset as usize..(e.offset + e.len) as usize];
-        let actual = fnv1a(payload);
-        if actual != e.fnv1a {
-            return Err(ColumnarError::SectionChecksum {
-                section: tag_name(tag),
-                expected: e.fnv1a,
-                actual,
-            });
-        }
-        Ok(payload)
+        self.dir.section(&self.bytes, tag)
     }
 
     fn check_id(
@@ -1858,6 +1637,7 @@ impl ColumnarCampaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use topics_net::seed::fnv1a;
 
     fn d(s: &str) -> Domain {
         Domain::parse(s).unwrap()

@@ -26,6 +26,7 @@
 
 pub mod campaign;
 pub mod columnar;
+mod container;
 pub mod metrics;
 pub mod privaccept;
 pub mod record;
@@ -48,7 +49,7 @@ pub use record::{
 };
 pub use shard::{
     merge_to_store, shard_token, split_outcome, tally_snapshot, MergeError, Segment, SegmentError,
-    SegmentHeader, ShardPlan, StreamingMerge, SEGMENT_VERSION,
+    SegmentHeader, ShardPlan, StreamingMerge, SEGMENT_MAGIC, SEGMENT_VERSION,
 };
 pub use visit::{
     run_site, run_site_full, run_site_instrumented, run_site_with_action, run_site_with_policy,

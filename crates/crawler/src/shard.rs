@@ -22,27 +22,56 @@
 //!    merge can dedup the union back into the sorted probe vector the
 //!    unsharded run produces.
 //!
-//! A segment is a JSONL stream — header, per-site records, allow-list,
-//! probe results, the shard's tally-derived metrics snapshot, stripped
-//! trace spans — terminated by an FNV-1a checksum line over every
-//! preceding byte ([`Fnv`]) plus a line
-//! count, so truncation, bit-rot, and editing are all detected before
-//! a merge can silently produce a wrong campaign.
+//! A segment is a binary file in the sectioned container `campaign.col`
+//! uses (magic `TOPICSEG`), with four checksummed sections:
+//!
+//! * `header` — the [`SegmentHeader`] as JSON;
+//! * `store` — the stripe's own `campaign.col` bytes (sites, allow-list
+//!   and probes), read back by the columnar decoder;
+//! * `metrics` — the shard's tally-derived [`MetricsSnapshot`] as JSON;
+//! * `spans` — the stripped trace in a binary columnar layout (see
+//!   `encode_spans`).
+//!
+//! The container's header checksum, per-section FNV-1a digests and
+//! contiguity checks detect truncation, bit-rot and editing before a
+//! merge can silently produce a wrong campaign.
 
-use crate::columnar::{ColumnarBuilder, ColumnarCampaign};
+use crate::columnar::{ColumnarBuilder, ColumnarCampaign, ColumnarError};
+use crate::container::{self, fits_u32, put_u32, put_u64, Cur, Format};
 use crate::metrics::tally_outcome;
 use crate::record::{AttestationProbe, CampaignOutcome, SiteOutcome, CAMPAIGN_SCHEMA_VERSION};
-use serde::{Content, Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Range;
 use topics_net::clock::Timestamp;
 use topics_net::domain::Domain;
-use topics_net::seed::{self, Fnv};
-use topics_obs::{MetricsRegistry, MetricsSnapshot, SpanRecord};
+use topics_net::seed;
+use topics_obs::{FieldValue, MetricsRegistry, MetricsSnapshot, SpanRecord};
 
 /// Current segment format version; bumped on incompatible change.
-pub const SEGMENT_VERSION: u32 = 1;
+pub const SEGMENT_VERSION: u32 = 2;
+
+/// First eight bytes of every segment file.
+pub const SEGMENT_MAGIC: [u8; 8] = *b"TOPICSEG";
+
+const TAG_HEADER: u8 = 1;
+const TAG_STORE: u8 = 2;
+const TAG_METRICS: u8 = 3;
+const TAG_SPANS: u8 = 4;
+
+/// The segment container: no preamble, four sections.
+static FORMAT: Format = Format {
+    magic: SEGMENT_MAGIC,
+    version: SEGMENT_VERSION,
+    preamble_len: 0,
+    sections: &[
+        (TAG_HEADER, "header"),
+        (TAG_STORE, "store"),
+        (TAG_METRICS, "metrics"),
+        (TAG_SPANS, "spans"),
+    ],
+};
 
 /// Rank-stripe assignment: shard `k` of `n` owns a contiguous range of
 /// site ranks, with the first `num_sites % n` stripes one rank longer
@@ -116,7 +145,7 @@ pub fn shard_token(campaign_seed: u64, shard: usize) -> u64 {
     seed::derive_idx(seed::derive(campaign_seed, "shard"), shard as u64)
 }
 
-/// The first line of a segment: everything the merge needs to check
+/// The `header` section of a segment: everything the merge needs to check
 /// that a set of segments belongs to the same sharded campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SegmentHeader {
@@ -144,90 +173,6 @@ pub struct SegmentHeader {
     pub fault_seed: u64,
 }
 
-/// One line of a segment stream. Serialized as the payload's own
-/// object with a discriminating `"kind"` entry first — written by hand
-/// because the vendored serde stand-in has no tagged-enum support.
-#[derive(Debug, Clone)]
-enum SegmentLine {
-    Header(SegmentHeader),
-    Site(SiteOutcome),
-    AllowList { domains: Vec<Domain> },
-    Probe(AttestationProbe),
-    Metrics(MetricsSnapshot),
-    Span(SpanRecord),
-    Checksum { fnv1a: u64, lines: u64 },
-}
-
-impl Serialize for SegmentLine {
-    fn to_content(&self) -> Content {
-        let (kind, payload) = match self {
-            SegmentLine::Header(h) => ("header", h.to_content()),
-            SegmentLine::Site(s) => ("site", s.to_content()),
-            SegmentLine::AllowList { domains } => (
-                "allow_list",
-                Content::Map(vec![("domains".to_owned(), domains.to_content())]),
-            ),
-            SegmentLine::Probe(p) => ("probe", p.to_content()),
-            SegmentLine::Metrics(m) => ("metrics", m.to_content()),
-            SegmentLine::Span(s) => ("span", s.to_content()),
-            SegmentLine::Checksum { fnv1a, lines } => (
-                "checksum",
-                Content::Map(vec![
-                    ("fnv1a".to_owned(), fnv1a.to_content()),
-                    ("lines".to_owned(), lines.to_content()),
-                ]),
-            ),
-        };
-        let mut entries = vec![("kind".to_owned(), Content::Str(kind.to_owned()))];
-        entries.extend(
-            payload
-                .as_map_slice()
-                .expect("segment payloads serialize as objects")
-                .iter()
-                .cloned(),
-        );
-        Content::Map(entries)
-    }
-}
-
-impl Deserialize for SegmentLine {
-    fn from_content(c: &Content) -> Result<Self, serde::Error> {
-        let entries = c
-            .as_map_slice()
-            .ok_or_else(|| serde::Error::msg("expected a segment line object"))?;
-        let kind = serde::map_get(entries, "kind")
-            .and_then(Content::as_str)
-            .ok_or_else(|| serde::Error::msg("segment line missing `kind`"))?;
-        // Payload fields sit beside `kind`; derived impls look fields up
-        // by name, so the extra entry is transparent to them.
-        match kind {
-            "header" => SegmentHeader::from_content(c).map(SegmentLine::Header),
-            "site" => SiteOutcome::from_content(c).map(SegmentLine::Site),
-            "allow_list" => serde::map_get(entries, "domains")
-                .ok_or_else(|| serde::Error::missing_field("domains", "allow_list line"))
-                .and_then(Vec::<Domain>::from_content)
-                .map(|domains| SegmentLine::AllowList { domains }),
-            "probe" => AttestationProbe::from_content(c).map(SegmentLine::Probe),
-            "metrics" => MetricsSnapshot::from_content(c).map(SegmentLine::Metrics),
-            "span" => SpanRecord::from_content(c).map(SegmentLine::Span),
-            "checksum" => {
-                let field = |name| {
-                    serde::map_get(entries, name)
-                        .and_then(Content::as_u64)
-                        .ok_or_else(|| serde::Error::missing_field(name, "checksum line"))
-                };
-                Ok(SegmentLine::Checksum {
-                    fnv1a: field("fnv1a")?,
-                    lines: field("lines")?,
-                })
-            }
-            other => Err(serde::Error::msg(format!(
-                "unknown segment line kind `{other}`"
-            ))),
-        }
-    }
-}
-
 /// A decoded record segment: one shard's complete output.
 #[derive(Debug, Clone)]
 pub struct Segment {
@@ -249,31 +194,14 @@ pub struct Segment {
 /// stable name that doctor and `topics-lab merge` surface verbatim.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SegmentError {
-    /// The stream ends without (or inside) the checksum trailer.
-    Truncated,
-    /// The checksum trailer disagrees with the absorbed bytes.
-    ChecksumMismatch {
-        /// Digest recorded in the trailer.
-        expected: u64,
-        /// Digest of the bytes actually present.
-        actual: u64,
-    },
-    /// The trailer's line count disagrees with the lines present.
-    LineCountMismatch {
-        /// Count recorded in the trailer.
-        expected: u64,
-        /// Lines actually present.
-        actual: u64,
-    },
-    /// A line is not valid segment JSON.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-    },
-    /// Required section absent (header, metrics, …).
-    MissingSection(&'static str),
-    /// Bytes follow the checksum trailer.
-    TrailingData,
+    /// The file does not start with [`SEGMENT_MAGIC`] — a JSONL
+    /// segment of format version 1, for example.
+    BadMagic,
+    /// The container or one of its sections is damaged: truncation, a
+    /// checksum mismatch, a bad directory, or a malformed payload.
+    Container(ColumnarError),
+    /// The `store` section is not a valid stripe store.
+    Store(ColumnarError),
     /// The header is internally inconsistent or from another version.
     HeaderInvalid(String),
 }
@@ -281,18 +209,12 @@ pub enum SegmentError {
 impl fmt::Display for SegmentError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SegmentError::Truncated => write!(f, "truncated segment: no checksum trailer"),
-            SegmentError::ChecksumMismatch { expected, actual } => write!(
+            SegmentError::BadMagic => write!(
                 f,
-                "segment checksum mismatch: trailer {expected:#018x}, content {actual:#018x}"
+                "not a binary shard segment (bad magic; JSONL segments of version 1 are not read)"
             ),
-            SegmentError::LineCountMismatch { expected, actual } => write!(
-                f,
-                "segment line count mismatch: trailer says {expected}, found {actual}"
-            ),
-            SegmentError::Malformed { line } => write!(f, "malformed segment line {line}"),
-            SegmentError::MissingSection(s) => write!(f, "segment missing {s}"),
-            SegmentError::TrailingData => write!(f, "data after segment checksum"),
+            SegmentError::Container(e) => write!(f, "{e}"),
+            SegmentError::Store(e) => write!(f, "stripe store: {e}"),
             SegmentError::HeaderInvalid(why) => write!(f, "segment header invalid: {why}"),
         }
     }
@@ -300,121 +222,338 @@ impl fmt::Display for SegmentError {
 
 impl std::error::Error for SegmentError {}
 
+impl From<ColumnarError> for SegmentError {
+    fn from(e: ColumnarError) -> SegmentError {
+        match e {
+            ColumnarError::BadMagic => SegmentError::BadMagic,
+            ColumnarError::UnsupportedVersion(v) => SegmentError::HeaderInvalid(format!(
+                "unsupported segment version {v} (this build reads {SEGMENT_VERSION})"
+            )),
+            e => SegmentError::Container(e),
+        }
+    }
+}
+
 impl Segment {
-    /// Serialize to the JSONL stream, checksum trailer included.
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        let mut hash = Fnv::new();
-        let mut lines = 0u64;
-        let mut push = |out: &mut String, line: &SegmentLine| {
-            let s = serde_json::to_string(line).expect("segment line serializes");
-            hash.update(s.as_bytes());
-            hash.update(b"\n");
-            lines += 1;
-            out.push_str(&s);
-            out.push('\n');
-        };
-        push(&mut out, &SegmentLine::Header(self.header.clone()));
+    /// Serialize to the binary sectioned layout.
+    pub fn encode(&self) -> Vec<u8> {
+        let header = serde_json::to_string(&self.header).expect("segment header serializes");
+        let mut builder = ColumnarBuilder::new();
         for site in &self.sites {
-            push(&mut out, &SegmentLine::Site(site.clone()));
+            builder.push_site(site);
         }
-        push(
-            &mut out,
-            &SegmentLine::AllowList {
-                domains: self.allow_list.clone(),
-            },
+        let store = builder.finish(
+            CAMPAIGN_SCHEMA_VERSION,
+            &self.allow_list,
+            &self.probes,
+            self.header.started,
         );
-        for probe in &self.probes {
-            push(&mut out, &SegmentLine::Probe(probe.clone()));
-        }
-        push(&mut out, &SegmentLine::Metrics(self.metrics.clone()));
-        for span in &self.trace {
-            push(&mut out, &SegmentLine::Span(span.clone()));
-        }
-        let trailer = SegmentLine::Checksum {
-            fnv1a: hash.digest(),
-            lines,
-        };
-        out.push_str(&serde_json::to_string(&trailer).expect("trailer serializes"));
-        out.push('\n');
-        out
+        let metrics = serde_json::to_string(&self.metrics).expect("metrics snapshot serializes");
+        let spans = encode_spans(&self.trace);
+        container::assemble(
+            &FORMAT,
+            &[],
+            &[
+                (TAG_HEADER, header.as_bytes()),
+                (TAG_STORE, store.bytes()),
+                (TAG_METRICS, metrics.as_bytes()),
+                (TAG_SPANS, &spans),
+            ],
+        )
     }
 
-    /// Parse and verify a segment stream.
-    pub fn decode(input: &str) -> Result<Segment, SegmentError> {
-        let mut hash = Fnv::new();
-        let mut count = 0u64;
-        let mut trailer: Option<(u64, u64)> = None;
-        let mut header: Option<SegmentHeader> = None;
-        let mut sites = Vec::new();
-        let mut allow_list: Option<Vec<Domain>> = None;
-        let mut probes = Vec::new();
-        let mut metrics: Option<MetricsSnapshot> = None;
-        let mut trace = Vec::new();
-        let chunks: Vec<&str> = input.split_inclusive('\n').collect();
-        for (i, chunk) in chunks.iter().enumerate() {
-            if trailer.is_some() {
-                return Err(SegmentError::TrailingData);
-            }
-            let line = chunk.strip_suffix('\n').unwrap_or(chunk);
-            let parsed: SegmentLine = match serde_json::from_str(line) {
-                Ok(p) => p,
-                // A cut mid-line is truncation; mid-stream garbage is not.
-                Err(_) if i + 1 == chunks.len() => return Err(SegmentError::Truncated),
-                Err(_) => return Err(SegmentError::Malformed { line: i + 1 }),
-            };
-            if let SegmentLine::Checksum { fnv1a, lines } = parsed {
-                trailer = Some((fnv1a, lines));
-                continue;
-            }
-            if !chunk.ends_with('\n') {
-                return Err(SegmentError::Truncated);
-            }
-            hash.update(chunk.as_bytes());
-            count += 1;
-            match parsed {
-                SegmentLine::Header(h) => header = Some(h),
-                SegmentLine::Site(s) => sites.push(s),
-                SegmentLine::AllowList { domains } => allow_list = Some(domains),
-                SegmentLine::Probe(p) => probes.push(p),
-                SegmentLine::Metrics(m) => metrics = Some(m),
-                SegmentLine::Span(s) => trace.push(s),
-                SegmentLine::Checksum { .. } => unreachable!("handled above"),
-            }
-        }
-        let Some((fnv1a, lines)) = trailer else {
-            return Err(SegmentError::Truncated);
-        };
-        if hash.digest() != fnv1a {
-            return Err(SegmentError::ChecksumMismatch {
-                expected: fnv1a,
-                actual: hash.digest(),
-            });
-        }
-        if count != lines {
-            return Err(SegmentError::LineCountMismatch {
-                expected: lines,
-                actual: count,
-            });
-        }
-        let header = header.ok_or(SegmentError::MissingSection("header"))?;
-        if header.version != SEGMENT_VERSION {
+    /// Parse and verify a segment file.
+    pub fn decode(bytes: &[u8]) -> Result<Segment, SegmentError> {
+        let ((), dir) = container::parse(&FORMAT, bytes, |_| Ok(()))?;
+        let header: SegmentHeader = json_section(dir.section(bytes, TAG_HEADER)?, "header")?;
+        check_header(&header)?;
+        let store = ColumnarCampaign::decode(dir.section(bytes, TAG_STORE)?.to_vec())
+            .map_err(SegmentError::Store)?;
+        if store.started() != header.started {
             return Err(SegmentError::HeaderInvalid(format!(
-                "unsupported segment version {} (this build reads {SEGMENT_VERSION})",
-                header.version
+                "the header starts at {} but the stripe store at {}",
+                header.started.0,
+                store.started().0
             )));
         }
-        let allow_list = allow_list.ok_or(SegmentError::MissingSection("allow-list"))?;
-        let metrics = metrics.ok_or(SegmentError::MissingSection("metrics snapshot"))?;
+        let outcome = store.to_outcome().map_err(SegmentError::Store)?;
+        let metrics = json_section(dir.section(bytes, TAG_METRICS)?, "metrics")?;
+        let trace = decode_spans(dir.section(bytes, TAG_SPANS)?)?;
         Ok(Segment {
             header,
-            sites,
-            allow_list,
-            probes,
+            sites: outcome.sites,
+            allow_list: outcome.allow_list,
+            probes: outcome.attestation_probes,
             metrics,
             trace,
         })
     }
+}
+
+/// Parse a JSON section payload.
+fn json_section<T: Deserialize>(payload: &[u8], section: &str) -> Result<T, ColumnarError> {
+    std::str::from_utf8(payload)
+        .map_err(|_| ColumnarError::Malformed(format!("segment {section} is not UTF-8")))
+        .and_then(|text| {
+            serde_json::from_str(text)
+                .map_err(|e| ColumnarError::Malformed(format!("segment {section}: {e}")))
+        })
+}
+
+/// Reject a header the merge could not plan with: it must be this
+/// version, and its stripe must lie inside a plan of at least one shard.
+fn check_header(h: &SegmentHeader) -> Result<(), SegmentError> {
+    let why = if h.version != SEGMENT_VERSION {
+        format!(
+            "unsupported segment version {} (this build reads {SEGMENT_VERSION})",
+            h.version
+        )
+    } else if h.shards == 0 {
+        "a plan of 0 shards".to_owned()
+    } else if h.shard >= h.shards {
+        format!(
+            "shard index {} out of range for {} shards",
+            h.shard, h.shards
+        )
+    } else if h.stripe_start > h.stripe_end {
+        format!("stripe {}..{} is reversed", h.stripe_start, h.stripe_end)
+    } else if h.stripe_end > h.num_sites {
+        format!(
+            "stripe end {} lies past {} sites",
+            h.stripe_end, h.num_sites
+        )
+    } else {
+        return Ok(());
+    };
+    Err(SegmentError::HeaderInvalid(why))
+}
+
+// ---------------------------------------------------------------------------
+// The `spans` section.
+
+const SPAN_OP: u8 = 1;
+const SPAN_PARENT: u8 = 2;
+const SPAN_SIM_START: u8 = 4;
+const SPAN_SIM_END: u8 = 8;
+
+const FIELD_U64: u8 = 0;
+const FIELD_I64: u8 = 1;
+const FIELD_F64: u8 = 2;
+const FIELD_STR: u8 = 3;
+const FIELD_BOOL: u8 = 4;
+
+/// Encode spans as the `spans` section. Everything is little-endian:
+///
+/// ```text
+/// string count u32 | span count u32 | field count u32
+/// string lengths u32 x strings | string bytes, concatenated
+/// span columns:  id u64 | parent u64 | sim_start u64 | sim_end u64
+///                | wall_start u64 | wall_end u64
+///                | name u32 | field_end u32 | flags u8
+/// field columns: key u32 | tag u8 | value u64
+/// ```
+///
+/// Span names, field keys and `Str` values share one string table,
+/// interned in first-use order. `flags` marks `op` and which of the
+/// parent and sim bounds are present; absent ones are stored as 0.
+/// Span `i` owns field rows `field_end[i - 1]..field_end[i]`. A field
+/// value is the `U64` itself, an `I64`'s two's complement, an `F64`'s
+/// bits, a `Str`'s string id, or a `Bool` as 0 or 1.
+fn encode_spans(spans: &[SpanRecord]) -> Vec<u8> {
+    let mut ids: HashMap<&str, u32> = HashMap::new();
+    let mut strings: Vec<&str> = Vec::new();
+    let mut intern = |s| {
+        *ids.entry(s).or_insert_with(|| {
+            strings.push(s);
+            fits_u32(strings.len() - 1, "span string")
+        })
+    };
+    let n = spans.len();
+    let mut bounds: [Vec<u8>; 6] = Default::default();
+    let (mut names, mut ends, mut flags) = (
+        Vec::with_capacity(n * 4),
+        Vec::with_capacity(n * 4),
+        Vec::with_capacity(n),
+    );
+    let (mut keys, mut tags, mut values) = (Vec::new(), Vec::new(), Vec::new());
+    let mut field_end = 0usize;
+    for s in spans {
+        let row = [
+            s.id,
+            s.parent.unwrap_or(0),
+            s.sim_start_ms.unwrap_or(0),
+            s.sim_end_ms.unwrap_or(0),
+            s.wall_start_us,
+            s.wall_end_us,
+        ];
+        for (col, v) in bounds.iter_mut().zip(row) {
+            put_u64(col, v);
+        }
+        put_u32(&mut names, intern(s.name.as_str()));
+        for (key, value) in &s.fields {
+            put_u32(&mut keys, intern(key.as_str()));
+            let (tag, bits) = match value {
+                FieldValue::U64(v) => (FIELD_U64, *v),
+                FieldValue::I64(v) => (FIELD_I64, *v as u64),
+                FieldValue::F64(v) => (FIELD_F64, v.to_bits()),
+                FieldValue::Str(v) => (FIELD_STR, u64::from(intern(v.as_str()))),
+                FieldValue::Bool(v) => (FIELD_BOOL, u64::from(*v)),
+            };
+            tags.push(tag);
+            put_u64(&mut values, bits);
+        }
+        field_end += s.fields.len();
+        put_u32(&mut ends, fits_u32(field_end, "span field"));
+        let present = [
+            (s.op, SPAN_OP),
+            (s.parent.is_some(), SPAN_PARENT),
+            (s.sim_start_ms.is_some(), SPAN_SIM_START),
+            (s.sim_end_ms.is_some(), SPAN_SIM_END),
+        ];
+        flags.push(
+            present
+                .iter()
+                .filter(|(on, _)| *on)
+                .fold(0, |f, (_, bit)| f | bit),
+        );
+    }
+    let text: usize = strings.iter().map(|s| s.len()).sum();
+    let mut out = Vec::with_capacity(12 + strings.len() * 4 + text + n * 57 + tags.len() * 13);
+    put_u32(&mut out, fits_u32(strings.len(), "span string"));
+    put_u32(&mut out, fits_u32(n, "span"));
+    put_u32(&mut out, fits_u32(tags.len(), "span field"));
+    for s in &strings {
+        put_u32(&mut out, fits_u32(s.len(), "span string length"));
+    }
+    for s in &strings {
+        out.extend_from_slice(s.as_bytes());
+    }
+    for col in bounds
+        .iter()
+        .chain([&names, &ends, &flags, &keys, &tags, &values])
+    {
+        out.extend_from_slice(col);
+    }
+    out
+}
+
+fn u32_at(col: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(col[i * 4..i * 4 + 4].try_into().unwrap())
+}
+
+fn u64_at(col: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(col[i * 8..i * 8 + 8].try_into().unwrap())
+}
+
+/// Decode and validate the `spans` section (`encode_spans`): every
+/// string id, flag, tag and field range is checked, and no allocation
+/// is sized by a count the payload has not already proven.
+fn decode_spans(payload: &[u8]) -> Result<Vec<SpanRecord>, ColumnarError> {
+    const SECTION: &str = "spans";
+    let mut cur = Cur::new(payload, SECTION);
+    let string_count = cur.u32()? as usize;
+    let n = cur.u32()? as usize;
+    let m = cur.u32()? as usize;
+    let lens = cur.column(string_count, 4)?;
+    let mut strings = Vec::with_capacity(string_count);
+    for i in 0..string_count {
+        let raw = cur.take(u32_at(lens, i) as usize)?;
+        let s = std::str::from_utf8(raw)
+            .map_err(|_| ColumnarError::Malformed(format!("span string {i} is not UTF-8")))?;
+        strings.push(s);
+    }
+    let mut bounds = [&[][..]; 6];
+    for col in bounds.iter_mut() {
+        *col = cur.column(n, 8)?;
+    }
+    let names = cur.column(n, 4)?;
+    let ends = cur.column(n, 4)?;
+    let flags = cur.take(n)?;
+    let keys = cur.column(m, 4)?;
+    let tags = cur.take(m)?;
+    let values = cur.column(m, 8)?;
+    cur.done()?;
+
+    let string = |field: &'static str, id: u64| {
+        usize::try_from(id)
+            .ok()
+            .and_then(|i| strings.get(i))
+            .map(|s| (*s).to_owned())
+            .ok_or(ColumnarError::IdOutOfRange {
+                section: SECTION,
+                field,
+                id: u32::try_from(id).unwrap_or(u32::MAX),
+                len: strings.len() as u32,
+            })
+    };
+    let mut spans = Vec::with_capacity(n);
+    let mut field_start = 0usize;
+    for (i, &f) in flags.iter().enumerate() {
+        if f & !(SPAN_OP | SPAN_PARENT | SPAN_SIM_START | SPAN_SIM_END) != 0 {
+            return Err(ColumnarError::BadEnum {
+                section: SECTION,
+                field: "flags",
+                value: f,
+            });
+        }
+        let optional = |col: usize, bit: u8| match (f & bit != 0, u64_at(bounds[col], i)) {
+            (true, v) => Ok(Some(v)),
+            (false, 0) => Ok(None),
+            (false, _) => Err(ColumnarError::Malformed(format!(
+                "span {i} stores a value its flags mark absent"
+            ))),
+        };
+        let field_end = u32_at(ends, i) as usize;
+        if field_end < field_start || field_end > m {
+            return Err(ColumnarError::BadRange {
+                section: SECTION,
+                field: "fields",
+            });
+        }
+        let mut fields = Vec::with_capacity(field_end - field_start);
+        for (j, &tag) in (field_start..).zip(&tags[field_start..field_end]) {
+            let v = u64_at(values, j);
+            let value = match tag {
+                FIELD_U64 => FieldValue::U64(v),
+                FIELD_I64 => FieldValue::I64(v as i64),
+                FIELD_F64 => FieldValue::F64(f64::from_bits(v)),
+                FIELD_STR => FieldValue::Str(string("value", v)?),
+                FIELD_BOOL if v <= 1 => FieldValue::Bool(v == 1),
+                FIELD_BOOL => {
+                    return Err(ColumnarError::Malformed(format!(
+                        "span field {j} stores bool {v}"
+                    )))
+                }
+                _ => {
+                    return Err(ColumnarError::BadEnum {
+                        section: SECTION,
+                        field: "tag",
+                        value: tag,
+                    })
+                }
+            };
+            fields.push((string("key", u64::from(u32_at(keys, j)))?, value));
+        }
+        field_start = field_end;
+        spans.push(SpanRecord {
+            id: u64_at(bounds[0], i),
+            parent: optional(1, SPAN_PARENT)?,
+            name: string("name", u64::from(u32_at(names, i)))?,
+            op: f & SPAN_OP != 0,
+            sim_start_ms: optional(2, SPAN_SIM_START)?,
+            sim_end_ms: optional(3, SPAN_SIM_END)?,
+            wall_start_us: u64_at(bounds[4], i),
+            wall_end_us: u64_at(bounds[5], i),
+            fields,
+        });
+    }
+    if field_start != m {
+        return Err(ColumnarError::BadRange {
+            section: SECTION,
+            field: "fields",
+        });
+    }
+    Ok(spans)
 }
 
 /// Why a set of segments refused to merge. `Display` gives each
@@ -542,6 +681,9 @@ impl StreamingMerge {
             }
         }
         let (h0, _) = self.first.as_ref().expect("set above");
+        if h0.shards == 0 {
+            return Err(MergeError::HeaderMismatch("a plan of 0 shards".to_owned()));
+        }
         let plan = ShardPlan::new(h0.shards, h0.num_sites);
         let k = h.shard;
         if k >= plan.shards() {
@@ -792,19 +934,141 @@ mod tests {
         assert_eq!(distinct.len(), 8);
     }
 
+    /// A span list exercising every field type, absent and present
+    /// bounds, op spans, shared and unicode strings, and float bit
+    /// patterns that `==` cannot tell apart.
+    fn sample_spans() -> Vec<SpanRecord> {
+        let span = |id, parent, name: &str, fields: Vec<(&str, FieldValue)>| SpanRecord {
+            id,
+            parent,
+            name: name.to_owned(),
+            op: false,
+            sim_start_ms: Some(id * 10),
+            sim_end_ms: Some(id * 10 + 5),
+            wall_start_us: 0,
+            wall_end_us: 0,
+            fields: fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect(),
+        };
+        let mut spans = vec![
+            span(
+                1,
+                None,
+                "campaign",
+                vec![("sites", FieldValue::U64(u64::MAX))],
+            ),
+            span(
+                2,
+                Some(1),
+                "visit",
+                vec![
+                    ("domain", FieldValue::Str("bücher.example".to_owned())),
+                    ("delta", FieldValue::I64(-7)),
+                    ("share", FieldValue::F64(-0.0)),
+                    (
+                        "nan",
+                        FieldValue::F64(f64::from_bits(0x7FF8_0000_0000_0ABC)),
+                    ),
+                    ("ok", FieldValue::Bool(true)),
+                ],
+            ),
+            span(3, Some(2), "fetch", vec![]),
+            span(
+                4,
+                Some(2),
+                "visit",
+                vec![
+                    ("domain", FieldValue::Str("visit".to_owned())),
+                    ("ok", FieldValue::Bool(false)),
+                    ("empty", FieldValue::Str(String::new())),
+                ],
+            ),
+        ];
+        spans[2].sim_end_ms = None;
+        spans[3].op = true;
+        spans[3].sim_start_ms = None;
+        spans[3].sim_end_ms = None;
+        spans[3].wall_start_us = 12;
+        spans[3].wall_end_us = 34;
+        spans
+    }
+
+    /// Spans compared bit for bit: `F64` by its bits, not by `==`.
+    fn span_bits(spans: &[SpanRecord]) -> Vec<String> {
+        spans
+            .iter()
+            .map(|s| {
+                let fields: Vec<String> = s
+                    .fields
+                    .iter()
+                    .map(|(k, v)| match v {
+                        FieldValue::F64(x) => format!("{k}=f64:{:016x}", x.to_bits()),
+                        other => format!("{k}={other:?}"),
+                    })
+                    .collect();
+                format!(
+                    "{} {:?} {} {} {:?} {:?} {} {} {fields:?}",
+                    s.id,
+                    s.parent,
+                    s.name,
+                    s.op,
+                    s.sim_start_ms,
+                    s.sim_end_ms,
+                    s.wall_start_us,
+                    s.wall_end_us
+                )
+            })
+            .collect()
+    }
+
+    /// A 2-shard split of a small campaign whose first segment carries
+    /// the sample spans.
+    fn traced_segment() -> Segment {
+        let (world, outcome) = campaign(95, 40);
+        let mut seg = split(&outcome, world.seed(), 2).swap_remove(0);
+        seg.trace = sample_spans();
+        seg
+    }
+
+    /// Replace one section's payload via `edit` and re-seal the file:
+    /// fresh offsets, section digests and header checksum.
+    fn reseal(bytes: &[u8], tag: u8, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let ((), dir) = container::parse(&FORMAT, bytes, |_| Ok(())).unwrap();
+        let mut sections: Vec<(u8, Vec<u8>)> = dir
+            .entries()
+            .iter()
+            .map(|e| {
+                (
+                    e.tag,
+                    bytes[e.offset as usize..(e.offset + e.len) as usize].to_vec(),
+                )
+            })
+            .collect();
+        edit(&mut sections.iter_mut().find(|(t, _)| *t == tag).unwrap().1);
+        let refs: Vec<(u8, &[u8])> = sections.iter().map(|(t, p)| (*t, p.as_slice())).collect();
+        container::assemble(&FORMAT, &[], &refs)
+    }
+
     #[test]
     fn segment_roundtrips_through_encode_decode() {
         let (world, outcome) = campaign(91, 60);
-        let segments = split(&outcome, world.seed(), 3);
+        let mut segments = split(&outcome, world.seed(), 3);
+        segments[1].trace = sample_spans();
         for seg in &segments {
-            let decoded = Segment::decode(&seg.encode()).expect("decodes");
+            let bytes = seg.encode();
+            assert_eq!(&bytes[..8], b"TOPICSEG");
+            let decoded = Segment::decode(&bytes).expect("decodes");
             assert_eq!(decoded.header, seg.header);
+            assert_eq!(decoded.allow_list, seg.allow_list);
             assert_eq!(decoded.probes, seg.probes);
             assert_eq!(decoded.metrics, seg.metrics);
             assert_eq!(
                 serde_json::to_string(&decoded.sites).unwrap(),
                 serde_json::to_string(&seg.sites).unwrap()
             );
+            assert_eq!(span_bits(&decoded.trace), span_bits(&seg.trace));
+            // Encoding is canonical: the decoded segment re-encodes to
+            // the same bytes.
+            assert!(decoded.encode() == bytes);
         }
     }
 
@@ -824,44 +1088,213 @@ mod tests {
 
     #[test]
     fn decode_names_truncation_corruption_and_trailing_data() {
-        let (world, outcome) = campaign(95, 40);
-        let seg = &split(&outcome, world.seed(), 2)[0];
-        let encoded = seg.encode();
+        let encoded = traced_segment().encode();
 
-        // Whole-line truncation: drop the checksum trailer.
-        let without_trailer = &encoded[..encoded[..encoded.len() - 1].rfind('\n').unwrap() + 1];
-        assert_eq!(
-            Segment::decode(without_trailer).unwrap_err(),
-            SegmentError::Truncated
+        // Truncation anywhere: the directory promises more bytes.
+        for cut in [encoded.len() - 1, encoded.len() / 2] {
+            let err = Segment::decode(&encoded[..cut]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SegmentError::Container(ColumnarError::Truncated { .. })
+                ),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("truncated"), "{err}");
+        }
+        // A flipped byte inside the stripe store breaks its digest.
+        let ((), dir) = container::parse(&FORMAT, &encoded, |_| Ok(())).unwrap();
+        let store = dir.entries().iter().find(|e| e.tag == TAG_STORE).unwrap();
+        let mut corrupted = encoded.clone();
+        corrupted[(store.offset + store.len / 2) as usize] ^= 0x01;
+        let err = Segment::decode(&corrupted).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SegmentError::Container(ColumnarError::SectionChecksum {
+                    section: "store",
+                    ..
+                })
+            ),
+            "{err:?}"
         );
-        // Mid-line truncation.
-        assert_eq!(
-            Segment::decode(&encoded[..encoded.len() / 2]).unwrap_err(),
-            SegmentError::Truncated
-        );
-        // A flipped digit in a content line keeps JSON valid but breaks
-        // the digest.
-        let corrupted = encoded.replacen("\"rank\":0", "\"rank\":9", 1);
-        assert_ne!(corrupted, encoded, "fixture found a rank-0 site line");
-        assert!(matches!(
-            Segment::decode(&corrupted),
-            Err(SegmentError::ChecksumMismatch { .. })
-        ));
-        // Bytes after the trailer.
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        // Bytes after the last section.
         let mut trailing = encoded.clone();
-        trailing.push_str("{}\n");
+        trailing.push(b'\n');
         assert_eq!(
             Segment::decode(&trailing).unwrap_err(),
-            SegmentError::TrailingData
+            SegmentError::Container(ColumnarError::TrailingData("file"))
         );
-        // Garbage mid-stream is malformed, not truncated.
-        let mut garbled_lines: Vec<&str> = encoded.lines().collect();
-        garbled_lines.insert(1, "not json");
-        let garbled = garbled_lines.join("\n") + "\n";
-        assert_eq!(
+        // A header section that is not JSON is malformed, not truncated.
+        let garbled = reseal(&encoded, TAG_HEADER, |p| p.insert(0, b'#'));
+        assert!(matches!(
             Segment::decode(&garbled).unwrap_err(),
-            SegmentError::Malformed { line: 2 }
+            SegmentError::Container(ColumnarError::Malformed(_))
+        ));
+        // Another file format entirely.
+        assert_eq!(
+            Segment::decode(b"{\"kind\":\"header\"}\n").unwrap_err(),
+            SegmentError::BadMagic
         );
+    }
+
+    #[test]
+    fn resealed_headers_outside_the_plan_are_header_invalid() {
+        let seg = traced_segment();
+        let encoded = seg.encode();
+        let with_header = |edit: fn(&mut SegmentHeader)| {
+            let mut h = seg.header.clone();
+            edit(&mut h);
+            let json = serde_json::to_string(&h).unwrap();
+            reseal(&encoded, TAG_HEADER, |p| *p = json.into_bytes())
+        };
+        let edits: [fn(&mut SegmentHeader); 6] = [
+            |h| h.shards = 0,
+            |h| h.shard = h.shards,
+            |h| h.stripe_start = h.stripe_end + 1,
+            |h| h.stripe_end = h.num_sites + 1,
+            |h| h.version = 1,
+            |h| h.started = Timestamp(h.started.0 + 1),
+        ];
+        for (i, edit) in edits.into_iter().enumerate() {
+            let err = Segment::decode(&with_header(edit)).unwrap_err();
+            assert!(
+                matches!(err, SegmentError::HeaderInvalid(_)),
+                "edit {i}: {err:?}"
+            );
+        }
+        // An in-memory segment bypasses decode: the merge still answers a
+        // zero-shard plan with an error instead of a panic.
+        let mut zero = seg.clone();
+        zero.header.shards = 0;
+        assert!(matches!(
+            StreamingMerge::new().accept(zero),
+            Err(MergeError::HeaderMismatch(_))
+        ));
+    }
+
+    /// Byte offsets of the spans section's columns.
+    struct SpanLayout {
+        /// Start of the concatenated string bytes.
+        strings: usize,
+        names: usize,
+        ends: usize,
+        flags: usize,
+        tags: usize,
+        n: usize,
+        m: usize,
+    }
+
+    fn span_layout(p: &[u8]) -> SpanLayout {
+        let word = |at: usize| u32::from_le_bytes(p[at..at + 4].try_into().unwrap()) as usize;
+        let (s, n, m) = (word(0), word(4), word(8));
+        let text: usize = (0..s).map(|i| word(12 + 4 * i)).sum();
+        let strings = 12 + 4 * s;
+        let names = strings + text + 48 * n;
+        let ends = names + 4 * n;
+        let flags = ends + 4 * n;
+        let tags = flags + n + 4 * m;
+        SpanLayout {
+            strings,
+            names,
+            ends,
+            flags,
+            tags,
+            n,
+            m,
+        }
+    }
+
+    #[test]
+    fn resealed_span_mutations_are_typed_errors() {
+        let encoded = traced_segment().encode();
+        let mutate = |edit: &dyn Fn(&mut Vec<u8>, &SpanLayout)| {
+            let bytes = reseal(&encoded, TAG_SPANS, |p| {
+                let layout = span_layout(p);
+                edit(p, &layout)
+            });
+            Segment::decode(&bytes).unwrap_err()
+        };
+        let put =
+            |p: &mut Vec<u8>, at: usize, v: u32| p[at..at + 4].copy_from_slice(&v.to_le_bytes());
+
+        // A span name past the string table.
+        let err = mutate(&|p, l| put(p, l.names, u32::MAX));
+        assert!(
+            matches!(
+                err,
+                SegmentError::Container(ColumnarError::IdOutOfRange { field: "name", .. })
+            ),
+            "{err:?}"
+        );
+        // An unknown field tag.
+        let err = mutate(&|p, l| p[l.tags] = 9);
+        assert!(
+            matches!(
+                err,
+                SegmentError::Container(ColumnarError::BadEnum {
+                    field: "tag",
+                    value: 9,
+                    ..
+                })
+            ),
+            "{err:?}"
+        );
+        // A `Str` value whose string id is out of range (field 0 of
+        // span 1 is the `domain` string).
+        let err = mutate(&|p, l| {
+            let value = l.tags + l.m + 8;
+            p[value..value + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        });
+        assert!(
+            matches!(
+                err,
+                SegmentError::Container(ColumnarError::IdOutOfRange { field: "value", .. })
+            ),
+            "{err:?}"
+        );
+        // A field range past the end of the field rows, one that runs
+        // backwards, and one that leaves the last row unowned.
+        for back in [-1i64, 4, 1] {
+            let err = mutate(&|p, l| put(p, l.ends + 4 * (l.n - 1), (l.m as i64 - back) as u32));
+            assert!(
+                matches!(
+                    err,
+                    SegmentError::Container(ColumnarError::BadRange {
+                        field: "fields",
+                        ..
+                    })
+                ),
+                "{err:?}"
+            );
+        }
+        // Invalid UTF-8 in the string table.
+        let err = mutate(&|p, l| p[l.strings] = 0xFF);
+        assert!(
+            matches!(err, SegmentError::Container(ColumnarError::Malformed(_))),
+            "{err:?}"
+        );
+        // Unknown flag bits.
+        let err = mutate(&|p, l| p[l.flags] = 0x80);
+        assert!(
+            matches!(
+                err,
+                SegmentError::Container(ColumnarError::BadEnum { field: "flags", .. })
+            ),
+            "{err:?}"
+        );
+        // Counts far beyond the payload never size an allocation.
+        for at in [0, 4, 8] {
+            let err = mutate(&|p, _| put(p, at, u32::MAX));
+            assert!(
+                matches!(
+                    err,
+                    SegmentError::Container(ColumnarError::Truncated { .. })
+                ),
+                "count at {at}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -84,6 +84,33 @@ diff -q "$SHARD_DIR/m1/trace.jsonl" "$SHARD_DIR/m4/trace.jsonl"
 # merge reproduces campaign.col, from the files on disk.
 $TL doctor --campaign "$SHARD_DIR/m4" > /dev/null
 
+echo "== faulty shard equivalence (light faults, 1-shard and 2-shard merges == single run) =="
+# The benchmark's chaos shape at CI size: retries and fault coins must
+# land identically in every shard, and a flipped segment byte must make
+# merge exit 4 (a corrupt input), not crash or merge a wrong campaign.
+FAULTY="--sites 500 --seed 23 --fault-profile light --quiet"
+$TL crawl $FAULTY --out "$SHARD_DIR/fsingle" > /dev/null
+$TL shard --shard 1/1 $FAULTY --out "$SHARD_DIR/f1" > /dev/null
+$TL merge --segments "$SHARD_DIR/f1" > /dev/null
+for K in 1 2; do
+    $TL shard --shard "$K/2" $FAULTY --out "$SHARD_DIR/f2" > /dev/null
+done
+$TL merge --segments "$SHARD_DIR/f2" > /dev/null
+for ART in campaign.col report.txt; do
+    cmp "$SHARD_DIR/fsingle/$ART" "$SHARD_DIR/f2/$ART"
+done
+diff -q "$SHARD_DIR/f1/trace.jsonl" "$SHARD_DIR/f2/trace.jsonl"
+SEG="$SHARD_DIR/f2/shard-1-of-2.seg"
+OFF=$(( $(wc -c < "$SEG") / 2 ))
+BYTE=$(od -An -tu1 -j "$OFF" -N1 "$SEG" | tr -d ' ')
+printf "\\$(printf %o $(( BYTE ^ 1 )))" | dd of="$SEG" bs=1 seek="$OFF" conv=notrunc status=none
+CODE=0
+$TL merge --segments "$SHARD_DIR/f2" --out "$SHARD_DIR/fbad" > /dev/null 2>&1 || CODE=$?
+if [ "$CODE" != "4" ]; then
+    echo "error: merge of a flipped segment exited $CODE, expected 4" >&2
+    exit 1
+fi
+
 echo "== store equivalence (merged campaign.col == crawled campaign.col) =="
 # A merge written to a fresh directory must reproduce the crawl-written
 # campaign.col byte for byte, and the doctor must verify that store

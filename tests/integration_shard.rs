@@ -8,14 +8,20 @@
 //! under fault injection and probe-pool parallelism. Corrupted,
 //! truncated, duplicated or missing segments must be rejected with
 //! named violations, by the library, the `merge` subcommand, and
-//! `doctor`.
+//! `doctor`; and the segment decoder answers every truncation and
+//! every flipped byte with a typed error, never a panic.
 
+use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 use topics_core::crawler::columnar::ColumnarCampaign;
+use topics_core::crawler::shard::Segment;
 use topics_core::net::fault::FaultProfile;
 use topics_core::obs::Obs;
-use topics_core::{evaluate, merge_dir_columnar, run_shard, write_segment, Lab, LabConfig};
+use topics_core::{
+    evaluate, merge_dir_columnar, read_segment, run_shard, write_segment, Lab, LabConfig,
+};
 
 const SITES: usize = 200;
 
@@ -77,7 +83,7 @@ fn sharding_is_byte_identical_under_faults_and_probe_parallelism() {
         .with_fault_profile(FaultProfile::parse("0.05").unwrap())
         .with_probe_threads(4);
     let (store, trace, report) = single_run(&config);
-    for shards in [1, 4] {
+    for shards in [1, 2, 4] {
         let dir = temp_dir(&format!("fault-{shards}"));
         let (mstore, mtrace, mreport) = sharded_run(&config, shards, &dir);
         assert!(
@@ -104,20 +110,42 @@ fn small_split(tag: &str) -> (PathBuf, Vec<PathBuf>) {
     (dir, paths)
 }
 
+/// Offset of a byte in the middle of a segment's `store` section: the
+/// directory's second entry (after the 16-byte magic, version and
+/// section count; each entry is tag u8, offset u64, len u64, fnv1a u64).
+fn store_payload_byte(segment: &[u8]) -> usize {
+    let entry = 16 + 25;
+    assert_eq!(segment[entry], 2, "the second section is the store");
+    let word = |at: usize| u64::from_le_bytes(segment[at..at + 8].try_into().unwrap());
+    (word(entry + 1) + word(entry + 9) / 2) as usize
+}
+
+/// `segment` with one byte of its stripe store flipped.
+fn flip_store_byte(segment: &[u8]) -> Vec<u8> {
+    let mut flipped = segment.to_vec();
+    flipped[store_payload_byte(segment)] ^= 0x01;
+    flipped
+}
+
 #[test]
 fn merge_rejects_corrupted_segments_with_named_violations() {
     let (dir, paths) = small_split("corrupt");
-    let pristine = std::fs::read_to_string(&paths[0]).unwrap();
+    let pristine = std::fs::read(&paths[0]).unwrap();
+    let name = paths[0].file_name().unwrap().to_str().unwrap();
 
-    // Truncation: no checksum trailer survives.
+    // Truncation: the directory promises bytes the file lacks.
     std::fs::write(&paths[0], &pristine[..pristine.len() / 2]).unwrap();
     let err = merge_dir_columnar(&dir).unwrap_err();
-    assert!(err.contains("truncated"), "{err}");
+    assert!(err.contains("truncated") && err.contains(name), "{err}");
 
-    // Bit flip that stays valid JSON: only the checksum can catch it.
-    std::fs::write(&paths[0], pristine.replacen("\"rank\":0", "\"rank\":9", 1)).unwrap();
+    // A flipped byte inside the stripe store: only the checksum can
+    // catch it.
+    std::fs::write(&paths[0], flip_store_byte(&pristine)).unwrap();
     let err = merge_dir_columnar(&dir).unwrap_err();
-    assert!(err.contains("checksum mismatch"), "{err}");
+    assert!(
+        err.contains("checksum mismatch") && err.contains(name),
+        "{err}"
+    );
 
     // Duplicated shard: the same segment under both file names.
     std::fs::write(&paths[0], &pristine).unwrap();
@@ -200,18 +228,29 @@ fn cli_shard_merge_doctor_round_trip_and_failure_exits() {
     assert!(stdout.contains("== Shard segments =="), "{stdout}");
     assert!(stdout.contains("[ok] 2 segment file(s)"), "{stdout}");
 
-    // Corrupt one segment: merge and doctor both exit non-zero, naming
-    // the checksum violation.
+    // Corrupt one segment: merge exits 4 like every other corrupt
+    // input, and merge and doctor both name the checksum violation.
     let seg_path = segs.join("shard-1-of-2.seg");
-    let pristine = std::fs::read_to_string(&seg_path).unwrap();
-    std::fs::write(&seg_path, pristine.replacen("\"rank\":0", "\"rank\":9", 1)).unwrap();
+    let pristine = std::fs::read(&seg_path).unwrap();
+    std::fs::write(&seg_path, flip_store_byte(&pristine)).unwrap();
     let out = lab(&["merge", "--segments", sd]);
-    assert!(!out.status.success(), "merge must fail on corruption");
+    assert_eq!(
+        out.status.code(),
+        Some(4),
+        "merge must exit 4 on corruption: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("checksum mismatch"),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // A truncated segment is corrupt too.
+    std::fs::write(&seg_path, &pristine[..pristine.len() / 2]).unwrap();
+    let out = lab(&["merge", "--segments", sd]);
+    assert_eq!(out.status.code(), Some(4), "truncated segment");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("truncated"));
+    std::fs::write(&seg_path, flip_store_byte(&pristine)).unwrap();
     let out = lab(&["doctor", "--campaign", sd]);
     assert!(!out.status.success(), "doctor must fail on corruption");
     assert!(
@@ -219,6 +258,21 @@ fn cli_shard_merge_doctor_round_trip_and_failure_exits() {
         "{}",
         String::from_utf8_lossy(&out.stdout)
     );
+
+    // A missing segments directory, or one without *.seg files, is a
+    // missing input: exit 3.
+    let empty = dir.join("empty");
+    std::fs::create_dir_all(&empty).unwrap();
+    for absent in [dir.join("absent"), empty] {
+        let out = lab(&["merge", "--segments", absent.to_str().unwrap()]);
+        assert_eq!(
+            out.status.code(),
+            Some(3),
+            "{}: {}",
+            absent.display(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 
     // Strict argument handling: bad shard specs and typo'd flags are
     // hard errors, same as every other subcommand.
@@ -241,5 +295,116 @@ fn cli_shard_merge_doctor_round_trip_and_failure_exits() {
         );
     }
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The encoded segments of a 2-shard split of a 40-site campaign.
+fn fixture() -> &'static [Vec<u8>] {
+    static SEGMENTS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    SEGMENTS.get_or_init(|| {
+        let config = LabConfig::quick(61, 40).with_threads(2);
+        (0..2)
+            .map(|shard| run_shard(&config, shard, 2, &Obs::new().with_trace()).encode())
+            .collect()
+    })
+}
+
+#[test]
+fn segments_decode_back_to_the_shard_run() {
+    // The decoded trace is the shard's stripped trace exactly, F64
+    // fields included; the decoded store is the stripe's own store.
+    let config = LabConfig::quick(61, 40).with_threads(2);
+    for (shard, bytes) in fixture().iter().enumerate() {
+        let segment = run_shard(&config, shard, 2, &Obs::new().with_trace());
+        let decoded = Segment::decode(bytes).expect("a fresh segment decodes");
+        assert!(!decoded.trace.is_empty());
+        assert_eq!(decoded.trace, segment.trace);
+        assert_eq!(decoded.header, segment.header);
+        assert_eq!(decoded.metrics, segment.metrics);
+        assert_eq!(decoded.allow_list, segment.allow_list);
+        assert_eq!(decoded.probes, segment.probes);
+        assert_eq!(
+            serde_json::to_string(&decoded.sites).unwrap(),
+            serde_json::to_string(&segment.sites).unwrap()
+        );
+    }
+}
+
+#[test]
+fn every_truncation_of_a_segment_is_a_typed_error() {
+    for bytes in fixture() {
+        for len in 0..bytes.len() {
+            assert!(
+                Segment::decode(&bytes[..len]).is_err(),
+                "{len} of {} bytes decoded",
+                bytes.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn every_header_byte_flip_of_a_segment_is_rejected() {
+    // Magic, version, section count, the four 25-byte directory entries
+    // and the header checksum are read before any checksum vouches for
+    // them, so every byte of them is flipped, not a random sample.
+    const HEADER_BYTES: usize = 8 + 4 + 4 + 4 * 25 + 8;
+    for bytes in fixture() {
+        for at in 0..HEADER_BYTES {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= mask;
+                assert!(
+                    Segment::decode(&flipped).is_err(),
+                    "flip {mask:#04x} at {at}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn flipped_segment_bytes_are_typed_errors(
+        which in 0usize..2,
+        at in any::<usize>(),
+        mask in 1u8..=255u8,
+    ) {
+        // FNV-1a changes under any single-byte change, so every flip is
+        // caught by the header or a section checksum.
+        let mut bytes = fixture()[which].clone();
+        let at = at % bytes.len();
+        bytes[at] ^= mask;
+        prop_assert!(Segment::decode(&bytes).is_err());
+    }
+}
+
+#[test]
+fn a_v1_jsonl_segment_is_a_bad_magic_error_naming_the_file() {
+    let dir = temp_dir("legacy");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("shard-1-of-1.seg");
+    std::fs::write(
+        &path,
+        "{\"kind\":\"header\",\"version\":1,\"seed\":7,\"shard\":0,\"shards\":1}\n",
+    )
+    .unwrap();
+    let err = read_segment(&path).unwrap_err();
+    assert!(err.contains("bad magic"), "{err}");
+    assert!(err.contains(path.to_str().unwrap()), "{err}");
+    let err = merge_dir_columnar(&dir).unwrap_err();
+    assert!(err.contains("bad magic"), "{err}");
+
+    // The CLI classifies it as a corrupt input: exit 4.
+    let out = lab(&["merge", "--segments", dir.to_str().unwrap()]);
+    assert_eq!(
+        out.status.code(),
+        Some(4),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad magic"));
     std::fs::remove_dir_all(&dir).unwrap();
 }
