@@ -84,6 +84,17 @@ diff -q "$SHARD_DIR/m1/trace.jsonl" "$SHARD_DIR/m4/trace.jsonl"
 # merge reproduces campaign.col, from the files on disk.
 $TL doctor --campaign "$SHARD_DIR/m4" > /dev/null
 
+echo "== golden crawl digests (800 sites, seed 5, light faults) =="
+# campaign.col, report.txt and the trace with wall-clock fields and
+# operational spans removed must match the digests recorded in
+# tests/golden — the CLI mirror of golden_crawl_digests_are_unchanged.
+$TL crawl --sites 800 --seed 5 --fault-profile light --quiet \
+    --out "$SHARD_DIR/golden" --trace-out trace.jsonl > /dev/null
+sed -E 's/"wall_(start|end)_us":[0-9]+,?//g' "$SHARD_DIR/golden/trace.jsonl" \
+    | grep -v '"op":true' > "$SHARD_DIR/golden/trace.stripped.jsonl"
+GOLDEN_SUMS="$PWD/tests/golden/crawl_800_seed5.sha256"
+(cd "$SHARD_DIR/golden" && sha256sum --quiet -c "$GOLDEN_SUMS")
+
 echo "== faulty shard equivalence (light faults, 1-shard and 2-shard merges == single run) =="
 # The benchmark's chaos shape at CI size: retries and fault coins must
 # land identically in every shard, and a flipped segment byte must make
