@@ -29,7 +29,7 @@ use topics_net::domain::Domain;
 use topics_net::http::{HttpRequest, HttpResponse, ResourceKind, Vantage, SEC_BROWSING_TOPICS};
 use topics_net::latency::LatencyModel;
 use topics_net::metrics::{kind_label, NetMetrics};
-use topics_net::psl::registrable_domain;
+use topics_net::psl::{registrable_domain, registrable_str};
 use topics_net::seed;
 use topics_net::service::{
     fetch_exchange_traced, fetch_following_redirects_traced, NetworkService, RetryPolicy,
@@ -759,12 +759,8 @@ impl Browser {
     /// while repeated gates with the same parameters agree (real
     /// experimentation systems salt assignments by experiment id).
     fn ab_decision(&self, p: f64, scope: AbScope, ctx: &ExecCtx, state: &VisitState<'_>) -> bool {
-        let party = ctx
-            .script_source
-            .as_ref()
-            .map(registrable_domain)
-            .unwrap_or_else(|| registrable_domain(&ctx.frame_origin.host));
-        let mut key = seed::derive(self.config.ab_seed, party.as_str());
+        let party = registrable_str(ctx.script_source.as_ref().unwrap_or(&ctx.frame_origin.host));
+        let mut key = seed::derive(self.config.ab_seed, party);
         key = seed::derive(key, state.top_site.domain().as_str());
         match scope {
             AbScope::Site => {}
@@ -868,7 +864,7 @@ impl Browser {
         url: &Url,
         kind: ResourceKind,
         state: &mut VisitState<'_>,
-    ) -> Option<HttpResponse> {
+    ) -> Option<Arc<HttpResponse>> {
         self.fetch_subresource_with_header(service, url, kind, state, None)
     }
 
@@ -879,7 +875,7 @@ impl Browser {
         kind: ResourceKind,
         state: &mut VisitState<'_>,
         topics_header: Option<String>,
-    ) -> Option<HttpResponse> {
+    ) -> Option<Arc<HttpResponse>> {
         // Cache hit: no network, but the object was still "used by the
         // page" — record it as loaded (at local-op cost).
         if topics_header.is_none() {
@@ -938,7 +934,9 @@ impl Browser {
             }
         };
         let (ok, response) = match response {
-            Ok(outcome) if outcome.response.status.is_success() => (true, Some(outcome.response)),
+            Ok(outcome) if outcome.response.status.is_success() => {
+                (true, Some(Arc::new(outcome.response)))
+            }
             Ok(_) | Err(_) => (false, None),
         };
         state.trace_field(span, "ok", ok);

@@ -4,15 +4,17 @@
 //! visits so every object is downloaded again and both visits observe the
 //! full set of first- and third-party URLs. The cache here is a plain
 //! URL-keyed store with hit counting, enough to verify that behaviour.
+//! Entries are shared: a hit or a store clones a pointer, not a body.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use topics_net::http::HttpResponse;
 use topics_net::url::Url;
 
 /// A URL-keyed response cache.
 #[derive(Debug, Default)]
 pub struct ResourceCache {
-    entries: HashMap<Url, HttpResponse>,
+    entries: HashMap<Url, Arc<HttpResponse>>,
     hits: u64,
     misses: u64,
 }
@@ -24,7 +26,7 @@ impl ResourceCache {
     }
 
     /// Look up a cached response, counting the hit/miss.
-    pub fn lookup(&mut self, url: &Url) -> Option<HttpResponse> {
+    pub fn lookup(&mut self, url: &Url) -> Option<Arc<HttpResponse>> {
         match self.entries.get(url) {
             Some(r) => {
                 self.hits += 1;
@@ -38,9 +40,9 @@ impl ResourceCache {
     }
 
     /// Store a response. Redirects and errors are not cached.
-    pub fn store(&mut self, url: &Url, response: &HttpResponse) {
+    pub fn store(&mut self, url: &Url, response: &Arc<HttpResponse>) {
         if response.status.is_success() {
-            self.entries.insert(url.clone(), response.clone());
+            self.entries.insert(url.clone(), Arc::clone(response));
         }
     }
 
@@ -80,7 +82,7 @@ mod tests {
         let mut c = ResourceCache::new();
         let u = url("https://a.com/lib.js");
         assert!(c.lookup(&u).is_none());
-        c.store(&u, &HttpResponse::ok("text/javascript", "x"));
+        c.store(&u, &Arc::new(HttpResponse::ok("text/javascript", "x")));
         let r = c.lookup(&u).unwrap();
         assert_eq!(r.body, "x");
         assert_eq!(c.stats(), (1, 1));
@@ -90,11 +92,11 @@ mod tests {
     fn non_success_is_not_cached() {
         let mut c = ResourceCache::new();
         let u = url("https://a.com/missing");
-        c.store(&u, &HttpResponse::not_found());
+        c.store(&u, &Arc::new(HttpResponse::not_found()));
         assert!(c.lookup(&u).is_none());
         let mut r = HttpResponse::ok("text/html", "");
         r.status = StatusCode::Found;
-        c.store(&u, &r);
+        c.store(&u, &Arc::new(r));
         assert!(c.lookup(&u).is_none());
     }
 
@@ -102,7 +104,7 @@ mod tests {
     fn clear_forces_refetch() {
         let mut c = ResourceCache::new();
         let u = url("https://a.com/x");
-        c.store(&u, &HttpResponse::ok("text/html", "page"));
+        c.store(&u, &Arc::new(HttpResponse::ok("text/html", "page")));
         assert!(!c.is_empty());
         c.clear();
         assert!(c.is_empty());
@@ -114,7 +116,7 @@ mod tests {
         let mut c = ResourceCache::new();
         c.store(
             &url("https://a.com/t?id=1"),
-            &HttpResponse::ok("text/javascript", "one"),
+            &Arc::new(HttpResponse::ok("text/javascript", "one")),
         );
         assert!(c.lookup(&url("https://a.com/t?id=2")).is_none());
         assert_eq!(c.lookup(&url("https://a.com/t?id=1")).unwrap().body, "one");

@@ -138,13 +138,9 @@ pub fn parse(source: &str) -> Result<Vec<Stmt>, ScriptError> {
     let mut lines = source
         .lines()
         .enumerate()
-        .map(|(i, l)| (i + 1, strip_comment(l).trim().to_owned()))
-        .filter(|(_, l)| !l.is_empty())
-        .collect::<Vec<_>>()
-        .into_iter()
-        .peekable();
-    let body = parse_block(&mut lines, None)?;
-    Ok(body)
+        .map(|(i, l)| (i + 1, strip_comment(l).trim()))
+        .filter(|(_, l)| !l.is_empty());
+    parse_block(&mut lines, None)
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -154,10 +150,12 @@ fn strip_comment(line: &str) -> &str {
     }
 }
 
-type Lines = std::iter::Peekable<std::vec::IntoIter<(usize, String)>>;
-
-/// Parse statements until EOF (outer) or a closing `}` (inner).
-fn parse_block(lines: &mut Lines, opened_at: Option<usize>) -> Result<Vec<Stmt>, ScriptError> {
+/// Parse statements until EOF (outer) or a closing `}` (inner). `lines`
+/// yields `(1-based line number, trimmed non-empty line)`.
+fn parse_block<'a>(
+    lines: &mut impl Iterator<Item = (usize, &'a str)>,
+    opened_at: Option<usize>,
+) -> Result<Vec<Stmt>, ScriptError> {
     let mut out = Vec::new();
     loop {
         let Some((lineno, line)) = lines.next() else {
@@ -178,17 +176,28 @@ fn parse_block(lines: &mut Lines, opened_at: Option<usize>) -> Result<Vec<Stmt>,
                 }),
             };
         }
-        out.push(parse_stmt(lineno, &line, lines)?);
+        out.push(parse_stmt(lineno, line, lines)?);
     }
 }
 
-fn parse_stmt(lineno: usize, line: &str, lines: &mut Lines) -> Result<Stmt, ScriptError> {
+fn parse_stmt<'a>(
+    lineno: usize,
+    line: &str,
+    lines: &mut impl Iterator<Item = (usize, &'a str)>,
+) -> Result<Stmt, ScriptError> {
     let err = |message: String| ScriptError {
         line: lineno,
         message,
     };
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    match tokens.as_slice() {
+    // No statement has more than four tokens, so a fifth only has to
+    // make the line match no pattern.
+    let mut tokens = [""; 5];
+    let mut count = 0;
+    for token in line.split_whitespace().take(tokens.len()) {
+        tokens[count] = token;
+        count += 1;
+    }
+    match &tokens[..count] {
         ["topics", "js"] => Ok(Stmt::TopicsJs),
         ["topics", "js", "noobserve"] => Ok(Stmt::TopicsJsSkipObservation),
         ["topics", "fetch", url] => Ok(Stmt::TopicsFetch((*url).to_owned())),

@@ -9,7 +9,7 @@
 //! repeated campaigns — agree.
 
 use crate::domain::Domain;
-use crate::psl::registrable_domain;
+use crate::psl::registrable_str;
 use crate::seed;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -147,12 +147,12 @@ impl SimDns {
     fn resolve_with_rate(&self, domain: &Domain, rate: f64) -> Result<(), DnsError> {
         // Decide at registrable-domain granularity: if example.com is dead,
         // www.example.com is dead too.
-        let reg = registrable_domain(domain);
-        let s = seed::derive(self.seed, reg.as_str());
+        let reg = registrable_str(domain);
+        let s = seed::derive(self.seed, reg);
         if seed::unit_f64(s) >= rate {
             return Ok(());
         }
-        let name = reg.as_str().to_owned();
+        let name = reg.to_owned();
         let kind = seed::unit_f64(seed::derive(s, "kind"));
         if kind < self.policy.name_error_share {
             Err(DnsError::NameError { domain: name })

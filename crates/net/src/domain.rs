@@ -64,9 +64,8 @@ impl Domain {
         if input.len() > 253 {
             return Err(DomainError::TooLong);
         }
-        let lowered = input.to_ascii_lowercase();
         let mut labels = 0usize;
-        for label in lowered.split('.') {
+        for label in input.split('.') {
             labels += 1;
             if label.is_empty() {
                 return Err(DomainError::EmptyLabel);
@@ -76,7 +75,7 @@ impl Domain {
             }
             if !label
                 .bytes()
-                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-')
+                .all(|b| b.is_ascii_alphanumeric() || b == b'-')
             {
                 return Err(DomainError::BadCharacter);
             }
@@ -87,7 +86,22 @@ impl Domain {
         if labels < 2 {
             return Err(DomainError::NotFullyQualified);
         }
-        Ok(Domain(lowered.into()))
+        if input.bytes().any(|b| b.is_ascii_uppercase()) {
+            Ok(Domain(input.to_ascii_lowercase().into()))
+        } else {
+            Ok(Domain(input.into()))
+        }
+    }
+
+    /// A domain from a label-aligned suffix of a validated domain that
+    /// keeps at least two labels (a registrable domain, say). Such a
+    /// suffix is valid by construction, so it is not validated again.
+    pub(crate) fn from_label_suffix(suffix: &str) -> Domain {
+        debug_assert_eq!(
+            Domain::parse(suffix).as_ref().map(Domain::as_str),
+            Ok(suffix)
+        );
+        Domain(suffix.into())
     }
 
     /// The full hostname as a string slice.

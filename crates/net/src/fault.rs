@@ -22,7 +22,7 @@ use crate::dns::DnsError;
 use crate::domain::Domain;
 use crate::error::NetError;
 use crate::http::{HttpRequest, HttpResponse};
-use crate::psl::registrable_domain;
+use crate::psl::registrable_str;
 use crate::seed;
 use crate::service::NetworkService;
 use crate::url::Url;
@@ -182,10 +182,10 @@ impl FaultPlan {
         if self.profile.dns_failure_rate == 0.0 {
             return None;
         }
-        let reg = registrable_domain(domain);
-        let s = seed::derive(seed::derive(self.seed, "dns"), reg.as_str());
+        let reg = registrable_str(domain);
+        let s = seed::derive(seed::derive(self.seed, "dns"), reg);
         (seed::unit_f64(s) < self.profile.dns_failure_rate).then(|| DnsError::Timeout {
-            domain: reg.as_str().to_owned(),
+            domain: reg.to_owned(),
         })
     }
 

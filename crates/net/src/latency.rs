@@ -10,7 +10,7 @@
 use crate::clock::Timestamp;
 use crate::domain::Domain;
 use crate::http::ResourceKind;
-use crate::psl::registrable_domain;
+use crate::psl::registrable_str;
 use crate::seed;
 
 /// Latency-model parameters (milliseconds).
@@ -46,8 +46,8 @@ impl LatencyModel {
     /// The stable base RTT to a host (keyed on its registrable domain —
     /// one server farm per party).
     pub fn rtt_ms(&self, host: &Domain) -> u64 {
-        let reg = registrable_domain(host);
-        let u = seed::unit_f64(seed::derive(self.seed, reg.as_str()));
+        let reg = registrable_str(host);
+        let u = seed::unit_f64(seed::derive(self.seed, reg));
         self.min_rtt_ms + (u * self.rtt_span_ms as f64) as u64
     }
 

@@ -84,13 +84,7 @@ impl Url {
             return Err(bad("userinfo and ports are not modelled"));
         }
         let host = Domain::parse(authority).map_err(|_e: DomainError| bad("invalid host"))?;
-        let (path, query) = match path_query.find('?') {
-            Some(i) => (
-                path_query[..i].to_owned(),
-                Some(path_query[i + 1..].to_owned()),
-            ),
-            None => (path_query.to_owned(), None),
-        };
+        let (path, query) = split_path_query(path_query);
         Ok(Url {
             scheme,
             host,
@@ -139,23 +133,27 @@ impl Url {
         } else if let Some(rest) = reference.strip_prefix("//") {
             Url::parse(&format!("{}://{}", self.scheme.as_str(), rest))
         } else if reference.starts_with('/') {
-            let mut u = self.clone();
-            let (path, query) = match reference.find('?') {
-                Some(i) => (
-                    reference[..i].to_owned(),
-                    Some(reference[i + 1..].to_owned()),
-                ),
-                None => (reference.to_owned(), None),
-            };
-            u.path = path;
-            u.query = query;
-            Ok(u)
+            let (path, query) = split_path_query(reference.split('#').next().unwrap_or(reference));
+            Ok(Url {
+                scheme: self.scheme,
+                host: self.host.clone(),
+                path,
+                query,
+            })
         } else {
             Err(NetError::BadUrl {
                 input: reference.to_owned(),
                 reason: "relative (non-rooted) references are not modelled",
             })
         }
+    }
+}
+
+/// Split a fragment-free `/path?query` into its path and query parts.
+fn split_path_query(path_query: &str) -> (String, Option<String>) {
+    match path_query.split_once('?') {
+        Some((path, query)) => (path.to_owned(), Some(query.to_owned())),
+        None => (path_query.to_owned(), None),
     }
 }
 
@@ -229,6 +227,36 @@ mod tests {
             "https://example.com/rooted?q=2"
         );
         assert!(base.join("relative/path").is_err());
+    }
+
+    #[test]
+    fn join_and_parse_agree_on_absolute_and_rooted_forms() {
+        let base = Url::parse("https://example.com/dir/page?x=1").unwrap();
+        for path in [
+            "/",
+            "/main.css",
+            "/main.css#x",
+            "/a?b#c",
+            "/a?b",
+            "/a?#",
+            "/#only",
+            "/a?b?c#d#e",
+        ] {
+            let absolute = format!("https://example.com{path}");
+            let parsed = Url::parse(&absolute).unwrap();
+            assert_eq!(base.join(path).unwrap(), parsed, "rooted {path}");
+            assert_eq!(base.join(&absolute).unwrap(), parsed, "absolute {path}");
+            assert_eq!(
+                base.join(&format!("//example.com{path}")).unwrap(),
+                parsed,
+                "scheme-relative {path}"
+            );
+            assert!(!parsed.to_string().contains('#'), "{parsed}");
+        }
+        let css = base.join("/main.css#x").unwrap();
+        assert_eq!((css.path(), css.query()), ("/main.css", None));
+        let q = base.join("/a?b#c").unwrap();
+        assert_eq!((q.path(), q.query()), ("/a", Some("b")));
     }
 
     #[test]

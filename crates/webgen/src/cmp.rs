@@ -178,10 +178,8 @@ pub fn sample_cmp(unit: f64) -> CmpId {
 /// Find a CMP by its identifying domain (registrable-domain match) —
 /// how the analysis side recognises a CMP among loaded objects.
 pub fn cmp_by_domain(domain: &Domain) -> Option<CmpId> {
-    let reg = topics_net::psl::registrable_domain(domain);
-    CMPS.iter()
-        .position(|c| c.domain == reg.as_str())
-        .map(CmpId)
+    let reg = topics_net::psl::registrable_str(domain);
+    CMPS.iter().position(|c| c.domain == reg).map(CmpId)
 }
 
 #[cfg(test)]
