@@ -68,11 +68,16 @@ impl CookieJar {
     pub fn header_for(&self, site: &Site) -> String {
         let mut cookies = self.cookies_for(site);
         cookies.sort_by(|a, b| a.name.cmp(&b.name));
-        cookies
-            .iter()
-            .map(|c| format!("{}={}", c.name, c.value))
-            .collect::<Vec<_>>()
-            .join("; ")
+        let mut header = String::new();
+        for (i, c) in cookies.iter().enumerate() {
+            if i > 0 {
+                header.push_str("; ");
+            }
+            header.push_str(&c.name);
+            header.push('=');
+            header.push_str(&c.value);
+        }
+        header
     }
 
     /// Delete every cookie (full browser reset). Note the paper clears
