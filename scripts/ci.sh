@@ -85,9 +85,10 @@ diff -q "$SHARD_DIR/m1/trace.jsonl" "$SHARD_DIR/m4/trace.jsonl"
 $TL doctor --campaign "$SHARD_DIR/m4" > /dev/null
 
 echo "== golden crawl digests (800 sites, seed 5, light faults) =="
-# campaign.col, report.txt and the trace with wall-clock fields and
-# operational spans removed must match the digests recorded in
-# tests/golden — the CLI mirror of golden_crawl_digests_are_unchanged.
+# campaign.col, report.txt, comparison.txt, every rendered CSV and the
+# trace with wall-clock fields and operational spans removed must match
+# the digests recorded in tests/golden — the CLI mirror of
+# golden_crawl_digests_are_unchanged and golden_api_body_digests_are_unchanged.
 $TL crawl --sites 800 --seed 5 --fault-profile light --quiet \
     --out "$SHARD_DIR/golden" --trace-out trace.jsonl > /dev/null
 sed -E 's/"wall_(start|end)_us":[0-9]+,?//g' "$SHARD_DIR/golden/trace.jsonl" \

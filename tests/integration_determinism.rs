@@ -305,3 +305,65 @@ fn golden_crawl_digests_are_unchanged() {
          [{store:#018x}, {trace:#018x}, {report:#018x}]"
     );
 }
+
+/// FNV-1a digests of every `/api/*` body `QueryService::build` renders
+/// from the same 800-site, seed-5, light-fault, 2-thread crawl's
+/// `campaign.col`, plus the raw `calls.csv` and `sites.csv` that
+/// `write_artefacts` writes next to it. They were recorded before the
+/// campaign index dropped its ordered string sets, so an index change
+/// that moves one byte of a figure, Table 1 or the anomalous-call
+/// statistics fails here, not only one that moves the report.
+#[test]
+fn golden_api_body_digests_are_unchanged() {
+    use topics_core::net::seed::fnv1a;
+    use topics_core::{evaluate, write_bundle, QueryService, StoreKind};
+
+    let config = LabConfig::quick(5, 800)
+        .with_threads(2)
+        .with_fault_profile(FaultProfile::light());
+    let outcome = Lab::new(config).run().outcome;
+    let dir = std::env::temp_dir().join(format!("topics-golden-api-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    write_bundle(
+        &dir,
+        &outcome,
+        &evaluate(&outcome),
+        false,
+        StoreKind::Columnar,
+    )
+    .unwrap();
+    let service = QueryService::build(&dir.join("campaign.col"), None).expect("service builds");
+
+    let mut digests: Vec<(&str, u64)> = [
+        "/api/table1",
+        "/api/fig2",
+        "/api/fig3",
+        "/api/fig5",
+        "/api/fig6",
+        "/api/fig7",
+        "/api/anomalous",
+    ]
+    .into_iter()
+    .map(|path| {
+        let (_, body) = service.body(path).expect("endpoint rendered");
+        (path, fnv1a(body))
+    })
+    .collect();
+    for file in ["calls.csv", "sites.csv"] {
+        digests.push((file, fnv1a(&std::fs::read(dir.join(file)).unwrap())));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let want: [(&str, u64); 9] = [
+        ("/api/table1", 0x62a8_fc51_d6d2_05c6),
+        ("/api/fig2", 0x4501_94d7_d26e_958a),
+        ("/api/fig3", 0xeca4_9463_1465_1153),
+        ("/api/fig5", 0x20a5_559d_216a_19bd),
+        ("/api/fig6", 0xb352_7311_1aa7_b515),
+        ("/api/fig7", 0xe6bd_563e_e234_89f5),
+        ("/api/anomalous", 0x6299_0876_504c_40a1),
+        ("calls.csv", 0x4eb1_253e_3d81_72ab),
+        ("sites.csv", 0x8274_2897_a208_1cfa),
+    ];
+    assert_eq!(digests, want, "body digests: {digests:#018x?}");
+}
