@@ -4,7 +4,8 @@
 //! The batch pipeline renders every artefact once and exits; this
 //! module keeps a campaign resident and answers per-figure queries
 //! over HTTP/1.1 — dependency-free, `std::net::TcpListener` plus a
-//! small scoped worker pool. At startup `campaign.col` is loaded
+//! few scoped workers that each accept on the shared listener and
+//! answer the connection themselves. At startup `campaign.col` is loaded
 //! **once**: the interned [`ColumnarCampaign`] arena stays in memory,
 //! every endpoint body is rendered into an immutable cache from the
 //! same evaluation the offline pipeline runs, and the row structs are
@@ -21,7 +22,7 @@
 //! an `http-access` line when the [`EventLog`](topics_obs::EventLog)
 //! echoes (never stored, so a long-lived server's memory does not grow
 //! with its request count), and `POST /shutdown` drains gracefully:
-//! the accept loop stops, queued connections finish, workers join.
+//! every worker is woken, finishes the connection it holds and joins.
 //!
 //! | Path              | Body (byte-identical artefact)         |
 //! |-------------------|----------------------------------------|
@@ -38,17 +39,17 @@
 //! | `/metrics`        | live Prometheus exposition             |
 //! | `/healthz` `/readyz` | liveness / readiness probes         |
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use topics_analysis::export as csv;
 use topics_crawler::columnar::ColumnarCampaign;
-use topics_obs::{FieldValue, Level, Obs, Trace};
+use topics_obs::{Counter, FieldValue, Gauge, Histogram, Level, MetricsRegistry, Obs, Trace};
 
 /// The eight artefact-backed API endpoints: URL path → the bundle file
 /// whose bytes the endpoint serves. `/api/doctor` and `/api/profile`
@@ -71,6 +72,45 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// Per-connection socket read timeout — a stalled client cannot pin a
 /// worker past this.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Every `path` label of `http_requests_total`: a 200 answer is counted
+/// under its path, any other under `other`, so the series are bounded
+/// by this table.
+const ROUTE_LABELS: [&str; 15] = [
+    "/api/report",
+    "/api/table1",
+    "/api/fig2",
+    "/api/fig3",
+    "/api/fig5",
+    "/api/fig6",
+    "/api/fig7",
+    "/api/anomalous",
+    "/api/doctor",
+    "/api/profile",
+    "/healthz",
+    "/readyz",
+    "/metrics",
+    "/shutdown",
+    OTHER_ROUTE,
+];
+const OTHER_ROUTE: &str = "other";
+
+/// Every status the server answers with, and its reason phrase.
+const STATUSES: [(u16, &str); 4] = [
+    (200, "OK"),
+    (400, "Bad Request"),
+    (404, "Not Found"),
+    (405, "Method Not Allowed"),
+];
+
+/// Upper bounds of the `http_request_wall_us` buckets, in µs: a
+/// loopback request takes tens of µs, a stalled client up to the read
+/// timeout.
+const REQUEST_WALL_BUCKETS_US: &[u64] = &[
+    10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 100_000, 1_000_000, 5_000_000,
+];
+
+const TEXT: &str = "text/plain; charset=utf-8";
 
 /// What can go wrong binding and loading the service, kept typed so
 /// the CLI maps each case to a distinct exit code.
@@ -169,7 +209,6 @@ impl QueryService {
         let mut put = |path: &'static str, content_type: &'static str, body: String| {
             bodies.insert(path, (content_type, body.into_bytes().into()));
         };
-        const TEXT: &str = "text/plain; charset=utf-8";
         const CSV: &str = "text/csv; charset=utf-8";
         put("/api/report", TEXT, eval.render_report());
         put("/api/table1", CSV, csv::table1_csv(&eval.table1));
@@ -282,10 +321,9 @@ pub struct HttpResponse {
 pub fn http_fetch(addr: &str, method: &str, path: &str) -> std::io::Result<HttpResponse> {
     let mut conn = TcpStream::connect(addr)?;
     conn.set_read_timeout(Some(READ_TIMEOUT))?;
-    write!(
-        conn,
-        "{method} {path} HTTP/1.1\r\nHost: topics-lab\r\nConnection: close\r\n\r\n"
-    )?;
+    let request =
+        format!("{method} {path} HTTP/1.1\r\nHost: topics-lab\r\nConnection: close\r\n\r\n");
+    conn.write_all(request.as_bytes())?;
     let mut raw = Vec::new();
     conn.read_to_end(&mut raw)?;
     let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_owned());
@@ -306,57 +344,72 @@ pub fn http_fetch(addr: &str, method: &str, path: &str) -> std::io::Result<HttpR
     })
 }
 
-/// A closed-over stop switch: flips the shutdown flag and pokes the
-/// accept loop awake so [`Server::run`] can drain and return.
+/// A closed-over stop switch: flips the shutdown flag and wakes every
+/// worker so [`Server::run`] can drain and return.
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     addr: SocketAddr,
+    workers: usize,
 }
 
 impl ServerHandle {
-    /// Request a graceful drain: stop accepting, finish queued and
-    /// in-flight requests, join the workers.
+    /// Request a graceful drain: stop accepting, finish the requests
+    /// already accepted, join the workers.
     pub fn stop(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept loop; the connection is dropped unread.
-        let _ = TcpStream::connect(self.addr);
-    }
-}
-
-/// Connection hand-off queue between the accept loop and the workers.
-#[derive(Default)]
-struct ConnQueue {
-    state: Mutex<(VecDeque<TcpStream>, bool)>,
-    ready: Condvar,
-}
-
-impl ConnQueue {
-    fn push(&self, conn: TcpStream) {
-        let mut state = self.state.lock().expect("queue lock");
-        state.0.push_back(conn);
-        drop(state);
-        self.ready.notify_one();
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("queue lock").1 = true;
-        self.ready.notify_all();
-    }
-
-    /// Next connection; `None` once closed **and** drained, so a
-    /// graceful shutdown still serves everything already accepted.
-    fn pop(&self) -> Option<TcpStream> {
-        let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(conn) = state.0.pop_front() {
-                return Some(conn);
-            }
-            if state.1 {
-                return None;
-            }
-            state = self.ready.wait(state).expect("queue lock");
+        // One connection per worker: each worker blocked in `accept`
+        // takes one, sees the flag and exits; they are dropped unread.
+        for _ in 0..self.workers {
+            let _ = TcpStream::connect(self.addr);
         }
+    }
+}
+
+/// The request path's metric handles. Each is resolved from the
+/// registry on its first use, so `/metrics` lists only the series some
+/// request touched, and is kept from then on: a request takes no
+/// registry lock and formats no label.
+#[derive(Default)]
+struct RequestMeters {
+    inflight: OnceLock<Gauge>,
+    wall_us: OnceLock<Histogram>,
+    requests: [OnceLock<Counter>; ROUTE_LABELS.len()],
+    responses: [OnceLock<Counter>; STATUSES.len()],
+}
+
+impl RequestMeters {
+    fn inflight(&self, registry: &MetricsRegistry) -> &Gauge {
+        self.inflight
+            .get_or_init(|| registry.gauge("http_inflight_requests"))
+    }
+
+    fn wall_us(&self, registry: &MetricsRegistry) -> &Histogram {
+        self.wall_us.get_or_init(|| {
+            registry.histogram_with_buckets("http_request_wall_us", REQUEST_WALL_BUCKETS_US)
+        })
+    }
+
+    /// `http_requests_total{path=…}`; a label outside the route table
+    /// counts as `other`.
+    fn requests(&self, registry: &MetricsRegistry, label: &str) -> &Counter {
+        let i = ROUTE_LABELS
+            .iter()
+            .position(|l| *l == label)
+            .unwrap_or(ROUTE_LABELS.len() - 1);
+        self.requests[i].get_or_init(|| {
+            registry.labeled_counter("http_requests_total", "path", ROUTE_LABELS[i])
+        })
+    }
+
+    fn responses(&self, registry: &MetricsRegistry, status: u16) -> &Counter {
+        let i = STATUSES
+            .iter()
+            .position(|(s, _)| *s == status)
+            .expect("the server answers only with the statuses in STATUSES");
+        self.responses[i].get_or_init(|| {
+            registry.labeled_counter("http_responses_total", "status", &status.to_string())
+        })
     }
 }
 
@@ -369,6 +422,7 @@ pub struct Server {
     threads: usize,
     shutdown: Arc<AtomicBool>,
     served: AtomicU64,
+    meters: RequestMeters,
 }
 
 impl Server {
@@ -408,6 +462,7 @@ impl Server {
             threads: config.threads.max(1),
             shutdown: Arc::new(AtomicBool::new(false)),
             served: AtomicU64::new(0),
+            meters: RequestMeters::default(),
         })
     }
 
@@ -421,6 +476,7 @@ impl Server {
         ServerHandle {
             shutdown: Arc::clone(&self.shutdown),
             addr: self.local_addr(),
+            workers: self.threads,
         }
     }
 
@@ -432,170 +488,111 @@ impl Server {
     /// Serve until a shutdown is requested (`POST /shutdown` or
     /// [`ServerHandle::stop`]), then drain: accepted connections are
     /// finished, the workers join, and the total request count is
-    /// returned. The worker pool is scoped — no detached threads
-    /// survive this call.
+    /// returned. The workers are scoped — no detached threads survive
+    /// this call.
     pub fn run(&self) -> u64 {
-        let queue = ConnQueue::default();
         std::thread::scope(|scope| {
             for _ in 0..self.threads {
-                scope.spawn(|| {
-                    while let Some(conn) = queue.pop() {
-                        self.handle_conn(conn);
-                    }
-                });
+                scope.spawn(|| self.work());
             }
-            loop {
-                if self.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match self.listener.accept() {
-                    Ok((conn, _)) => {
-                        // The shutdown poke (and anything racing it)
-                        // is dropped, not served.
-                        if self.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        queue.push(conn);
-                    }
-                    Err(e) => {
-                        if self.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        self.obs.events.error(
-                            "http-accept-error",
-                            vec![("error".to_owned(), FieldValue::Str(e.to_string()))],
-                        );
-                    }
-                }
-            }
-            queue.close();
         });
         self.obs.metrics.gauge("serve_ready").set(0);
         self.served.load(Ordering::SeqCst)
     }
 
-    /// Route one request path to `(status, endpoint label, content
-    /// type, body)`. The label is the path for known routes and
-    /// `"other"` for everything else, so the request-counter
-    /// cardinality is bounded by the route table.
-    fn route(&self, method: &str, path: &str) -> (u16, &'static str, &'static str, Arc<[u8]>) {
-        const TEXT: &str = "text/plain; charset=utf-8";
-        let body = |s: &str| -> Arc<[u8]> { s.as_bytes().to_vec().into() };
+    /// One worker: accept on the shared listener and answer each
+    /// connection on this thread, until a shutdown is requested. Waiting
+    /// connections queue in the kernel's listen backlog.
+    fn work(&self) {
+        let mut out = Vec::new();
+        while !self.shutdown.load(Ordering::SeqCst) {
+            match self.listener.accept() {
+                // The shutdown pokes, and anything racing them, are
+                // dropped, not served.
+                _ if self.shutdown.load(Ordering::SeqCst) => break,
+                Ok((conn, _)) => self.handle_conn(conn, &mut out),
+                Err(e) => self.obs.events.error(
+                    "http-accept-error",
+                    vec![("error".to_owned(), FieldValue::Str(e.to_string()))],
+                ),
+            }
+        }
+    }
+
+    /// Route one request to `(status, content type, body)`. `/metrics`
+    /// answers an empty body here; the caller renders it.
+    fn route(&self, method: &str, path: &str) -> (u16, &'static str, &[u8]) {
         if method == "POST" && path == "/shutdown" {
-            self.shutdown.store(true, Ordering::SeqCst);
-            // Poke the accept loop awake so the drain starts now, not
-            // at the next client connection.
-            let _ = TcpStream::connect(self.local_addr());
-            return (200, "/shutdown", TEXT, body("draining\n"));
+            // Wake every worker so the drain starts now, not at the
+            // next client connection.
+            self.handle().stop();
+            return (200, TEXT, b"draining\n");
         }
         if method != "GET" {
-            return (405, "other", TEXT, body("method not allowed\n"));
+            return (405, TEXT, b"method not allowed\n");
         }
         match path {
-            "/healthz" => (200, "/healthz", TEXT, body("ok\n")),
-            "/readyz" => (200, "/readyz", TEXT, body("ready\n")),
-            "/metrics" => {
-                // Rendered after the request counter increment, so a
-                // scrape observes itself — counters reconcile exactly
-                // against requests issued.
-                (200, "/metrics", TEXT, body(""))
-            }
+            "/healthz" => (200, TEXT, b"ok\n"),
+            "/readyz" => (200, TEXT, b"ready\n"),
+            "/metrics" => (200, TEXT, b""),
             _ => match self.service.body(path) {
-                Some((content_type, b)) => {
-                    let label = API_ENDPOINTS
-                        .iter()
-                        .map(|(p, _)| *p)
-                        .chain(["/api/doctor", "/api/profile"])
-                        .find(|p| *p == path)
-                        .unwrap_or("other");
-                    (200, label, content_type, Arc::clone(b))
+                Some((content_type, body)) => (200, content_type, body),
+                None if path == "/api/doctor" || path == "/api/profile" => {
+                    (404, TEXT, b"no trace.jsonl next to the campaign\n")
                 }
-                None if path == "/api/doctor" || path == "/api/profile" => (
-                    404,
-                    "other",
-                    TEXT,
-                    body("no trace.jsonl next to the campaign\n"),
-                ),
-                None => (404, "other", TEXT, body("not found\n")),
+                None => (404, TEXT, b"not found\n"),
             },
         }
     }
 
-    /// Handle one connection: parse, count, answer, echo the access
-    /// line.
-    fn handle_conn(&self, mut conn: TcpStream) {
+    /// Handle one connection: parse, count, answer from `out` (the
+    /// worker's reused response buffer), echo the access line.
+    fn handle_conn(&self, mut conn: TcpStream, out: &mut Vec<u8>) {
         let started = Instant::now();
         let _ = conn.set_read_timeout(Some(READ_TIMEOUT));
-        let inflight = self.obs.metrics.gauge("http_inflight_requests");
+        let registry = &self.obs.metrics;
+        let inflight = self.meters.inflight(registry);
         inflight.add(1);
         let parsed = read_request(&mut conn);
         let (method, path) = match &parsed {
             Ok((m, p)) => (m.as_str(), p.as_str()),
             Err(_) => ("", ""),
         };
-        let (status, label, content_type, mut response_body) = if parsed.is_ok() {
+        let (status, content_type, body) = if parsed.is_ok() {
             self.route(method, path)
         } else {
-            (
-                400,
-                "other",
-                "text/plain; charset=utf-8",
-                b"bad request\n".to_vec().into(),
-            )
+            (400, TEXT, &b"bad request\n"[..])
         };
-        self.obs
-            .metrics
-            .labeled_counter("http_requests_total", "path", label)
-            .inc();
-        self.obs
-            .metrics
-            .labeled_counter("http_responses_total", "status", &status.to_string())
-            .inc();
-        if status == 200 && path == "/metrics" {
-            response_body = self
-                .obs
-                .metrics
-                .snapshot()
-                .render_prometheus()
-                .into_bytes()
-                .into();
-        }
-        let wrote = write_response(&mut conn, status, content_type, &response_body);
+        let label = if status == 200 { path } else { OTHER_ROUTE };
+        self.meters.requests(registry, label).inc();
+        self.meters.responses(registry, status).inc();
+        // Rendered after the request counter increment, so a scrape
+        // observes itself — counters reconcile exactly against requests
+        // issued.
+        let exposition;
+        let body = if status == 200 && path == "/metrics" {
+            exposition = registry.snapshot().render_prometheus();
+            exposition.as_bytes()
+        } else {
+            body
+        };
+        let wrote = write_response(&mut conn, out, status, content_type, body);
         let wall_us = started.elapsed().as_micros() as u64;
-        self.obs
-            .metrics
-            .histogram("http_request_wall_ms")
-            .observe(wall_us / 1_000);
+        self.meters.wall_us(registry).observe(wall_us);
         inflight.add(-1);
         self.served.fetch_add(1, Ordering::SeqCst);
         if !self.obs.events.echo_enabled() {
             return;
         }
+        let or_unknown = |s: &str| if s.is_empty() { "?" } else { s }.to_owned();
         self.obs.events.echo(
             Level::Info,
             "http-access",
             &[
-                (
-                    "method".to_owned(),
-                    FieldValue::Str(if method.is_empty() {
-                        "?".to_owned()
-                    } else {
-                        method.to_owned()
-                    }),
-                ),
-                (
-                    "path".to_owned(),
-                    FieldValue::Str(if path.is_empty() {
-                        "?".to_owned()
-                    } else {
-                        path.to_owned()
-                    }),
-                ),
+                ("method".to_owned(), FieldValue::Str(or_unknown(method))),
+                ("path".to_owned(), FieldValue::Str(or_unknown(path))),
                 ("status".to_owned(), FieldValue::U64(status as u64)),
-                (
-                    "bytes".to_owned(),
-                    FieldValue::U64(response_body.len() as u64),
-                ),
+                ("bytes".to_owned(), FieldValue::U64(body.len() as u64)),
                 ("wall_us".to_owned(), FieldValue::U64(wall_us)),
                 (
                     "write_ok".to_owned(),
@@ -642,27 +639,28 @@ fn parse_request_line(raw: &[u8]) -> Option<(String, String)> {
     Some((method, path))
 }
 
-/// Write a complete `Connection: close` response.
+/// Write a complete `Connection: close` response: the status line,
+/// headers and body are assembled in `out` and reach the socket in one
+/// write, so the client is woken once.
 fn write_response(
     conn: &mut TcpStream,
+    out: &mut Vec<u8>,
     status: u16,
     content_type: &str,
     body: &[u8],
 ) -> std::io::Result<()> {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        _ => "Error",
-    };
+    let reason = STATUSES
+        .iter()
+        .find(|(s, _)| *s == status)
+        .map_or("Error", |(_, r)| r);
+    out.clear();
     write!(
-        conn,
+        out,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     )?;
-    conn.write_all(body)?;
-    conn.flush()
+    out.extend_from_slice(body);
+    conn.write_all(out)
 }
 
 #[cfg(test)]
@@ -697,14 +695,8 @@ mod tests {
                 crate::export::BUNDLE_FILES.contains(artefact),
                 "{artefact} is not a bundle file"
             );
+            assert!(ROUTE_LABELS.contains(path), "{path} has no request counter");
         }
-    }
-
-    #[test]
-    fn queue_drains_after_close() {
-        let q = ConnQueue::default();
-        q.close();
-        assert!(q.pop().is_none(), "closed empty queue yields None");
     }
 
     #[test]

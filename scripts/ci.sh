@@ -161,6 +161,16 @@ if [ "$TOTAL" != "13" ]; then
     exit 1
 fi
 $TL fetch --addr "$ADDR" --path /shutdown --post > /dev/null
+# Every worker must wake and exit: a drain that hangs fails here
+# instead of stalling CI.
+for _ in $(seq 1 100); do
+    kill -0 "$SERVE_PID" 2> /dev/null || break
+    sleep 0.1
+done
+if kill -0 "$SERVE_PID" 2> /dev/null; then
+    echo "error: serve still running 10 s after POST /shutdown" >&2
+    exit 1
+fi
 wait "$SERVE_PID"
 SERVE_PID=""
 
