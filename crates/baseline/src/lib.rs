@@ -1,42 +1,32 @@
-//! # topics-baseline — the third-party-cookie baseline
+//! # topics-baseline — the Topics re-identification testbed
 //!
 //! The paper frames the Topics API as the replacement for cookie-based
 //! cross-site tracking (§1) and cites re-identification analyses of the
-//! API ([17, 23]). This crate implements that comparison end to end:
+//! API ([17, 23]). This crate measures that residual risk with one
+//! population engine:
 //!
-//! * [`population`] — synthetic users with interest-driven browsing that
-//!   feeds real per-user [`topics_browser::topics::TopicsEngine`]s;
-//! * [`tracker`] — the classical third-party-cookie tracker: exact
-//!   cross-site profiles and near-total fingerprint uniqueness;
-//! * [`reident`] — the Topics re-identification attack: per-context
-//!   topic histograms and nearest-neighbour linkage, measured against
-//!   the cookie baseline's trivially perfect linkage;
-//! * [`arena`] — the same population semantics at 10⁵–10⁶ users: one
-//!   epoch-major arena of packed top-5 slots plus per-user taxonomy
-//!   bitsets, advanced in parallel with byte-identical results for any
-//!   thread count;
-//! * [`simulate`] — population-scale k-anonymity and re-identification
+//! * [`population`] — the browsable site universe, indexed by
+//!   classifier topic;
+//! * [`arena`] — the population itself: interest-driven browsing over
+//!   the universe, advanced epoch by epoch into one epoch-major arena of
+//!   packed top-5 slots plus per-user taxonomy bitsets, in parallel and
+//!   byte-identical for any thread count. Its top-5 semantics are
+//!   checked against the real [`topics_browser::topics::TopicsEngine`]
+//!   by `tests/arena_vs_engine.rs`;
+//! * [`simulate`] — k-anonymity and cross-context re-identification
 //!   curves over the arena, with sparse CSR profiles and an
 //!   inverted-index attack kernel (the `topics-lab simulate` engine).
 //!
-//! The `baseline_reident`, `ablation_noise` and `sim_engine` benches
-//! build on these to chart profiling power versus population size,
-//! versus the 5% noise mechanism, and versus the legacy dense path.
+//! The `sim_engine` bench times the engine's stages and sweeps the
+//! attack's accuracy against noise and population size.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arena;
 pub mod population;
-pub mod reident;
 pub mod simulate;
-pub mod tracker;
 
 pub use arena::{PopulationArena, TopicBitset};
-pub use population::{generate_population, generate_population_with_noise, SiteUniverse, User};
-pub use reident::{
-    collect_profiles, cookie_match, isolated_fraction, match_profiles, match_profiles_top_k,
-    profile_entropy, MatchResult, TopicProfile,
-};
+pub use population::SiteUniverse;
 pub use simulate::{KanonRow, ReidentRow, SimConfig, SimRun, SimStats};
-pub use tracker::CookieTracker;

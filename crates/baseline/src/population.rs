@@ -1,19 +1,17 @@
-//! A synthetic user population with interest-driven browsing.
+//! The site universe a synthetic population browses.
 //!
 //! The re-identification experiments (refs [17, 23] of the paper) need
 //! many users with persistent browsing habits. Each user carries a few
 //! interest topics and, epoch after epoch, visits sites whose classifier
-//! topics overlap those interests — so their Topics profiles are stable
-//! enough to attack, like real users'.
+//! topics overlap those interests (see [`crate::arena::visits_for`]) —
+//! so their Topics profiles are stable enough to attack, like real
+//! users'. This module holds the sites they visit, indexed by topic.
 
-use std::sync::Arc;
 use topics_browser::origin::Site;
-use topics_browser::topics::TopicsEngine;
-use topics_net::clock::Timestamp;
 use topics_net::domain::Domain;
 use topics_net::seed;
 use topics_net::url::Url;
-use topics_taxonomy::{Classification, Classifier, Taxonomy, TopicId, TAXONOMY_SIZE};
+use topics_taxonomy::{Classification, Classifier, TopicId, TAXONOMY_SIZE};
 
 /// The browsable site universe: a pool of domains with stable
 /// classifier-assigned topics.
@@ -96,138 +94,39 @@ impl SiteUniverse {
     }
 }
 
-/// One synthetic user.
-pub struct User {
-    /// Stable user id.
-    pub id: usize,
-    /// The user's interest topics.
-    pub interests: Vec<TopicId>,
-    /// The user's in-browser Topics engine.
-    pub engine: TopicsEngine,
-    seed: u64,
-}
-
-impl User {
-    /// The sites this user visited in `epoch` (deterministic).
-    pub fn visits_in_epoch(
-        &self,
-        universe: &SiteUniverse,
-        epoch: u64,
-        per_epoch: usize,
-    ) -> Vec<usize> {
-        let s = seed::derive_idx(seed::derive(self.seed, "visits"), epoch);
-        let mut out = Vec::with_capacity(per_epoch);
-        for k in 0..per_epoch {
-            let pick = seed::derive_idx(s, k as u64);
-            // 80% interest-driven, 20% random exploration.
-            let idx = if seed::unit_f64(seed::derive(pick, "drive")) < 0.8 {
-                let interest = self.interests[(pick % self.interests.len() as u64) as usize];
-                let candidates = universe.sites_with_topic(interest);
-                if candidates.is_empty() {
-                    (pick % universe.len() as u64) as usize
-                } else {
-                    candidates[(seed::derive(pick, "cand") % candidates.len() as u64) as usize]
-                }
-            } else {
-                (pick % universe.len() as u64) as usize
-            };
-            if !out.contains(&idx) {
-                out.push(idx);
-            }
-        }
-        out
-    }
-}
-
-/// Generate `n` users sharing a classifier, and run their browsing for
-/// `epochs` epochs so their Topics engines carry history.
-pub fn generate_population(
-    seed_val: u64,
-    n: usize,
-    universe: &SiteUniverse,
-    classifier: Arc<Classifier>,
-    epochs: u64,
-    visits_per_epoch: usize,
-) -> Vec<User> {
-    generate_population_with_noise(
-        seed_val,
-        n,
-        universe,
-        classifier,
-        epochs,
-        visits_per_epoch,
-        topics_browser::topics::NOISE_PROBABILITY,
-    )
-}
-
-/// Like [`generate_population`] but with an explicit noise probability
-/// for every user's Topics engine — the knob the `ablation_noise`
-/// benchmark sweeps.
-#[allow(clippy::too_many_arguments)]
-pub fn generate_population_with_noise(
-    seed_val: u64,
-    n: usize,
-    universe: &SiteUniverse,
-    classifier: Arc<Classifier>,
-    epochs: u64,
-    visits_per_epoch: usize,
-    noise_probability: f64,
-) -> Vec<User> {
-    let taxonomy = Taxonomy::global();
-    let sensitive = taxonomy.sensitive_root();
-    // Interests are drawn from topics that actually exist in the
-    // universe (and are reasonably common there), so interest-driven
-    // browsing has sites to land on.
-    let available: Vec<TopicId> = (1..=TAXONOMY_SIZE as u16)
-        .map(TopicId)
-        .filter(|t| *t != sensitive && universe.sites_with_topic(*t).len() >= 2)
-        .collect();
-    assert!(
-        !available.is_empty(),
-        "universe too small: no topic covers ≥2 sites"
-    );
-    let mut users = Vec::with_capacity(n);
-    for id in 0..n {
-        let s = seed::derive_idx(seed::derive(seed_val, "user"), id as u64);
-        let n_interests = 2 + (seed::derive(s, "k") % 3) as usize;
-        let mut interests = Vec::with_capacity(n_interests);
-        let mut attempt = 0u64;
-        while interests.len() < n_interests && attempt < 64 {
-            let t = available[(seed::derive_idx(seed::derive(s, "interest"), attempt)
-                % available.len() as u64) as usize];
-            attempt += 1;
-            if !interests.contains(&t) {
-                interests.push(t);
-            }
-        }
-        let engine = TopicsEngine::new(classifier.clone(), s, true)
-            .with_noise_probability(noise_probability);
-        let mut user = User {
-            id,
-            interests,
-            engine,
-            seed: s,
-        };
-        for epoch in 0..epochs {
-            let t = Timestamp::from_weeks(epoch);
-            for idx in user.visits_in_epoch(universe, epoch, visits_per_epoch) {
-                user.engine.record_visit(&universe.site(idx), t);
-            }
-        }
-        users.push(user);
-    }
-    users
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::{slot_topic, user_seed, visits_for, PopulationArena, MAX_INTERESTS};
 
-    fn setup() -> (SiteUniverse, Vec<User>) {
-        let classifier = Arc::new(Classifier::new(5).with_unclassifiable_rate(0.0));
-        let universe = SiteUniverse::generate(7, 400, &classifier);
-        let users = generate_population(7, 30, &universe, classifier, 4, 20);
-        (universe, users)
+    const SEED: u64 = 7;
+    const VISITS: usize = 20;
+
+    fn setup() -> (SiteUniverse, PopulationArena) {
+        let classifier = Classifier::new(5).with_unclassifiable_rate(0.0);
+        let universe = SiteUniverse::generate(SEED, 400, &classifier);
+        let arena = PopulationArena::build(SEED, 30, 4, VISITS, &universe, 1).unwrap();
+        (universe, arena)
+    }
+
+    /// The sites `user` visits in `epoch`.
+    fn visits(
+        universe: &SiteUniverse,
+        arena: &PopulationArena,
+        user: usize,
+        epoch: u64,
+    ) -> Vec<u32> {
+        let mut out = Vec::new();
+        let interests = arena.interests_of(user);
+        visits_for(
+            user_seed(SEED, user),
+            interests,
+            universe,
+            epoch,
+            VISITS,
+            &mut out,
+        );
+        out
     }
 
     #[test]
@@ -244,11 +143,15 @@ mod tests {
 
     #[test]
     fn users_have_interests_and_history() {
-        let (_, users) = setup();
-        for user in &users {
-            assert!((2..=4).contains(&user.interests.len()));
-            assert_eq!(user.engine.epochs_with_data(), vec![0, 1, 2, 3]);
-            assert!(user.engine.sites_in_epoch(0) > 5);
+        let (universe, arena) = setup();
+        for user in 0..arena.users() {
+            assert!((2..=MAX_INTERESTS).contains(&arena.interests_of(user).len()));
+            for epoch in 0..arena.epochs() {
+                assert!(!visits(&universe, &arena, user, epoch).is_empty());
+                // Every site is classified, so every epoch has real topics.
+                assert!(slot_topic(arena.slot(epoch, user)[0]).1);
+            }
+            assert!(arena.seen_count(user) > 0);
         }
     }
 
@@ -269,17 +172,17 @@ mod tests {
 
     #[test]
     fn browsing_is_interest_skewed() {
-        let (universe, users) = setup();
+        let (universe, arena) = setup();
         // A user's visited sites should over-represent their interests.
-        let user = &users[0];
-        let visits = user.visits_in_epoch(&universe, 0, 20);
+        let interests = arena.interests_of(0);
+        let visits = visits(&universe, &arena, 0, 0);
         let interest_hits = visits
             .iter()
             .filter(|&&i| {
                 universe
-                    .topics(i)
+                    .topics(i as usize)
                     .iter()
-                    .any(|t| user.interests.contains(t))
+                    .any(|t| interests.contains(&t.get()))
             })
             .count();
         assert!(
@@ -291,11 +194,11 @@ mod tests {
 
     #[test]
     fn browsing_is_deterministic() {
-        let (universe, users) = setup();
-        let a = users[3].visits_in_epoch(&universe, 2, 20);
-        let b = users[3].visits_in_epoch(&universe, 2, 20);
+        let (universe, arena) = setup();
+        let a = visits(&universe, &arena, 3, 2);
+        let b = visits(&universe, &arena, 3, 2);
         assert_eq!(a, b);
-        let c = users[3].visits_in_epoch(&universe, 3, 20);
+        let c = visits(&universe, &arena, 3, 3);
         assert_ne!(a, c, "different epochs differ");
     }
 }

@@ -1,89 +1,80 @@
-//! Population engine — arena simulate vs the dense per-user baseline.
+//! Population engine — the `simulate` arena, its accuracy and its stages.
 //!
-//! The `simulate` engine replaces the dense re-identification path of
-//! `topics_core::baseline::reident` (one boxed `User` per person, one
-//! `TAXONOMY_SIZE`-float histogram per profile, O(A × B) cosine
-//! matching) with an epoch-major arena, sparse CSR profiles, and
-//! inverted candidate lists. This bench runs **both** pipelines at
-//! scales the dense path can still finish, prints the honest wall-clock
-//! ratio, and then Criterion-times the engine's stages. The dense path
-//! is quadratic in users, so the ratio grows with scale — the committed
-//! EXPERIMENTS.md table carries the engine-only absolutes at 100k/1M
-//! users where the dense path cannot run at all.
+//! Two sweeps print the re-identification attack's accuracy at the last
+//! checkpoint of [`simulate::run`]:
+//!
+//! * noise ∈ {0, 0.05, 0.15, 0.3, 0.6} at the strong-golden shape (500
+//!   users, 12 epochs, panels covering the whole 200-site universe) —
+//!   how much the per-slot random replacement hides;
+//! * users ∈ {500, 2,000, 5,000} at 8 epochs over 1,000 sites, every
+//!   user queried — how the crowd dilutes the linkage, with the
+//!   engine's wall time.
+//!
+//! Criterion then times the engine's three stages (advance, k-anonymity,
+//! attack) at 10,000 users.
 
 use criterion::Criterion;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 use topics_bench::{banner, BENCH_SEED};
-use topics_core::baseline::{
-    collect_profiles, generate_population, match_profiles, simulate, SimConfig, SiteUniverse,
-};
-use topics_core::net::domain::Domain;
-use topics_core::taxonomy::Classifier;
+use topics_core::baseline::{simulate, ReidentRow, SimConfig};
 
-/// One dense-path run: population + two panel collections + matching.
-fn dense_wall_ms(users: usize, epochs: u64, universe: &SiteUniverse, cls: &Arc<Classifier>) -> u64 {
+/// The last checkpoint of one full `simulate` run, and its wall time.
+fn last_checkpoint(cfg: &SimConfig, threads: usize) -> (ReidentRow, u64) {
     let started = Instant::now();
-    let mut pop = generate_population(BENCH_SEED, users, universe, cls.clone(), epochs, 15);
-    let ctx_a: Vec<usize> = (0..universe.len()).step_by(5).collect();
-    let ctx_b: Vec<usize> = (2..universe.len()).step_by(7).collect();
-    let first = epochs.saturating_sub(3);
-    let a = collect_profiles(
-        &mut pop,
-        universe,
-        &ctx_a,
-        &Domain::parse("adv-a.com").unwrap(),
-        first..epochs,
-    );
-    let b = collect_profiles(
-        &mut pop,
-        universe,
-        &ctx_b,
-        &Domain::parse("adv-b.com").unwrap(),
-        first..epochs,
-    );
-    black_box(match_profiles(&a, &b));
-    started.elapsed().as_millis() as u64
-}
-
-/// One engine run at the same shape: arena advancement + both panels +
-/// every checkpoint of the linkage attack.
-fn engine_wall_ms(users: usize, epochs: u64, threads: usize) -> u64 {
-    let cfg = SimConfig {
-        sites: 1_000,
-        visits_per_epoch: 15,
-        sample: users,
-        ..SimConfig::new(BENCH_SEED, users, epochs)
-    };
-    let universe = simulate::build_universe(&cfg);
-    let started = Instant::now();
-    let arena = simulate::build_arena(&cfg, &universe, threads).expect("bench config validates");
-    black_box(simulate::reident_curve(&cfg, &universe, &arena, threads));
-    started.elapsed().as_millis() as u64
+    let run = simulate::run(cfg, threads).expect("bench config validates");
+    let ms = started.elapsed().as_millis() as u64;
+    (*run.reident.last().expect("window ≥ 1"), ms)
 }
 
 fn main() {
-    banner("Population engine — arena simulate vs dense per-user baseline");
+    banner("Population engine — arena accuracy sweeps and stage timings");
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let cls = Arc::new(Classifier::new(BENCH_SEED).with_unclassifiable_rate(0.0));
-    let universe = SiteUniverse::generate(BENCH_SEED, 1_000, &cls);
-    let epochs = 8u64;
+
     eprintln!(
-        "{:>8} {:>12} {:>14} {:>9}  ({threads} threads, {epochs} epochs)",
-        "users", "dense ms", "engine ms", "speedup"
+        "{:>6} {:>9} {:>9}  (500 users, 12 epochs, 200 sites, 2 × 100-site panels, seed 7)",
+        "noise", "correct", "accuracy"
     );
-    for &users in &[500usize, 2_000, 5_000] {
-        let dense = dense_wall_ms(users, epochs, &universe, &cls).max(1);
-        let engine = engine_wall_ms(users, epochs, threads).max(1);
+    for noise in [0.0, 0.05, 0.15, 0.3, 0.6] {
+        let cfg = SimConfig {
+            sites: 200,
+            context_sites: 100,
+            sample: 500,
+            noise,
+            ..SimConfig::new(7, 500, 12)
+        };
+        let (row, _) = last_checkpoint(&cfg, threads);
         eprintln!(
-            "{users:>8} {dense:>12} {engine:>14} {:>8.1}×",
-            dense as f64 / engine as f64
+            "{noise:>6.2} {:>5}/{:<3} {:>9.3}",
+            row.correct,
+            row.queries,
+            row.accuracy()
         );
     }
-    eprintln!("shape: the dense path is O(users²) in matching alone; the gap widens with scale\n");
+
+    eprintln!(
+        "\n{:>6} {:>13} {:>9} {:>12} {:>10}  (8 epochs, 1,000 sites, 15 visits/epoch, {threads} threads)",
+        "users", "correct", "accuracy", "random floor", "engine ms"
+    );
+    for users in [500usize, 2_000, 5_000] {
+        let cfg = SimConfig {
+            sites: 1_000,
+            visits_per_epoch: 15,
+            sample: users,
+            ..SimConfig::new(BENCH_SEED, users, 8)
+        };
+        let (row, ms) = last_checkpoint(&cfg, threads);
+        eprintln!(
+            "{users:>6} {:>6}/{:<6} {:>9.4} {:>12.6} {ms:>10}",
+            row.correct,
+            row.queries,
+            row.accuracy(),
+            row.random_floor()
+        );
+    }
+    eprintln!();
 
     let cfg = SimConfig {
         sites: 1_000,

@@ -137,7 +137,6 @@ pub struct TopicsEngine {
     epochs: BTreeMap<u64, EpochHistory>,
     seed: u64,
     enabled: bool,
-    noise_probability: f64,
 }
 
 impl TopicsEngine {
@@ -149,17 +148,7 @@ impl TopicsEngine {
             epochs: BTreeMap::new(),
             seed: seed::derive(profile_seed, "topics-engine"),
             enabled,
-            noise_probability: NOISE_PROBABILITY,
         }
-    }
-
-    /// Override the 5% random-replacement probability (clamped to
-    /// `[0, 1]`). Chrome ships 5%; the noise ablation benchmark sweeps
-    /// this to chart plausible deniability against profiling accuracy.
-    #[must_use]
-    pub fn with_noise_probability(mut self, p: f64) -> TopicsEngine {
-        self.noise_probability = p.clamp(0.0, 1.0);
-        self
     }
 
     /// Whether the user has the Topics API enabled.
@@ -317,7 +306,7 @@ impl TopicsEngine {
             seed::derive_idx(self.seed, epoch),
             top_site.domain().as_str(),
         );
-        let noised = seed::unit_f64(seed::derive(slot_seed, "noise")) < self.noise_probability;
+        let noised = seed::unit_f64(seed::derive(slot_seed, "noise")) < NOISE_PROBABILITY;
         if noised {
             // Random replacement: returned regardless of observation.
             return Some(ReturnedTopic {

@@ -146,19 +146,4 @@ proptest! {
         ids.dedup();
         prop_assert_eq!(ids.len(), TOP_N);
     }
-
-    #[test]
-    fn noise_override_bounds_hold(p in -1.0f64..2.0) {
-        let classifier = Arc::new(Classifier::new(3));
-        let engine = TopicsEngine::new(classifier, 1, true).with_noise_probability(p);
-        // Just constructing with an out-of-range p must clamp, and the
-        // engine must still answer.
-        let mut engine = engine;
-        let a = engine.browsing_topics(
-            &Domain::parse("x.example").unwrap(),
-            &site("y.com"),
-            Timestamp::from_weeks(4),
-        );
-        prop_assert!(a.is_some());
-    }
 }
