@@ -18,6 +18,7 @@
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -514,40 +515,40 @@ impl MetricsSnapshot {
     /// when it appears in more than one section (the CI lint checks
     /// this invariant).
     pub fn render_prometheus(&self) -> String {
+        // Writing into a `String` cannot fail, so the `write!` results
+        // are ignored.
         let mut out = String::new();
-        let mut described: BTreeSet<String> = BTreeSet::new();
-        let mut type_line = |out: &mut String, base: &str, kind: &str| {
-            if described.insert(base.to_owned()) {
-                out.push_str(&format!("# HELP {base} topics-lab {kind}\n"));
-                out.push_str(&format!("# TYPE {base} {kind}\n"));
+        let mut described: BTreeSet<&str> = BTreeSet::new();
+        let mut type_line = |out: &mut String, base, kind: &str| {
+            if described.insert(base) {
+                let _ = write!(
+                    out,
+                    "# HELP {base} topics-lab {kind}\n# TYPE {base} {kind}\n"
+                );
             }
         };
         for (name, value) in &self.counters {
             type_line(&mut out, base_name(name), "counter");
-            out.push_str(&format!("{name} {value}\n"));
+            let _ = writeln!(out, "{name} {value}");
         }
         for (name, value) in &self.gauges {
             type_line(&mut out, base_name(name), "gauge");
-            out.push_str(&format!("{name} {value}\n"));
+            let _ = writeln!(out, "{name} {value}");
         }
         for (name, h) in &self.histograms {
             type_line(&mut out, name, "histogram");
             let mut cumulative = 0u64;
             for (i, &c) in h.buckets.iter().enumerate() {
                 cumulative += c;
-                let le = match h.bounds.get(i) {
-                    Some(b) => b.to_string(),
-                    None => "+Inf".to_owned(),
+                let _ = match h.bounds.get(i) {
+                    Some(b) => writeln!(out, "{name}_bucket{{le=\"{b}\"}} {cumulative}"),
+                    None => writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}"),
                 };
-                out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
             }
-            out.push_str(&format!("{name}_sum {}\n", h.sum));
-            out.push_str(&format!("{name}_count {}\n", h.count));
+            let _ = writeln!(out, "{name}_sum {}", h.sum);
+            let _ = writeln!(out, "{name}_count {}", h.count);
             for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)] {
-                out.push_str(&format!(
-                    "{name}_quantile{{q=\"{label}\"}} {}\n",
-                    h.quantile(q)
-                ));
+                let _ = writeln!(out, "{name}_quantile{{q=\"{label}\"}} {}", h.quantile(q));
             }
         }
         out
@@ -691,6 +692,46 @@ mod tests {
         assert!(text.contains("lat_ms_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("lat_ms_count 1"));
         assert!(text.contains("lat_ms_quantile{q=\"0.5\"} 10"));
+    }
+
+    #[test]
+    fn prometheus_exposition_is_pinned_byte_for_byte() {
+        // A base name shared by a counter and a gauge gets one header,
+        // from the section it first appears in.
+        let r = MetricsRegistry::new();
+        r.labeled_counter("calls_total", "class", "b").add(3);
+        r.labeled_counter("calls_total", "class", "a").inc();
+        r.counter("shared").add(2);
+        r.gauge("depth").set(-4);
+        r.labeled_gauge("shared", "k", "v").set(9);
+        let h = r.histogram_with_buckets("lat_ms", &[10, 100]);
+        for v in [7, 50, 500] {
+            h.observe(v);
+        }
+        let want = "\
+# HELP calls_total topics-lab counter
+# TYPE calls_total counter
+calls_total{class=\"a\"} 1
+calls_total{class=\"b\"} 3
+# HELP shared topics-lab counter
+# TYPE shared counter
+shared 2
+# HELP depth topics-lab gauge
+# TYPE depth gauge
+depth -4
+shared{k=\"v\"} 9
+# HELP lat_ms topics-lab histogram
+# TYPE lat_ms histogram
+lat_ms_bucket{le=\"10\"} 1
+lat_ms_bucket{le=\"100\"} 2
+lat_ms_bucket{le=\"+Inf\"} 3
+lat_ms_sum 557
+lat_ms_count 3
+lat_ms_quantile{q=\"0.5\"} 100
+lat_ms_quantile{q=\"0.9\"} 100
+lat_ms_quantile{q=\"0.99\"} 100
+";
+        assert_eq!(r.snapshot().render_prometheus(), want);
     }
 
     #[test]
