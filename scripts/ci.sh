@@ -209,6 +209,16 @@ for T in 1 4; do
         --noise 0 --seed 7 --threads "$T" --quiet --out "$SIM_DIR/strong$T" > /dev/null
     cmp "$SIM_DIR/strong$T/sim_reident.csv" tests/golden/sim_reident_strong.csv
 done
+# One visit per epoch leaves some user-epochs without a classifiable
+# site; the arena pads those like any thin epoch, and the curves must
+# still not depend on the thread count.
+for T in 1 4; do
+    $TL simulate --users 2000 --epochs 8 --sites 800 --visits 1 --sample 500 --seed 7 \
+        --threads "$T" --quiet --out "$SIM_DIR/thin$T" > /dev/null
+done
+for ART in sim_kanon.csv sim_reident.csv; do
+    cmp "$SIM_DIR/thin1/$ART" "$SIM_DIR/thin4/$ART"
+done
 # Trace-only doctor over the simulate trace (no campaign to load).
 $TL doctor --trace "$SIM_DIR/t4/trace.jsonl" > /dev/null
 rm -rf "$SIM_DIR"
