@@ -95,6 +95,17 @@ sed -E 's/"wall_(start|end)_us":[0-9]+,?//g' "$SHARD_DIR/golden/trace.jsonl" \
     | grep -v '"op":true' > "$SHARD_DIR/golden/trace.stripped.jsonl"
 GOLDEN_SUMS="$PWD/tests/golden/crawl_800_seed5.sha256"
 (cd "$SHARD_DIR/golden" && sha256sum --quiet -c "$GOLDEN_SUMS")
+# The same shape split in three shards and merged: the merged trace and
+# campaign.col must match recorded digests, not only each other, so a
+# merge rewrite that shifted every shard count alike still fails — the
+# CLI mirror of golden_merge_digests_are_unchanged.
+for K in 1 2 3; do
+    $TL shard --shard "$K/3" --sites 800 --seed 5 --fault-profile light --quiet \
+        --out "$SHARD_DIR/golden3" > /dev/null
+done
+$TL merge --segments "$SHARD_DIR/golden3" > /dev/null
+MERGE_SUMS="$PWD/tests/golden/merge_800_seed5.sha256"
+(cd "$SHARD_DIR/golden3" && sha256sum --quiet -c "$MERGE_SUMS")
 
 echo "== faulty shard equivalence (light faults, 1-shard and 2-shard merges == single run) =="
 # The benchmark's chaos shape at CI size: retries and fault coins must

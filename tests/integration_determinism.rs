@@ -306,6 +306,38 @@ fn golden_crawl_digests_are_unchanged() {
     );
 }
 
+/// FNV-1a digests of the same 800-site, seed-5, light-fault campaign
+/// run as three shards and merged by `merge_dir_columnar`: the merged
+/// stripped trace as JSONL and `campaign.col`. Both equal the crawl's
+/// golden digests above, as the shard contract demands. The
+/// shard-equivalence tests only compare merges with each other; this
+/// pins the merge itself.
+/// `scripts/ci.sh` checks the same merge through the CLI against
+/// `tests/golden/merge_800_seed5.sha256`.
+#[test]
+fn golden_merge_digests_are_unchanged() {
+    use topics_core::net::seed::fnv1a;
+    use topics_core::obs::Obs;
+    use topics_core::{merge_dir_columnar, run_shard, write_segment};
+
+    let config = LabConfig::quick(5, 800).with_fault_profile(FaultProfile::light());
+    let dir = std::env::temp_dir().join(format!("topics-golden-merge-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for shard in 0..3 {
+        let segment = run_shard(&config, shard, 3, &Obs::new().with_trace());
+        write_segment(&dir, &segment).unwrap();
+    }
+    let merged = merge_dir_columnar(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let trace = fnv1a(merged.trace.to_jsonl().as_bytes());
+    let store = fnv1a(merged.store.bytes());
+    assert_eq!(
+        [trace, store],
+        [0x891d_809d_92f8_e339, 0x23c7_da1a_365b_9152],
+        "merged trace, campaign.col digests: [{trace:#018x}, {store:#018x}]"
+    );
+}
+
 /// FNV-1a digests of every `/api/*` body `QueryService::build` renders
 /// from the same 800-site, seed-5, light-fault, 2-thread crawl's
 /// `campaign.col`, plus the raw `calls.csv` and `sites.csv` that
