@@ -38,7 +38,7 @@ fn run(config: LabConfig, counting: bool) -> RunOutput {
     let trace = obs.trace.finish();
     RunOutput {
         campaign_json: serde_json::to_string(&run.outcome).expect("outcome serialises"),
-        stripped_trace: trace.stripped().to_jsonl(),
+        stripped_trace: trace.clone().stripped().to_jsonl(),
         trace,
         outcome: run.outcome,
     }
