@@ -18,9 +18,10 @@ use std::sync::OnceLock;
 use topics_core::crawler::columnar::ColumnarCampaign;
 use topics_core::crawler::shard::Segment;
 use topics_core::net::fault::FaultProfile;
-use topics_core::obs::Obs;
+use topics_core::obs::{merge_stripped, Obs, Trace};
 use topics_core::{
     evaluate, merge_dir_columnar, read_segment, run_shard, write_segment, Lab, LabConfig,
+    MERGE_RULES,
 };
 
 const SITES: usize = 200;
@@ -407,4 +408,92 @@ fn a_v1_jsonl_segment_is_a_bad_magic_error_naming_the_file() {
     );
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad magic"));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The stripped trace of a traced single-process run of `config`.
+fn stripped_trace(config: &LabConfig) -> Trace {
+    let obs = Obs::new().with_trace();
+    Lab::new(config.clone()).run_observed(&obs);
+    obs.trace.finish().stripped()
+}
+
+/// A 20-site light-fault campaign's stripped trace: the base the
+/// mutation cases below corrupt.
+fn base_trace() -> &'static Trace {
+    static TRACE: OnceLock<Trace> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        stripped_trace(&LabConfig::quick(67, 20).with_fault_profile(FaultProfile::light()))
+    })
+}
+
+/// One structural corruption of a stripped trace, chosen by `kind`, at
+/// span positions derived from `a` and `b`.
+fn mutate(mut trace: Trace, kind: usize, a: usize, b: usize) -> Trace {
+    let n = trace.spans.len();
+    // A non-root span, and a different span.
+    let i = 1 + a % (n - 1);
+    let j = (i + 1 + b % (n - 1)) % n;
+    let spans = &mut trace.spans;
+    match kind {
+        // Duplicated id.
+        0 => spans[i].id = spans[j].id,
+        // Shuffled ids: two spans trade theirs.
+        1 => {
+            let id = spans[i].id;
+            spans[i].id = spans[j].id;
+            spans[j].id = id;
+        }
+        // A parent pointing forward, at the span itself, or nowhere.
+        2 => {
+            let i = i.min(n - 2);
+            spans[i].parent = Some(spans[i + 1 + b % (n - 1 - i)].id);
+        }
+        3 => spans[i].parent = Some(spans[i].id),
+        4 => spans[i].parent = [None, Some(0), Some(n as u64 + 1 + b as u64 % 1000)][b % 3],
+        // An operational span left in.
+        5 => spans[i].op = true,
+        // The root missing.
+        _ => {
+            spans.remove(0);
+        }
+    }
+    trace
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn merged_shard_traces_equal_the_single_run_trace(
+        seed in 0u64..1_000,
+        shards in 1usize..=5,
+    ) {
+        let config = LabConfig::quick(seed, 30).with_fault_profile(FaultProfile::light());
+        let traces: Vec<Trace> = (0..shards)
+            .map(|shard| Trace {
+                spans: run_shard(&config, shard, shards, &Obs::new().with_trace()).trace,
+            })
+            .collect();
+        let borrowed = merge_stripped(&traces, &MERGE_RULES).unwrap();
+        let owned = merge_stripped(traces, &MERGE_RULES).unwrap();
+        prop_assert_eq!(&owned, &borrowed, "owned and borrowed inputs merge alike");
+        prop_assert_eq!(owned, stripped_trace(&config), "{} shards", shards);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn corrupted_stripped_traces_are_merge_errors(
+        kind in 0usize..7,
+        a in any::<usize>(),
+        b in any::<usize>(),
+        paired in any::<bool>(),
+    ) {
+        let base = base_trace();
+        let bad = mutate(base.clone(), kind, a, b);
+        let inputs = if paired { vec![base.clone(), bad] } else { vec![bad] };
+        prop_assert!(merge_stripped(inputs, &MERGE_RULES).is_err(), "mutation {} merged", kind);
+    }
 }

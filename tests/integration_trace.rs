@@ -8,8 +8,8 @@
 
 use topics_core::crawler::record::CampaignOutcome;
 use topics_core::net::fault::FaultProfile;
-use topics_core::obs::{Obs, Trace};
-use topics_core::{diagnose, Lab, LabConfig};
+use topics_core::obs::{merge_stripped, Obs, Trace};
+use topics_core::{diagnose, Lab, LabConfig, MERGE_RULES};
 
 const SITES: usize = 500;
 
@@ -58,6 +58,50 @@ fn trace_survives_a_jsonl_round_trip() {
     let chrome = trace.to_chrome_json();
     assert!(chrome.starts_with("{\"traceEvents\":["));
     assert!(chrome.matches("\"ph\":").count() >= trace.spans.len());
+}
+
+/// The trace JSONL reader (the `doctor` and `serve` loader) against
+/// every line-boundary truncation, every cut one byte short of a line
+/// end, and 2,000 single-bit flips of a small light-fault campaign's
+/// stripped trace. Each input is an error naming the line it broke, or a trace
+/// that `merge_stripped` accepts or rejects without panicking; a cut at
+/// a line boundary leaves a trace the merge accepts.
+#[test]
+fn trace_jsonl_reader_survives_truncation_and_byte_flips() {
+    // 444 lines: three visits with retries, then the probe phase. An
+    // 800-site trace has 38k lines; at ~15 µs a line in a debug build,
+    // reading each of its truncations would take hours.
+    let text = stripped_jsonl(LabConfig::quick(37, 3).with_fault_profile(FaultProfile::light()));
+    assert!(text.contains("\"retry\"") && text.contains("\"probe\""));
+    let read = |input: &str, line: usize| match Trace::from_jsonl(input) {
+        Err(e) => {
+            assert!(e.starts_with(&format!("trace line {line}:")), "{e}");
+            None
+        }
+        Ok(trace) => Some(merge_stripped(vec![trace], &MERGE_RULES)),
+    };
+    for (line, (end, _)) in text.match_indices('\n').enumerate() {
+        let merged = read(&text[..=end], line + 1).expect("whole lines parse");
+        assert!(merged.is_ok(), "cut after line {}: {merged:?}", line + 1);
+        assert!(
+            read(&text[..end - 1], line + 1).is_none(),
+            "line {} cut short parsed",
+            line + 1
+        );
+    }
+    let mut bytes = text.into_bytes();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    for _ in 0..2_000 {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let at = (state >> 33) as usize % bytes.len();
+        let mask = 1u8 << (state % 7);
+        bytes[at] ^= mask;
+        let line = 1 + bytes[..at].iter().filter(|&&c| c == b'\n').count();
+        read(&String::from_utf8_lossy(&bytes), line);
+        bytes[at] ^= mask;
+    }
 }
 
 #[test]
