@@ -38,15 +38,12 @@
 //! ```
 //!
 //! Nothing depends on scheduling: epoch advancement distributes
-//! fixed user blocks over a scoped worker pool (workers claim blocks
-//! through a shared cursor, the same claim pattern as the crawler's
-//! probe pool), and each block owns its output slices. The arena
-//! bytes are therefore identical for any `--threads`, which the
-//! simulation determinism suite asserts.
+//! fixed user blocks over the workspace's claim-queue pool
+//! ([`topics_net::pool`], the crawler's pool too), and each block owns
+//! its output slices. The arena bytes are therefore identical for any
+//! `--threads`, which the simulation determinism suite asserts.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use topics_net::seed;
+use topics_net::{pool, seed};
 use topics_taxonomy::{Taxonomy, TopicId, TAXONOMY_SIZE};
 
 use crate::population::SiteUniverse;
@@ -234,7 +231,7 @@ impl PopulationArena {
         let mut top5 = vec![0u16; slots];
         let mut seen = vec![0u64; users * BITSET_WORDS];
         let mut interests = vec![0u16; users * MAX_INTERESTS];
-        let visits_total = AtomicU64::new(0);
+        let mut visits_total = 0u64;
 
         // Pass 1: interests. Blocks only touch their own slice, so the
         // claim order cannot leak into the output.
@@ -243,7 +240,7 @@ impl PopulationArena {
                 .chunks_mut(BLOCK_USERS * MAX_INTERESTS)
                 .enumerate()
                 .collect();
-            run_jobs(jobs, threads, |(block, chunk)| {
+            pool::run(jobs, threads, None, |(block, chunk)| {
                 for local in 0..chunk.len() / MAX_INTERESTS {
                     let u = block * BLOCK_USERS + local;
                     let s = user_seed(sim_seed, u);
@@ -277,7 +274,7 @@ impl PopulationArena {
                 .enumerate()
                 .map(|(block, (slots, seen))| (block, slots, seen))
                 .collect();
-            run_jobs(jobs, threads, |(block, slot_chunk, seen_chunk)| {
+            let visits = pool::run(jobs, threads, None, |(block, slot_chunk, seen_chunk)| {
                 let mut counts = vec![0u16; TAXONOMY_SIZE + 1];
                 let mut touched: Vec<u16> = Vec::with_capacity(64);
                 let mut visits: Vec<u32> = Vec::with_capacity(visits_per_epoch);
@@ -337,8 +334,9 @@ impl PopulationArena {
                         counts[id as usize] = 0;
                     }
                 }
-                visits_total.fetch_add(block_visits, Ordering::Relaxed);
+                block_visits
             });
+            visits_total += visits.results.iter().sum::<u64>();
         }
 
         Ok(PopulationArena {
@@ -349,7 +347,7 @@ impl PopulationArena {
             top5,
             seen,
             interests,
-            visits_total: visits_total.into_inner(),
+            visits_total,
         })
     }
 
@@ -417,31 +415,6 @@ fn interests_ref(packed: &[u16], user: usize) -> &[u16] {
 fn trimmed(slots: &[u16]) -> &[u16] {
     let n = slots.iter().position(|&t| t == 0).unwrap_or(slots.len());
     &slots[..n]
-}
-
-/// Distribute pre-chunked mutable work items over a scoped worker
-/// pool. Workers claim jobs through a shared cursor (a locked
-/// iterator — the claim-by-index pattern the crawler's probe pool
-/// proves out), so scheduling is racy but every job owns its output
-/// slices: the result bytes cannot depend on `threads`.
-pub(crate) fn run_jobs<T: Send>(jobs: Vec<T>, threads: usize, work: impl Fn(T) + Sync) {
-    let threads = threads.max(1).min(jobs.len().max(1));
-    if threads <= 1 {
-        for job in jobs {
-            work(job);
-        }
-        return;
-    }
-    let queue = Mutex::new(jobs.into_iter());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let job = queue.lock().expect("job queue lock").next();
-                let Some(job) = job else { break };
-                work(job);
-            });
-        }
-    });
 }
 
 #[cfg(test)]

@@ -33,13 +33,10 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
-use topics_net::seed;
+use topics_net::{pool, seed};
 use topics_taxonomy::{Taxonomy, TAXONOMY_SIZE};
 
-use crate::arena::{
-    self, run_jobs, slot_topic, user_seed, visits_for, PopulationArena, TopicBitset, TOP_N,
-};
+use crate::arena::{self, slot_topic, user_seed, visits_for, PopulationArena, TopicBitset, TOP_N};
 use crate::population::SiteUniverse;
 use topics_taxonomy::Classifier;
 
@@ -254,9 +251,8 @@ pub fn build_arena(
 /// *real* (organic) top-5 topics — what an observer who strips the
 /// uniform noise would learn — and report how identifying that set is.
 pub fn kanon_curve(arena: &PopulationArena, threads: usize) -> Vec<KanonRow> {
-    let out = Mutex::new(Vec::with_capacity(arena.epochs() as usize));
     let jobs: Vec<u64> = (0..arena.epochs()).collect();
-    run_jobs(jobs, threads, |e| {
+    pool::run(jobs, threads, None, |e| {
         // Real topic ids are ≤ 469 < 2^12 and arrive ranked; re-sorting
         // ascending makes the 12-bit-packed key canonical per set.
         let mut groups: HashMap<u64, u64> = HashMap::new();
@@ -280,19 +276,16 @@ pub fn kanon_curve(arena: &PopulationArena, threads: usize) -> Vec<KanonRow> {
         sizes.sort_unstable();
         let users = arena.users() as u64;
         let unique_users = sizes.iter().filter(|&&s| s == 1).count() as u64;
-        let row = KanonRow {
+        KanonRow {
             epoch: e,
             users,
             groups: sizes.len() as u64,
             unique_users,
             median_group: weighted_percentile(&sizes, users, 50),
             p10_group: weighted_percentile(&sizes, users, 10),
-        };
-        out.lock().expect("kanon rows lock").push(row);
-    });
-    let mut rows = out.into_inner().expect("kanon rows lock");
-    rows.sort_unstable_by_key(|r| r.epoch);
-    rows
+        }
+    })
+    .results
 }
 
 /// The group size of the `pct`-th percentile **user** (not group):
@@ -412,7 +405,6 @@ struct CollectStats {
 
 /// One block's worth of freshly collected profiles for one panel.
 struct BlockOut {
-    first_user: usize,
     lens: Vec<u32>,
     topics: Vec<u16>,
     counts: Vec<u16>,
@@ -420,9 +412,8 @@ struct BlockOut {
 }
 
 impl BlockOut {
-    fn new(first_user: usize, users: usize) -> BlockOut {
+    fn new(users: usize) -> BlockOut {
         BlockOut {
-            first_user,
             lens: Vec::with_capacity(users),
             topics: Vec::new(),
             counts: Vec::new(),
@@ -457,13 +448,11 @@ fn collect_epoch(
 ) -> [(Csr, CollectStats); 2] {
     let taxonomy = Taxonomy::global();
     let users = cfg.users;
-    let outputs: Mutex<Vec<[BlockOut; 2]>> = Mutex::new(Vec::with_capacity(users.div_ceil(BLOCK)));
-
     let jobs: Vec<usize> = (0..users.div_ceil(BLOCK)).collect();
-    run_jobs(jobs, threads, |block| {
+    let blocks = pool::run(jobs, threads, None, |block| {
         let lo = block * BLOCK;
         let hi = (lo + BLOCK).min(users);
-        let mut out = [BlockOut::new(lo, hi - lo), BlockOut::new(lo, hi - lo)];
+        let mut out = [BlockOut::new(hi - lo), BlockOut::new(hi - lo)];
         let mut counts = vec![0u16; TAXONOMY_SIZE + 1];
         let mut touched: Vec<u16> = Vec::with_capacity(64);
         let mut visits: Vec<u32> = Vec::with_capacity(cfg.visits_per_epoch);
@@ -553,16 +542,15 @@ fn collect_epoch(
                 touched.clear();
             }
         }
-        outputs.lock().expect("collect outputs lock").push(out);
+        out
     });
 
-    let mut blocks = outputs.into_inner().expect("collect outputs lock");
-    blocks.sort_unstable_by_key(|[a, _]| a.first_user);
-    let (a, b): (Vec<BlockOut>, Vec<BlockOut>) = blocks.into_iter().map(|[a, b]| (a, b)).unzip();
+    let (a, b): (Vec<BlockOut>, Vec<BlockOut>) =
+        blocks.results.into_iter().map(|[a, b]| (a, b)).unzip();
     [concat_blocks(users, a), concat_blocks(users, b)]
 }
 
-/// Stitch one panel's per-block outputs (sorted by first user) into a
+/// Stitch one panel's per-block outputs (in block order) into a
 /// CSR increment and sum their counters.
 fn concat_blocks(users: usize, blocks: Vec<BlockOut>) -> (Csr, CollectStats) {
     let mut csr = Csr {
@@ -672,7 +660,7 @@ fn best_matches(cum_a: &Csr, cum_b: &Csr, sample: &[u32], threads: usize) -> Vec
         .chunks(QUERY_BLOCK)
         .zip(best.chunks_mut(QUERY_BLOCK))
         .collect();
-    run_jobs(jobs, threads, |(queries, out)| {
+    pool::run(jobs, threads, None, |(queries, out)| {
         let mut score = vec![0u64; users];
         let mut touched: Vec<u32> = Vec::new();
         for (&q, out) in queries.iter().zip(out) {

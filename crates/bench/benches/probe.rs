@@ -40,7 +40,7 @@ fn main() {
     c.bench_function("probe/sequential", |b| {
         b.iter(|| {
             black_box(probe_domains(
-                world, &domains, probe_time, &retry, 1, None, None,
+                world, &domains, probe_time, &retry, 1, None, None, None,
             ))
         })
     });
@@ -48,7 +48,7 @@ fn main() {
         c.bench_function(&format!("probe/threads-{threads}"), |b| {
             b.iter(|| {
                 black_box(probe_domains(
-                    world, &domains, probe_time, &retry, threads, None, None,
+                    world, &domains, probe_time, &retry, threads, None, None, None,
                 ))
             })
         });

@@ -40,18 +40,11 @@ impl LabConfig {
         self
     }
 
-    /// Limit crawl threads (useful under Criterion to reduce variance).
+    /// Limit the crawl and probe worker threads (CLI `--threads`); the
+    /// campaign is byte-identical for every value.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> LabConfig {
         self.campaign.threads = threads.max(1);
-        self
-    }
-
-    /// Limit attestation-probe threads (CLI `--probe-threads`); the
-    /// probe results are byte-identical for every value.
-    #[must_use]
-    pub fn with_probe_threads(mut self, threads: usize) -> LabConfig {
-        self.campaign.probe_threads = Some(threads.max(1));
         self
     }
 
@@ -106,11 +99,8 @@ mod tests {
     #[test]
     fn probe_builders_configure_the_campaign() {
         let c = LabConfig::quick(1, 100);
-        assert_eq!(c.campaign.probe_threads, None, "defaults to crawl threads");
         assert!(!c.campaign.probe_cache, "cache defaults off");
-        let c = c.with_probe_threads(0).with_probe_cache();
-        assert_eq!(c.campaign.probe_threads, Some(1), "clamped to ≥1");
-        assert!(c.campaign.probe_cache);
+        assert!(c.with_probe_cache().campaign.probe_cache);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use crate::visit::{
     run_site_full, run_site_traced, ConsentAction, VisitPolicy, DEFAULT_VISIT_TIMEOUT_MS,
 };
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use topics_browser::attestation::{AttestationStore, EnforcementMode};
 use topics_net::clock::Timestamp;
@@ -24,12 +23,13 @@ use topics_net::domain::Domain;
 use topics_net::fault::{FaultMetrics, FaultPlan, FaultProfile, FaultyService};
 use topics_net::http::{HttpRequest, ResourceKind};
 use topics_net::metrics::NetMetrics;
+use topics_net::pool;
 use topics_net::seed;
 use topics_net::service::{NetworkService, RetryPolicy};
 use topics_net::url::Url;
 use topics_net::wellknown::{attestation_url, AttestationError, AttestationFile};
 use topics_obs::alloc::{AllocDelta, AllocSpan, WindowSpan};
-use topics_obs::{FieldValue, Level, Obs, TraceBuilder, Tracer};
+use topics_obs::{FieldValue, Level, Obs, SpanGuard, TraceBuilder, Tracer, TracerSpan};
 use topics_taxonomy::Classifier;
 
 /// The crawl start: 2024-03-30, i.e. day 303 of the simulation
@@ -60,7 +60,8 @@ pub enum AllowListSetup {
 pub struct CampaignConfig {
     /// Allow-list setup (the paper uses `CorruptedFailOpen`).
     pub allow_list: AllowListSetup,
-    /// Worker threads for the crawl.
+    /// Worker threads for the crawl and the attestation probe; the
+    /// campaign is byte-identical for every value.
     pub threads: usize,
     /// Milliseconds of simulated time between consecutive site starts
     /// (the paper's crawl covers 50k sites in about one day ⇒ ~1.7s).
@@ -85,10 +86,6 @@ pub struct CampaignConfig {
     /// Per-visit simulated time budget (see
     /// [`DEFAULT_VISIT_TIMEOUT_MS`]).
     pub visit_timeout_ms: u64,
-    /// Worker threads for the attestation-probe phase; `None` (the
-    /// default) reuses [`CampaignConfig::threads`]. The probe result
-    /// vector is byte-identical for every value.
-    pub probe_threads: Option<usize>,
     /// Memoise probe results across campaigns in this process (keyed by
     /// world fingerprint, probe time, and domain). Off by default so a
     /// fresh process and a warm one report identical live metrics;
@@ -111,7 +108,6 @@ impl Default for CampaignConfig {
             fault_seed: None,
             retry: RetryPolicy::standard(),
             visit_timeout_ms: DEFAULT_VISIT_TIMEOUT_MS,
-            probe_threads: None,
             probe_cache: false,
         }
     }
@@ -187,6 +183,93 @@ fn attribute_alloc(tb: &mut TraceBuilder, idx: usize, delta: &AllocDelta) {
     tb.field(idx, "peak_bytes", delta.peak_bytes);
 }
 
+/// The observability around one campaign phase: its `span` event and
+/// `phase_wall_us` gauge, its trace span, the `phase_workers` gauge,
+/// and a process-wide allocation window over all its workers (a no-op
+/// unless the counting allocator is on; phases are sequential, so the
+/// windows never overlap).
+struct PhaseObs<'o> {
+    name: &'static str,
+    obs: Option<&'o Obs>,
+    event: Option<SpanGuard<'o>>,
+    span: Option<TracerSpan<'o>>,
+    window: WindowSpan,
+}
+
+impl<'o> PhaseObs<'o> {
+    fn open(
+        name: &'static str,
+        obs: Option<&'o Obs>,
+        tracer: Option<&'o Tracer>,
+        threads: usize,
+    ) -> PhaseObs<'o> {
+        if let Some(o) = obs {
+            o.metrics
+                .labeled_gauge("phase_workers", "phase", name)
+                .set(threads as i64);
+        }
+        PhaseObs {
+            name,
+            obs,
+            event: obs.map(|o| o.events.span(name)),
+            span: tracer.map(|t| t.phase(name)),
+            window: WindowSpan::start(),
+        }
+    }
+
+    /// Attach each unit's span tree in job order, then the pool's
+    /// worker spans, and close the phase. Its simulated bounds run from
+    /// `sim_start` to the latest unit end.
+    fn close(
+        self,
+        units: Vec<Option<TraceBuilder>>,
+        workers: Vec<TraceBuilder>,
+        sim_start: u64,
+        trace_fields: &[(&str, usize)],
+        (event_key, event_value): (&str, usize),
+    ) {
+        let mut sim_end = sim_start;
+        if let Some(span) = &self.span {
+            for tb in units.into_iter().flatten() {
+                sim_end = sim_end.max(tb.max_sim_end().unwrap_or(sim_end));
+                span.attach(tb);
+            }
+        }
+        let alloc = self.window.finish();
+        if let (Some(o), false) = (self.obs, alloc.is_zero()) {
+            o.metrics
+                .labeled_gauge("mem_phase_alloc_bytes", "phase", self.name)
+                .set(alloc.alloc_bytes as i64);
+            o.metrics
+                .labeled_gauge("mem_phase_peak_bytes", "phase", self.name)
+                .set(alloc.peak_bytes as i64);
+        }
+        if let Some(span) = self.span {
+            for tb in workers {
+                span.attach(tb);
+            }
+            for &(key, value) in trace_fields {
+                span.field(key, value);
+            }
+            if !alloc.is_zero() {
+                span.field("alloc_bytes", alloc.alloc_bytes);
+                span.field("alloc_count", alloc.alloc_count);
+                span.field("peak_bytes", alloc.peak_bytes);
+            }
+            span.end(Some((sim_start, sim_end)));
+        }
+        if let Some(mut event) = self.event {
+            event.field(event_key, event_value);
+            if let Some(o) = self.obs {
+                o.metrics
+                    .labeled_gauge("phase_wall_us", "phase", self.name)
+                    .set(event.elapsed_us() as i64);
+            }
+            event.end();
+        }
+    }
+}
+
 /// Build the browser-side attestation store for a setup.
 pub fn build_store(setup: AllowListSetup, allow_list: &[Domain]) -> AttestationStore {
     match setup {
@@ -203,28 +286,15 @@ pub fn run_campaign<W: CrawlTarget + ?Sized>(
     world: &W,
     config: &CampaignConfig,
 ) -> CampaignOutcome {
-    run_campaign_with_progress(world, config, |_done, _total| {})
+    run_campaign_observed(world, config, None, |_done, _total| {})
 }
 
-/// [`run_campaign`] with a progress callback, invoked roughly every 500
-/// completed sites with `(done, total)` (from whichever worker crosses
-/// the boundary — counts are monotone but not strictly sequential).
-pub fn run_campaign_with_progress<W, F>(
-    world: &W,
-    config: &CampaignConfig,
-    progress: F,
-) -> CampaignOutcome
-where
-    W: CrawlTarget + ?Sized,
-    F: Fn(usize, usize) + Sync,
-{
-    run_campaign_observed(world, config, None, progress)
-}
-
-/// [`run_campaign_with_progress`] with observability attached: live
-/// per-worker throughput counters, browser-level network and
-/// Topics-call series, per-site visit events, and `crawl` /
-/// `attestation-probe` phase spans in the event log.
+/// [`run_campaign`] with observability attached: live crawl counters,
+/// browser-level network and Topics-call series, per-site visit
+/// events, and `crawl` / `attestation-probe` phase spans in the event
+/// log. `progress` is invoked roughly every 500 completed sites with
+/// `(done, total)` (from whichever worker crosses the boundary — counts
+/// are monotone but not strictly sequential).
 pub fn run_campaign_observed<W, F>(
     world: &W,
     config: &CampaignConfig,
@@ -311,172 +381,78 @@ where
     let service: &FaultyService<'_, W> = &faulty;
 
     let threads = config.threads.max(1);
-    let stripe_start = stripe.start;
     let stripe_len = stripe.len();
     let done = std::sync::atomic::AtomicUsize::new(0);
-    let crawl_span = obs.map(|o| o.events.span("crawl"));
-    // Trace wiring: each worker records its visits into private builders
-    // (no shared state on the hot path); the coordinator attaches them
+    // Trace wiring: each visit records into a private builder (no
+    // shared state on the hot path); the coordinator attaches them
     // under the `crawl` phase span in rank order, so span IDs are
     // byte-identical for every thread count. Worker utilization rides
     // along as operational spans, excluded from the stripped view.
     let tracer: Option<&Tracer> = obs.map(|o| &o.trace).filter(|t| t.is_enabled());
-    let crawl_tspan = tracer.map(|t| t.phase("crawl"));
-    // Process-wide allocation window for the whole crawl phase (all
-    // worker threads included); no-op unless the counting allocator is
-    // enabled. Phases are sequential, so the windows never overlap.
-    let crawl_window = WindowSpan::start();
-    if let Some(o) = obs {
-        o.metrics
-            .labeled_gauge("phase_workers", "phase", "crawl")
-            .set(threads as i64);
-    }
-    let mut pairs: Vec<(SiteOutcome, Option<TraceBuilder>)> = Vec::with_capacity(stripe_len);
-    let mut worker_traces: Vec<TraceBuilder> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let targets = &targets;
-            let store = store.clone();
-            let classifier = classifier.clone();
-            let done = &done;
-            let progress = &progress;
-            let metrics = metrics.clone();
-            handles.push(scope.spawn(move || {
-                let worker_sites = obs.map(|o| {
-                    o.metrics
-                        .labeled_counter("crawl_worker_sites_total", "worker", &t.to_string())
-                });
-                let mut op = tracer.and_then(Tracer::visit_builder);
-                let op_span = op.as_mut().map(|tb| {
-                    let idx = tb.open_op("worker", None);
-                    tb.field(idx, "phase", "crawl");
-                    tb.field(idx, "worker", t);
-                    idx
-                });
-                let worker_started = std::time::Instant::now();
-                let mut busy_us = 0u64;
-                let mut items = 0u64;
-                let mut out: Vec<(SiteOutcome, Option<TraceBuilder>)> = Vec::new();
-                // Workers stride over stripe *offsets*; the rank fed to
-                // the visit (timestamps, per-profile seeds) stays global
-                // so sharded and unsharded records coincide.
-                let mut off = t;
-                while off < stripe_len {
-                    let rank = stripe_start + off;
-                    let started = config
-                        .start
-                        .plus_millis(rank as u64 * config.per_site_interval_ms);
-                    let mut vtrace = tracer.and_then(Tracer::visit_builder);
-                    let item_started = std::time::Instant::now();
-                    // Thread-local allocation scope for this visit; the
-                    // visit root is always builder span index 0.
-                    let vspan = AllocSpan::start();
-                    let outcome = run_site_traced(
-                        service,
-                        &targets[rank],
-                        rank,
-                        classifier.clone(),
-                        store.clone(),
-                        seed,
-                        started,
-                        config.consent_action,
-                        config.vantage,
-                        metrics.as_ref(),
-                        &policy,
-                        vtrace.as_mut(),
-                    );
-                    let valloc = vspan.finish();
-                    if let Some(tb) = vtrace.as_mut() {
-                        attribute_alloc(tb, 0, &valloc);
-                    }
-                    busy_us += item_started.elapsed().as_micros() as u64;
-                    items += 1;
-                    if let Some(c) = &worker_sites {
-                        c.inc();
-                    }
-                    if let Some(o) = obs {
-                        o.events.event(
-                            Level::Debug,
-                            "visit",
-                            Some(started.millis()),
-                            vec![
-                                ("rank".to_owned(), FieldValue::U64(rank as u64)),
-                                (
-                                    "website".to_owned(),
-                                    FieldValue::Str(outcome.website.to_string()),
-                                ),
-                                ("visited".to_owned(), FieldValue::Bool(outcome.visited())),
-                                ("accepted".to_owned(), FieldValue::Bool(outcome.accepted())),
-                            ],
-                        );
-                    }
-                    out.push((outcome, vtrace));
-                    let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                    if n % 500 == 0 || n == stripe_len {
-                        progress(n, stripe_len);
-                    }
-                    off += threads;
-                }
-                if let (Some(tb), Some(idx)) = (op.as_mut(), op_span) {
-                    tb.field(idx, "busy_us", busy_us);
-                    tb.field(idx, "span_us", worker_started.elapsed().as_micros() as u64);
-                    tb.field(idx, "items", items);
-                    tb.close(idx, None);
-                }
-                (out, op)
-            }));
-        }
-        for handle in handles {
-            let (out, op) = handle.join().expect("crawl worker panicked");
-            pairs.extend(out);
-            worker_traces.extend(op);
-        }
-    });
-    pairs.sort_by_key(|(s, _)| s.rank);
-    let mut sites: Vec<SiteOutcome> = Vec::with_capacity(pairs.len());
-    let mut crawl_sim_end = config.start.millis();
-    for (site, vtrace) in pairs {
-        if let (Some(span), Some(tb)) = (crawl_tspan.as_ref(), vtrace) {
-            if let Some(end) = tb.max_sim_end() {
-                crawl_sim_end = crawl_sim_end.max(end);
+    let crawl_phase = PhaseObs::open("crawl", obs, tracer, threads);
+    // Jobs are global ranks, so the timestamps and per-profile seeds a
+    // visit derives from its rank coincide in sharded and unsharded runs.
+    let crawled = pool::run(
+        stripe.collect(),
+        threads,
+        tracer.map(|t| (t, "crawl")),
+        |rank: usize| {
+            let started = config
+                .start
+                .plus_millis(rank as u64 * config.per_site_interval_ms);
+            let mut vtrace = tracer.and_then(Tracer::visit_builder);
+            // Thread-local allocation scope for this visit; the visit
+            // root is always builder span index 0.
+            let vspan = AllocSpan::start();
+            let outcome = run_site_traced(
+                service,
+                &targets[rank],
+                rank,
+                classifier.clone(),
+                store.clone(),
+                seed,
+                started,
+                config.consent_action,
+                config.vantage,
+                metrics.as_ref(),
+                &policy,
+                vtrace.as_mut(),
+            );
+            let valloc = vspan.finish();
+            if let Some(tb) = vtrace.as_mut() {
+                attribute_alloc(tb, 0, &valloc);
             }
-            span.attach(tb);
-        }
-        sites.push(site);
-    }
-    let crawl_alloc = crawl_window.finish();
-    if let Some(o) = obs {
-        if !crawl_alloc.is_zero() {
-            o.metrics
-                .labeled_gauge("mem_phase_alloc_bytes", "phase", "crawl")
-                .set(crawl_alloc.alloc_bytes as i64);
-            o.metrics
-                .labeled_gauge("mem_phase_peak_bytes", "phase", "crawl")
-                .set(crawl_alloc.peak_bytes as i64);
-        }
-    }
-    if let Some(span) = crawl_tspan {
-        for tb in worker_traces {
-            span.attach(tb);
-        }
-        span.field("sites", sites.len());
-        if !crawl_alloc.is_zero() {
-            span.field("alloc_bytes", crawl_alloc.alloc_bytes);
-            span.field("alloc_count", crawl_alloc.alloc_count);
-            span.field("peak_bytes", crawl_alloc.peak_bytes);
-        }
-        span.end(Some((config.start.millis(), crawl_sim_end)));
-    }
-    if let Some(mut span) = crawl_span {
-        span.field("sites", stripe_len);
-        if let Some(o) = obs {
-            o.metrics
-                .labeled_gauge("phase_wall_us", "phase", "crawl")
-                .set(span.elapsed_us() as i64);
-        }
-        span.end();
-    }
+            if let Some(o) = obs {
+                o.events.event(
+                    Level::Debug,
+                    "visit",
+                    Some(started.millis()),
+                    vec![
+                        ("rank".to_owned(), FieldValue::U64(rank as u64)),
+                        (
+                            "website".to_owned(),
+                            FieldValue::Str(outcome.website.to_string()),
+                        ),
+                        ("visited".to_owned(), FieldValue::Bool(outcome.visited())),
+                        ("accepted".to_owned(), FieldValue::Bool(outcome.accepted())),
+                    ],
+                );
+            }
+            let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+            if n % 500 == 0 || n == stripe_len {
+                progress(n, stripe_len);
+            }
+            (outcome, vtrace)
+        },
+    );
+    let (sites, visit_traces): (Vec<SiteOutcome>, Vec<_>) = crawled.results.into_iter().unzip();
+    crawl_phase.close(
+        visit_traces,
+        crawled.workers,
+        config.start.millis(),
+        &[("sites", sites.len())],
+        ("sites", stripe_len),
+    );
 
     // ---- Attestation probing (§2.3) ----------------------------------
     // Probe every encountered party (first and third) plus every domain
@@ -499,15 +475,7 @@ where
         }
     }
     let domains: Vec<&Domain> = to_probe.into_iter().collect();
-    let probe_threads = config.probe_threads.unwrap_or(threads).max(1);
-    let probe_span = obs.map(|o| o.events.span("attestation-probe"));
-    let probe_tspan = tracer.map(|t| t.phase("attestation-probe"));
-    let probe_window = WindowSpan::start();
-    if let Some(o) = obs {
-        o.metrics
-            .labeled_gauge("phase_workers", "phase", "attestation-probe")
-            .set(probe_threads as i64);
-    }
+    let probe_phase = PhaseObs::open("attestation-probe", obs, tracer, threads);
 
     // The memo cache only applies when the target vouches for its
     // content (a fingerprint) and no fault plan can perturb responses.
@@ -516,105 +484,69 @@ where
     } else {
         None
     };
-    let mut results: Vec<Option<AttestationProbe>> = Vec::new();
-    results.resize_with(domains.len(), || None);
-    let mut pending: Vec<(usize, &Domain)> = Vec::with_capacity(domains.len());
-    match memo_key {
+    // One slot per domain: the memoised probe, or `None` to fetch.
+    let cached: Vec<Option<AttestationProbe>> = match memo_key {
         Some(key) => {
             let cache = probe_memo().lock();
-            match cache.get(&key) {
-                Some(warm) => {
-                    for (i, d) in domains.iter().enumerate() {
-                        match warm.get(*d) {
-                            Some(p) => results[i] = Some(p.clone()),
-                            None => pending.push((i, *d)),
-                        }
-                    }
-                }
-                None => pending.extend(domains.iter().copied().enumerate()),
-            }
+            let warm = cache.get(&key);
+            domains
+                .iter()
+                .map(|d| warm.and_then(|w| w.get(*d)).cloned())
+                .collect()
         }
-        None => pending.extend(domains.iter().copied().enumerate()),
-    }
+        None => vec![None; domains.len()],
+    };
+    let pending: Vec<&Domain> = domains
+        .iter()
+        .zip(&cached)
+        .filter(|(_, c)| c.is_none())
+        .map(|(d, _)| *d)
+        .collect();
+    let cache_hits = domains.len() - pending.len();
     if let Some(o) = obs {
         if memo_key.is_some() {
             o.metrics
                 .counter("attestation_probe_cache_hits_total")
-                .add((domains.len() - pending.len()) as u64);
+                .add(cache_hits as u64);
         }
     }
-    let cache_hits = domains.len() - pending.len();
-    let (fetched, probe_workers) = probe_indexed(
+    let fetched = probe_domains(
         service,
         &pending,
         probe_time,
         &policy.retry,
-        probe_threads,
+        threads,
         obs,
         tracer,
         metrics.as_ref().map(|m| &m.net),
     );
     if let Some(key) = memo_key {
-        if !fetched.is_empty() {
+        if !fetched.results.is_empty() {
             let mut cache = probe_memo().lock();
             let warm = cache.entry(key).or_default();
-            for (_, probe, _) in &fetched {
+            for (probe, _) in &fetched.results {
                 warm.insert(probe.domain.clone(), probe.clone());
             }
         }
     }
-    let mut probe_traces: Vec<Option<TraceBuilder>> = Vec::new();
-    probe_traces.resize_with(domains.len(), || None);
-    for (idx, probe, ptrace) in fetched {
-        results[idx] = Some(probe);
-        probe_traces[idx] = ptrace;
-    }
-    let probe_alloc = probe_window.finish();
-    if let Some(o) = obs {
-        if !probe_alloc.is_zero() {
-            o.metrics
-                .labeled_gauge("mem_phase_alloc_bytes", "phase", "attestation-probe")
-                .set(probe_alloc.alloc_bytes as i64);
-            o.metrics
-                .labeled_gauge("mem_phase_peak_bytes", "phase", "attestation-probe")
-                .set(probe_alloc.peak_bytes as i64);
-        }
-    }
-    // Attach probe span trees in slot (= sorted-domain) order so trace
-    // output is independent of which worker won which domain.
-    if let Some(span) = probe_tspan {
-        let mut sim_end = probe_time.millis();
-        for tb in probe_traces.into_iter().flatten() {
-            if let Some(end) = tb.max_sim_end() {
-                sim_end = sim_end.max(end);
-            }
-            span.attach(tb);
-        }
-        for tb in probe_workers {
-            span.attach(tb);
-        }
-        span.field("probes", pending.len());
-        span.field("cache_hits", cache_hits);
-        if !probe_alloc.is_zero() {
-            span.field("alloc_bytes", probe_alloc.alloc_bytes);
-            span.field("alloc_count", probe_alloc.alloc_count);
-            span.field("peak_bytes", probe_alloc.peak_bytes);
-        }
-        span.end(Some((probe_time.millis(), sim_end)));
-    }
-    let attestation_probes: Vec<AttestationProbe> = results
+    let probes_fetched = fetched.results.len();
+    let (fetched_probes, probe_traces): (Vec<_>, Vec<_>) = fetched.results.into_iter().unzip();
+    // Fetched probes arrive in pending order, which is slot order with
+    // the memo hits left out.
+    let mut fetched_probes = fetched_probes.into_iter();
+    let attestation_probes: Vec<AttestationProbe> = cached
         .into_iter()
-        .map(|p| p.expect("every probe slot is filled"))
+        .map(|c| c.unwrap_or_else(|| fetched_probes.next().expect("one probe per pending slot")))
         .collect();
-    if let Some(mut span) = probe_span {
-        span.field("probes", attestation_probes.len());
-        if let Some(o) = obs {
-            o.metrics
-                .labeled_gauge("phase_wall_us", "phase", "attestation-probe")
-                .set(span.elapsed_us() as i64);
-        }
-        span.end();
-    }
+    // Probe span trees attach in slot (= sorted-domain) order, so the
+    // trace is independent of which worker won which domain.
+    probe_phase.close(
+        probe_traces,
+        fetched.workers,
+        probe_time.millis(),
+        &[("probes", probes_fetched), ("cache_hits", cache_hits)],
+        ("probes", attestation_probes.len()),
+    );
 
     CampaignOutcome {
         schema_version: CAMPAIGN_SCHEMA_VERSION,
@@ -643,14 +575,16 @@ pub fn clear_probe_memo() {
 }
 
 /// Probe every domain in `domains` (pre-sorted by the caller) at
-/// `probe_time`, fanning the work across `threads` scoped workers.
+/// `probe_time` over a [`pool`] of `threads` workers: each result in
+/// domain order with its span tree when tracing, plus the pool's
+/// `attestation-probe` worker spans.
 ///
-/// Workers claim domains through a shared atomic cursor over the stable
-/// slice and ship each result back tagged with its index, so the
-/// returned vector is byte-identical to a sequential pass regardless of
-/// `threads`. Retry backoff keys derive from the domain and timestamp
-/// alone ([`probe_attestation_retrying`]), so fault schedules reproduce
-/// under any worker layout too.
+/// The pool returns results in job order, so the probes are
+/// byte-identical to a sequential pass regardless of `threads`. Retry
+/// backoff keys derive from the domain and timestamp alone
+/// ([`probe_attestation_traced`]), so fault schedules reproduce under
+/// any worker layout too.
+#[allow(clippy::too_many_arguments)]
 pub fn probe_domains<S: NetworkService + Sync + ?Sized>(
     service: &S,
     domains: &[&Domain],
@@ -658,137 +592,37 @@ pub fn probe_domains<S: NetworkService + Sync + ?Sized>(
     retry: &RetryPolicy,
     threads: usize,
     obs: Option<&Obs>,
-    net_metrics: Option<&NetMetrics>,
-) -> Vec<AttestationProbe> {
-    let pending: Vec<(usize, &Domain)> = domains.iter().copied().enumerate().collect();
-    let mut results: Vec<Option<AttestationProbe>> = Vec::new();
-    results.resize_with(domains.len(), || None);
-    let (fetched, _workers) = probe_indexed(
-        service,
-        &pending,
-        probe_time,
-        retry,
-        threads,
-        obs,
-        None,
-        net_metrics,
-    );
-    for (idx, probe, _) in fetched {
-        results[idx] = Some(probe);
-    }
-    results
-        .into_iter()
-        .map(|p| p.expect("every probe slot is filled"))
-        .collect()
-}
-
-/// Probe the `(slot, domain)` pairs in `pending`, returning each result
-/// tagged with its slot (plus its span tree when tracing), and one
-/// operational worker-utilization builder per probe worker. One code
-/// path for any worker count: workers pull the next pair via an atomic
-/// cursor, so finish order is racy but the tagged results are not.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn probe_indexed<S: NetworkService + Sync + ?Sized>(
-    service: &S,
-    pending: &[(usize, &Domain)],
-    probe_time: Timestamp,
-    retry: &RetryPolicy,
-    threads: usize,
-    obs: Option<&Obs>,
     tracer: Option<&Tracer>,
     net_metrics: Option<&NetMetrics>,
-) -> (
-    Vec<(usize, AttestationProbe, Option<TraceBuilder>)>,
-    Vec<TraceBuilder>,
-) {
+) -> pool::Pooled<(AttestationProbe, Option<TraceBuilder>)> {
     let probes_sent = obs.map(|o| o.metrics.counter("attestation_probes_sent_total"));
-    let probe_one = |domain: &Domain| {
-        if let Some(c) = &probes_sent {
-            c.inc();
-        }
-        let mut tb = tracer.and_then(Tracer::visit_builder);
-        // Thread-local allocation scope for this probe; the probe root
-        // is always builder span index 0.
-        let aspan = AllocSpan::start();
-        let probe =
-            probe_attestation_traced(service, domain, probe_time, retry, net_metrics, tb.as_mut());
-        let delta = aspan.finish();
-        if let Some(tb) = tb.as_mut() {
-            attribute_alloc(tb, 0, &delta);
-        }
-        (probe, tb)
-    };
-    let threads = threads.max(1).min(pending.len());
-    if threads <= 1 {
-        let out = pending
-            .iter()
-            .map(|&(idx, domain)| {
-                let (probe, tb) = probe_one(domain);
-                (idx, probe, tb)
-            })
-            .collect();
-        return (out, Vec::new());
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut out: Vec<(usize, AttestationProbe, Option<TraceBuilder>)> =
-        Vec::with_capacity(pending.len());
-    let mut workers: Vec<TraceBuilder> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let cursor = &cursor;
-            let probe_one = &probe_one;
-            handles.push(scope.spawn(move || {
-                let mut op = tracer.and_then(Tracer::visit_builder);
-                let op_span = op.as_mut().map(|tb| {
-                    let idx = tb.open_op("worker", None);
-                    tb.field(idx, "phase", "attestation-probe");
-                    tb.field(idx, "worker", t);
-                    idx
-                });
-                let worker_started = std::time::Instant::now();
-                let mut busy_us = 0u64;
-                let mut mine: Vec<(usize, AttestationProbe, Option<TraceBuilder>)> = Vec::new();
-                loop {
-                    let at = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(idx, domain)) = pending.get(at) else {
-                        break;
-                    };
-                    let item_started = std::time::Instant::now();
-                    let (probe, tb) = probe_one(domain);
-                    busy_us += item_started.elapsed().as_micros() as u64;
-                    mine.push((idx, probe, tb));
-                }
-                if let Some(o) = obs {
-                    // Which worker won which domain is scheduler-racy, so
-                    // per-worker tallies live in the event log, not the
-                    // (byte-compared) metrics snapshot.
-                    o.events.event(
-                        Level::Debug,
-                        "probe-worker",
-                        None,
-                        vec![
-                            ("worker".to_owned(), FieldValue::U64(t as u64)),
-                            ("domains".to_owned(), FieldValue::U64(mine.len() as u64)),
-                        ],
-                    );
-                }
-                if let (Some(tb), Some(idx)) = (op.as_mut(), op_span) {
-                    tb.field(idx, "busy_us", busy_us);
-                    tb.field(idx, "span_us", worker_started.elapsed().as_micros() as u64);
-                    tb.field(idx, "items", mine.len());
-                    tb.close(idx, None);
-                }
-                (mine, op)
-            }));
-        }
-        for handle in handles {
-            let (mine, op) = handle.join().expect("probe worker panicked");
-            out.extend(mine);
-            workers.extend(op);
-        }
-    });
-    (out, workers)
+    pool::run(
+        domains.to_vec(),
+        threads,
+        tracer.map(|t| (t, "attestation-probe")),
+        |domain| {
+            if let Some(c) = &probes_sent {
+                c.inc();
+            }
+            let mut tb = tracer.and_then(Tracer::visit_builder);
+            // Thread-local allocation scope for this probe; the probe
+            // root is always builder span index 0.
+            let aspan = AllocSpan::start();
+            let probe = probe_attestation_traced(
+                service,
+                domain,
+                probe_time,
+                retry,
+                net_metrics,
+                tb.as_mut(),
+            );
+            let delta = aspan.finish();
+            if let Some(tb) = tb.as_mut() {
+                attribute_alloc(tb, 0, &delta);
+            }
+            (probe, tb)
+        },
+    )
 }
 
 /// Probe one domain's attestation file (single attempt, no retries —
@@ -798,10 +632,12 @@ pub fn probe_attestation<S: NetworkService + ?Sized>(
     domain: &Domain,
     now: Timestamp,
 ) -> AttestationProbe {
-    probe_attestation_retrying(service, domain, now, &RetryPolicy::none(), None)
+    probe_attestation_traced(service, domain, now, &RetryPolicy::none(), None, None)
 }
 
-/// [`probe_attestation`] with bounded retry on the simulated clock.
+/// Probe one domain's attestation file with bounded retry on the
+/// simulated clock, recording a `probe` span (with a `retry` leaf per
+/// backoff wait) into `trace` when given.
 ///
 /// Transient failures — connection resets, injected timeouts, HTTP 5xx,
 /// and *malformed* attestation JSON (what a fault-truncated body parses
@@ -809,18 +645,6 @@ pub fn probe_attestation<S: NetworkService + ?Sized>(
 /// fault coin because simulated time has advanced. Definitive answers
 /// (404, a well-formed file that fails validation, a dead DNS name)
 /// return immediately.
-pub fn probe_attestation_retrying<S: NetworkService + ?Sized>(
-    service: &S,
-    domain: &Domain,
-    now: Timestamp,
-    policy: &RetryPolicy,
-    metrics: Option<&NetMetrics>,
-) -> AttestationProbe {
-    probe_attestation_traced(service, domain, now, policy, metrics, None)
-}
-
-/// [`probe_attestation_retrying`] recording a `probe` span (with a
-/// `retry` leaf per backoff wait) into `trace` when given.
 pub fn probe_attestation_traced<S: NetworkService + ?Sized>(
     service: &S,
     domain: &Domain,
@@ -1070,12 +894,13 @@ mod tests {
         let world = World::generate(WorldConfig::scaled(63, 1_000));
         let calls = AtomicUsize::new(0);
         let max_seen = AtomicUsize::new(0);
-        let outcome = super::run_campaign_with_progress(
+        let outcome = run_campaign_observed(
             &world,
             &CampaignConfig {
                 threads: 4,
                 ..Default::default()
             },
+            None,
             |done, total| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 assert_eq!(total, 1_000);
@@ -1108,40 +933,13 @@ mod tests {
     }
 
     #[test]
-    fn probe_thread_count_does_not_change_probe_results() {
-        let world = World::generate(WorldConfig::scaled(71, 150));
-        let outcomes: Vec<CampaignOutcome> = [1usize, 3, 8]
-            .iter()
-            .map(|&pt| {
-                run_campaign(
-                    &world,
-                    &CampaignConfig {
-                        threads: 2,
-                        probe_threads: Some(pt),
-                        ..Default::default()
-                    },
-                )
-            })
-            .collect();
-        assert_eq!(
-            outcomes[0].attestation_probes,
-            outcomes[1].attestation_probes
-        );
-        assert_eq!(
-            outcomes[0].attestation_probes,
-            outcomes[2].attestation_probes
-        );
-    }
-
-    #[test]
     fn probe_domains_matches_sequential_order_for_any_thread_count() {
         let world = World::generate(WorldConfig::scaled(77, 80));
         let allow = world.allow_list_snapshot();
         let domains: Vec<&Domain> = allow.iter().collect();
         let t = Timestamp::from_days(ATTESTATION_SNAPSHOT_DAY);
-        let seq = probe_domains(&world, &domains, t, &RetryPolicy::none(), 1, None, None);
-        for threads in [2, 5, 16] {
-            let par = probe_domains(
+        let probes = |threads| -> Vec<AttestationProbe> {
+            probe_domains(
                 &world,
                 &domains,
                 t,
@@ -1149,8 +947,20 @@ mod tests {
                 threads,
                 None,
                 None,
+                None,
+            )
+            .results
+            .into_iter()
+            .map(|(probe, _)| probe)
+            .collect()
+        };
+        let seq = probes(1);
+        for threads in [2, 5, 16] {
+            assert_eq!(
+                seq,
+                probes(threads),
+                "probe order diverged at {threads} threads"
             );
-            assert_eq!(seq, par, "probe order diverged at {threads} threads");
         }
         assert_eq!(seq.len(), domains.len());
         for (d, p) in domains.iter().zip(&seq) {

@@ -34,9 +34,8 @@ pub mod shard;
 pub mod visit;
 
 pub use campaign::{
-    probe_attestation, probe_attestation_retrying, run_campaign, run_campaign_observed,
-    run_campaign_stripe, run_campaign_with_progress, run_repeated, AllowListSetup, CampaignConfig,
-    CrawlTarget,
+    probe_attestation, run_campaign, run_campaign_observed, run_campaign_stripe, run_repeated,
+    AllowListSetup, CampaignConfig, CrawlTarget,
 };
 pub use columnar::{
     ColumnarBuilder, ColumnarCampaign, ColumnarError, COLUMNAR_MAGIC, COLUMNAR_VERSION,

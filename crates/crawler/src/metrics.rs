@@ -1,5 +1,5 @@
-//! Crawl-side observability: live per-worker counters updated as the
-//! campaign runs, and the authoritative post-hoc tally computed from a
+//! Crawl-side observability: live counters updated as the campaign
+//! runs, and the authoritative post-hoc tally computed from a
 //! [`CampaignOutcome`].
 //!
 //! The two layers use disjoint metric names so nothing is counted twice:
@@ -31,10 +31,8 @@ pub const CALL_CLASSES: [&str; 5] = [
     "blocked",
 ];
 
-/// Pre-resolved live counters shared by every crawl worker.
-///
-/// Cloning is cheap (each handle is an `Arc` over one atomic), so the
-/// campaign runner clones one bundle per worker thread.
+/// Pre-resolved live counters shared by every crawl worker (each handle
+/// is an `Arc` over one atomic, so cloning is cheap too).
 #[derive(Debug, Clone)]
 pub struct CrawlMetrics {
     /// Network-layer handles threaded into each browser.

@@ -40,6 +40,9 @@
 //! * [`seed`] — seed-derivation utilities (splitmix64 / FNV-1a) so that all
 //!   randomness in the workspace flows deterministically from one campaign
 //!   seed.
+//! * [`pool`] — the one worker pool ([`pool::run`]): a claim queue whose
+//!   results come back in job order for any thread count, with
+//!   per-worker utilisation spans built in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,6 +55,7 @@ pub mod fault;
 pub mod http;
 pub mod latency;
 pub mod metrics;
+pub mod pool;
 pub mod psl;
 pub mod region;
 pub mod seed;

@@ -84,17 +84,20 @@ diff -q "$SHARD_DIR/m1/trace.jsonl" "$SHARD_DIR/m4/trace.jsonl"
 # merge reproduces campaign.col, from the files on disk.
 $TL doctor --campaign "$SHARD_DIR/m4" > /dev/null
 
-echo "== golden crawl digests (800 sites, seed 5, light faults) =="
+echo "== golden crawl digests (800 sites, seed 5, light faults, 1 and 4 threads) =="
 # campaign.col, report.txt, comparison.txt, every rendered CSV and the
 # trace with wall-clock fields and operational spans removed must match
 # the digests recorded in tests/golden — the CLI mirror of
 # golden_crawl_digests_are_unchanged and golden_api_body_digests_are_unchanged.
-$TL crawl --sites 800 --seed 5 --fault-profile light --quiet \
-    --out "$SHARD_DIR/golden" --trace-out trace.jsonl > /dev/null
-sed -E 's/"wall_(start|end)_us":[0-9]+,?//g' "$SHARD_DIR/golden/trace.jsonl" \
-    | grep -v '"op":true' > "$SHARD_DIR/golden/trace.stripped.jsonl"
+# The crawl and probe pool must not leak its thread count into any of it.
 GOLDEN_SUMS="$PWD/tests/golden/crawl_800_seed5.sha256"
-(cd "$SHARD_DIR/golden" && sha256sum --quiet -c "$GOLDEN_SUMS")
+for T in 1 4; do
+    $TL crawl --sites 800 --seed 5 --fault-profile light --threads "$T" --quiet \
+        --out "$SHARD_DIR/golden$T" --trace-out trace.jsonl > /dev/null
+    sed -E 's/"wall_(start|end)_us":[0-9]+,?//g' "$SHARD_DIR/golden$T/trace.jsonl" \
+        | grep -v '"op":true' > "$SHARD_DIR/golden$T/trace.stripped.jsonl"
+    (cd "$SHARD_DIR/golden$T" && sha256sum --quiet -c "$GOLDEN_SUMS")
+done
 # The same shape split in three shards and merged: the merged trace and
 # campaign.col must match recorded digests, not only each other, so a
 # merge rewrite that shifted every shard count alike still fails — the

@@ -47,23 +47,19 @@ fn run(config: LabConfig, counting: bool) -> RunOutput {
 #[test]
 fn counting_allocator_does_not_change_campaign_or_stripped_trace() {
     let _gate = GATE.lock().unwrap();
-    let config = |probe_threads| {
-        LabConfig::quick(53, SITES)
-            .with_threads(4)
-            .with_probe_threads(probe_threads)
-    };
+    let config = |threads| LabConfig::quick(53, SITES).with_threads(threads);
     let baseline = run(config(1), false);
     assert!(!baseline.stripped_trace.is_empty());
     for counting in [false, true] {
-        for probe_threads in [1, 4] {
-            let candidate = run(config(probe_threads), counting);
+        for threads in [1, 4] {
+            let candidate = run(config(threads), counting);
             assert_eq!(
                 baseline.campaign_json, candidate.campaign_json,
-                "campaign.json changed (counting={counting}, probe_threads={probe_threads})"
+                "campaign.json changed (counting={counting}, threads={threads})"
             );
             assert_eq!(
                 baseline.stripped_trace, candidate.stripped_trace,
-                "stripped trace changed (counting={counting}, probe_threads={probe_threads})"
+                "stripped trace changed (counting={counting}, threads={threads})"
             );
         }
     }

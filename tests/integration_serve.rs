@@ -324,54 +324,117 @@ fn lab(args: &[&str]) -> std::process::Output {
         .expect("topics-lab runs")
 }
 
-#[test]
-fn cli_exit_codes_distinguish_missing_from_corrupt() {
-    let dir = temp_dir("exit-codes");
-    std::fs::create_dir_all(&dir).unwrap();
-    let corrupt = dir.join("campaign.json");
-    std::fs::write(&corrupt, "not a campaign at all").unwrap();
-    let missing = dir.join("no-such-campaign.json");
-
-    for cmd in ["report", "metrics", "doctor", "serve"] {
-        let out = lab(&[cmd, "--campaign", missing.to_str().unwrap()]);
-        assert_eq!(
-            out.status.code(),
-            Some(3),
-            "{cmd} on a missing campaign: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let out = lab(&[cmd, "--campaign", corrupt.to_str().unwrap()]);
-        assert_eq!(
-            out.status.code(),
-            Some(4),
-            "{cmd} on a corrupt campaign: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+/// Start `topics-lab serve` over `campaign` and wait for the address
+/// it writes once the listener is bound and the service built.
+fn serve_cli(campaign: &Path, addr_file: &Path) -> (std::process::Child, String) {
+    let mut server = Command::new(env!("CARGO_BIN_EXE_topics-lab"))
+        .args(["serve", "--campaign", campaign.to_str().unwrap()])
+        .args(["--threads", "2", "--quiet", "--addr-file"])
+        .arg(addr_file)
+        .spawn()
+        .expect("serve starts");
+    for _ in 0..600 {
+        if let Ok(s) = std::fs::read_to_string(addr_file) {
+            if s.ends_with('\n') {
+                return (server, s.trim().to_owned());
+            }
+        }
+        std::thread::sleep(Duration::from_millis(50));
     }
+    let _ = server.kill();
+    let _ = server.wait();
+    panic!("server never wrote its address");
+}
 
-    // A truncated columnar store is caught by its checksums → exit 4.
-    let outcome = Lab::new(LabConfig::quick(59, 40).with_threads(2))
-        .run()
-        .outcome;
-    let store = topics_core::crawler::columnar::ColumnarCampaign::from_outcome(&outcome);
-    let col = dir.join("campaign.col");
-    std::fs::write(&col, &store.bytes()[..store.bytes().len() - 1]).unwrap();
-    let out = lab(&["report", "--campaign", col.to_str().unwrap()]);
-    assert_eq!(
-        out.status.code(),
-        Some(4),
+/// `POST /shutdown`, then wait for a clean exit; a drain that hangs
+/// fails the test instead of stalling it.
+fn shutdown_cli(mut server: std::process::Child, addr: &str) {
+    let out = lab(&["fetch", "--addr", addr, "--path", "/shutdown", "--post"]);
+    assert!(
+        out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = server.try_wait().expect("polling serve") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = server.kill();
+            panic!("serve still running 10 s after POST /shutdown");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "serve exited {status:?}");
+}
+
+/// Every subcommand that takes `--campaign` reads a bundle directory
+/// as its `campaign.col`, exits 3 naming a store that does not exist
+/// and 4 naming one that fails validation. `memprofile` reads the
+/// trace beside the named store, so its corrupt input is that trace.
+#[test]
+fn cli_exit_codes_distinguish_missing_from_corrupt() {
+    let root = temp_dir("campaign-inputs");
+    let bundle = root.join("bundle");
+    let crawl =
+        "crawl --sites 300 --seed 3 --threads 2 --quiet --alloc-stats --trace-out trace.jsonl";
+    let out = lab(&[
+        crawl.split(' ').collect(),
+        vec!["--out", bundle.to_str().unwrap()],
+    ]
+    .concat());
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let corrupt = root.join("corrupt");
+    std::fs::create_dir_all(&corrupt).unwrap();
+    let mut store = std::fs::read(bundle.join("campaign.col")).unwrap();
+    let mid = store.len() / 2;
+    store[mid] ^= 0x40;
+    std::fs::write(corrupt.join("campaign.col"), store).unwrap();
+    std::fs::write(corrupt.join("trace.jsonl"), "{\"id\":1,\"parent\":").unwrap();
+    let missing = root.join("missing");
+
+    let commands: [(&str, &[&str]); 7] = [
+        ("report", &[]),
+        ("metrics", &[]),
+        ("compare", &[]),
+        ("dossier", &["--cp", "example.com"]),
+        ("doctor", &[]),
+        ("memprofile", &[]),
+        ("serve", &["--quiet"]),
+    ];
+    for (cmd, extra) in commands {
+        for (input, code) in [
+            (bundle.clone(), 0),
+            (missing.join("campaign.col"), 3),
+            (corrupt.join("campaign.col"), 4),
+        ] {
+            if cmd == "serve" && code == 0 {
+                // A healthy serve runs until shutdown.
+                let (server, addr) = serve_cli(&input, &root.join("addr.txt"));
+                shutdown_cli(server, &addr);
+                continue;
+            }
+            let out = lab(&[&[cmd, "--campaign", input.to_str().unwrap()], extra].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(code), "{cmd} {input:?}: {stderr}");
+            let dir = input.parent().unwrap().to_str().unwrap();
+            assert!(
+                code == 0 || stderr.contains(dir),
+                "{cmd} names the input: {stderr}"
+            );
+        }
+    }
 
     // Usage errors stay exit 2; other failures stay exit 1.
     assert_eq!(lab(&[]).status.code(), Some(2), "bare invocation is usage");
-    let out = lab(&["report"]);
-    assert_eq!(out.status.code(), Some(1), "missing flag is a plain error");
     let out = lab(&["fetch", "--addr", "127.0.0.1:1", "--path", "/healthz"]);
     assert_eq!(out.status.code(), Some(1), "unreachable server is exit 1");
-
-    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -383,34 +446,7 @@ fn cli_serve_and_fetch_round_trip() {
     let eval = evaluate(&outcome);
     topics_core::write_bundle(&dir, &outcome, &eval, false, StoreKind::Columnar).unwrap();
 
-    let addr_file = dir.join("addr.txt");
-    let mut server = Command::new(env!("CARGO_BIN_EXE_topics-lab"))
-        .args([
-            "serve",
-            "--campaign",
-            dir.to_str().unwrap(),
-            "--threads",
-            "2",
-            "--quiet",
-            "--addr-file",
-            addr_file.to_str().unwrap(),
-        ])
-        .spawn()
-        .expect("serve starts");
-
-    // The addr file appears once the listener is bound and the service
-    // is built (bind is eager, so the server is ready by then).
-    let mut addr = String::new();
-    for _ in 0..600 {
-        if let Ok(s) = std::fs::read_to_string(&addr_file) {
-            if s.ends_with('\n') {
-                addr = s.trim().to_owned();
-                break;
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    assert!(!addr.is_empty(), "server never wrote its address");
+    let (server, addr) = serve_cli(&dir, &dir.join("addr.txt"));
 
     // fetch writes the report body; it must equal the offline file.
     let report_out = dir.join("fetched-report.txt");
@@ -439,25 +475,7 @@ fn cli_serve_and_fetch_round_trip() {
     assert_eq!(out.status.code(), Some(1));
 
     // POST /shutdown drains the server to a clean exit.
-    let out = lab(&["fetch", "--addr", &addr, "--path", "/shutdown", "--post"]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // A drain that hangs fails the test instead of stalling it.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let status = loop {
-        if let Some(status) = server.try_wait().expect("polling serve") {
-            break status;
-        }
-        if Instant::now() >= deadline {
-            let _ = server.kill();
-            panic!("serve still running 10 s after POST /shutdown");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert!(status.success(), "serve exited {status:?}");
+    shutdown_cli(server, &addr);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -80,9 +80,8 @@ fn one_two_and_four_shards_reassemble_byte_identically() {
 #[test]
 fn sharding_is_byte_identical_under_faults_and_probe_parallelism() {
     let config = LabConfig::quick(53, SITES)
-        .with_threads(2)
-        .with_fault_profile(FaultProfile::parse("0.05").unwrap())
-        .with_probe_threads(4);
+        .with_threads(4)
+        .with_fault_profile(FaultProfile::parse("0.05").unwrap());
     let (store, trace, report) = single_run(&config);
     for shards in [1, 2, 4] {
         let dir = temp_dir(&format!("fault-{shards}"));
@@ -193,6 +192,16 @@ fn cli_shard_merge_doctor_round_trip_and_failure_exits() {
         String::from_utf8_lossy(&out.stderr)
     );
 
+    // The bundle holds the one store, and `report` reads the directory.
+    assert!(!single.join("campaign.json").exists());
+    let out = lab(&["report", "--campaign", single.to_str().unwrap()]);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout).trim_end(),
+        std::fs::read_to_string(single.join("report.txt"))
+            .unwrap()
+            .trim_end()
+    );
+
     // Shard twice, merge in place, compare byte-for-byte.
     for spec in ["1/2", "2/2"] {
         let out = lab(&[
@@ -228,6 +237,8 @@ fn cli_shard_merge_doctor_round_trip_and_failure_exits() {
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(stdout.contains("== Shard segments =="), "{stdout}");
     assert!(stdout.contains("[ok] 2 segment file(s)"), "{stdout}");
+    assert!(stdout.contains("== Columnar store =="), "{stdout}");
+    assert!(stdout.contains("[ok] campaign.col"), "{stdout}");
 
     // Corrupt one segment: merge exits 4 like every other corrupt
     // input, and merge and doctor both name the checksum violation.
@@ -271,27 +282,6 @@ fn cli_shard_merge_doctor_round_trip_and_failure_exits() {
             Some(3),
             "{}: {}",
             absent.display(),
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-
-    // Strict argument handling: bad shard specs and typo'd flags are
-    // hard errors, same as every other subcommand.
-    for bad in [
-        vec!["shard", "--shard", "0/4", "--quiet"],
-        vec!["shard", "--shard", "5/4", "--quiet"],
-        vec!["shard", "--shard", "1/0", "--quiet"],
-        vec!["shard", "--quiet"],
-        vec!["shard", "--shar", "1/2", "--quiet"],
-        vec!["merge"],
-        vec!["merge", "--segment", "dir"],
-        vec!["merge", "--segments"],
-    ] {
-        let out = lab(&bad);
-        assert!(!out.status.success(), "must reject {bad:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("error:"),
-            "{bad:?}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
     }

@@ -212,115 +212,6 @@ fn lab(args: &[&str]) -> std::process::Output {
         .expect("topics-lab runs")
 }
 
-fn read(dir: &Path, name: &str) -> Vec<u8> {
-    std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("reading {name}: {e}"))
-}
-
-#[test]
-fn cli_crawl_merge_and_doctor_share_one_store() {
-    let dir = temp_dir("cli");
-    let bundle = dir.join("bundle");
-    let segs = dir.join("segs");
-
-    let out = lab(&[
-        "crawl",
-        "--sites",
-        "60",
-        "--seed",
-        "13",
-        "--quiet",
-        "--out",
-        bundle.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(bundle.join("campaign.col").is_file());
-    assert!(!bundle.join("campaign.json").exists());
-
-    // `report` renders the crawl's report from the bundle directory.
-    let out = lab(&["report", "--campaign", bundle.to_str().unwrap()]);
-    assert!(out.status.success());
-    assert_eq!(
-        String::from_utf8_lossy(&out.stdout).trim_end(),
-        String::from_utf8_lossy(&read(&bundle, "report.txt")).trim_end()
-    );
-
-    // There is no store to choose: --store is an unknown flag everywhere.
-    for cmd in ["crawl", "shard", "merge", "report", "serve"] {
-        let out = lab(&[cmd, "--store", "columnar"]);
-        assert!(!out.status.success(), "{cmd} accepted --store");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("unknown flag \"--store\""),
-            "{cmd}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-
-    // A merged bundle reproduces the crawl-written store byte for byte.
-    for spec in ["1/2", "2/2"] {
-        let out = lab(&[
-            "shard",
-            "--shard",
-            spec,
-            "--sites",
-            "60",
-            "--seed",
-            "13",
-            "--quiet",
-            "--out",
-            segs.to_str().unwrap(),
-        ]);
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    let out = lab(&["merge", "--segments", segs.to_str().unwrap()]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        read(&segs, "campaign.col") == read(&bundle, "campaign.col"),
-        "merge must stream the same bytes the crawl wrote"
-    );
-    assert!(!segs.join("campaign.json").exists());
-
-    // Doctor on the merged bundle verifies segments AND the columnar
-    // store (checksums, intern integrity).
-    let out = lab(&["doctor", "--campaign", segs.to_str().unwrap()]);
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(out.status.success(), "{stdout}");
-    assert!(stdout.contains("== Shard segments =="), "{stdout}");
-    assert!(stdout.contains("== Columnar store =="), "{stdout}");
-    assert!(stdout.contains("[ok] campaign.col"), "{stdout}");
-
-    // Corrupting the store is caught at load time: the checksum fails
-    // before anything downstream can misread the bytes.
-    let mut bytes = read(&segs, "campaign.col");
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xFF;
-    std::fs::write(segs.join("campaign.col"), &bytes).unwrap();
-    let out = lab(&["doctor", "--campaign", segs.to_str().unwrap()]);
-    assert_eq!(
-        out.status.code(),
-        Some(4),
-        "doctor must fail on a corrupt store"
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("campaign.col"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
 /// A small crawled store plus what it must decode to: the outcome's
 /// serialization and every body `serve` renders from it.
 struct Fixture {

@@ -8,7 +8,7 @@
 
 use topics_core::crawler::record::CampaignOutcome;
 use topics_core::net::fault::FaultProfile;
-use topics_core::obs::{merge_stripped, Obs, Trace};
+use topics_core::obs::{merge_stripped, FieldValue, Obs, Trace};
 use topics_core::{diagnose, Lab, LabConfig, MERGE_RULES};
 
 const SITES: usize = 500;
@@ -33,19 +33,50 @@ fn same_seed_traces_are_byte_identical_across_runs_and_thread_counts() {
         stripped_jsonl(config()),
         "re-running the same configuration changes the stripped trace"
     );
-    for probe_threads in [1, 4, 8] {
+    // Pool parallelism (crawl and probe alike) must not leak into it.
+    for threads in [1, 2, 8] {
         assert_eq!(
             baseline,
-            stripped_jsonl(config().with_probe_threads(probe_threads)),
-            "--probe-threads {probe_threads} changes the stripped trace"
+            stripped_jsonl(config().with_threads(threads)),
+            "--threads {threads} changes the stripped trace"
         );
     }
-    // Crawl parallelism must not leak into the trace either.
-    assert_eq!(
-        baseline,
-        stripped_jsonl(LabConfig::quick(23, SITES).with_threads(1)),
-        "crawl thread count changes the stripped trace"
-    );
+}
+
+/// The pool's operational `worker` spans are the one per-worker record:
+/// per phase, the workers' `items` count every visit and every probe
+/// exactly once, whatever the thread count.
+#[test]
+fn worker_items_sum_to_the_visit_and_probe_spans() {
+    for threads in [1, 2, 4] {
+        let (outcome, trace) = traced_run(LabConfig::quick(31, 200).with_threads(threads));
+        let workers = |phase: &str| {
+            let spans: Vec<u64> = trace
+                .spans
+                .iter()
+                .filter(|s| s.op && s.name == "worker")
+                .filter(|s| s.field("phase") == Some(&FieldValue::Str(phase.to_owned())))
+                .map(|s| match s.field("items") {
+                    Some(FieldValue::U64(n)) => *n,
+                    other => panic!("worker items field: {other:?}"),
+                })
+                .collect();
+            (spans.len(), spans.iter().sum::<u64>() as usize)
+        };
+        assert_eq!(trace.count_named("visit"), outcome.sites.len());
+        assert_eq!(
+            workers("crawl"),
+            (threads, outcome.sites.len()),
+            "{threads} threads"
+        );
+        let probes = trace.count_named("probe");
+        assert_eq!(probes, outcome.attestation_probes.len());
+        assert_eq!(
+            workers("attestation-probe"),
+            (threads, probes),
+            "{threads} threads"
+        );
+    }
 }
 
 #[test]
