@@ -11,17 +11,17 @@
 //! that returns results in job order. `--full` is the paper's 50,000
 //! sites and excludes `--sites`. `--campaign` takes a bundle directory
 //! or its `campaign.col`; a trace defaults to `trace.jsonl` beside it.
-//! `--metrics-out`, `--events-out` and `--trace-out` paths are relative
-//! to `--out`; a `.json` trace is Chrome trace-event format (Perfetto),
-//! anything else one span per line (what `doctor` reads).
+//! `--metrics-out` and `--trace-out` paths are relative to `--out`; a
+//! `.json` trace is Chrome trace-event format (Perfetto), anything else
+//! one span per line (what `doctor` reads).
 //! `--alloc-stats` turns on the counting allocator; the outputs stay
 //! byte-identical.
 //!
 //! Failures exit with a typed code scripts can branch on: 2 for usage
 //! errors, 3 when a named campaign, trace or segment input does not
 //! exist, 4 when one exists but fails validation, 1 otherwise.
-//! Progress logging goes through the structured event log (echoed to
-//! stderr); `--quiet` or `TOPICS_LOG=off` silences it.
+//! Progress lines go to stderr, and nowhere else; `--quiet` or
+//! `TOPICS_LOG=off` silences them.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -33,7 +33,8 @@ use topics_core::export::{
 };
 use topics_core::obs::{alloc, Obs, Trace};
 use topics_core::{
-    comparison_rows, diagnose, evaluate, metrics_snapshot_of, render_comparison, Lab, LabConfig,
+    comparison_rows, crawler::shard::tally_snapshot, diagnose, evaluate, render_comparison, Lab,
+    LabConfig,
 };
 
 /// The instrumented allocator wraps the system one for the whole
@@ -168,7 +169,6 @@ const CAMPAIGN_FLAGS: &[Flag] = &[
 /// Where the observability of a `crawl` or `simulate` run goes.
 const SINK_FLAGS: &[Flag] = &[
     Flag::new("--metrics-out", FILE),
-    Flag::new("--events-out", FILE),
     Flag::new("--trace-out", FILE),
     Flag::new("--alloc-stats", Switch),
 ];
@@ -552,7 +552,7 @@ fn write_file(path: &Path, what: &str, body: impl AsRef<[u8]>) -> Result<(), Str
     std::fs::write(path, body).map_err(|e| format!("writing {what} to {}: {e}", path.display()))
 }
 
-/// The run's event log: echoed to stderr unless `--quiet`.
+/// The run's observability handle: echoed to stderr unless `--quiet`.
 fn obs_for(args: &Args) -> Obs {
     if args.has("--quiet") {
         Obs::new()
@@ -564,7 +564,6 @@ fn obs_for(args: &Args) -> Obs {
 /// The files [`SINK_FLAGS`] ask a run to write.
 struct Sinks {
     metrics: Option<PathBuf>,
-    events: Option<PathBuf>,
     trace: Option<PathBuf>,
     alloc_stats: bool,
 }
@@ -576,7 +575,6 @@ impl Sinks {
         let at = |flag| args.text(flag).map(|v| out.join(v));
         let sinks = Sinks {
             metrics: at("--metrics-out"),
-            events: at("--events-out"),
             trace: at("--trace-out"),
             alloc_stats: args.has("--alloc-stats"),
         };
@@ -605,9 +603,6 @@ impl Sinks {
             }
             write_file(path, "metrics", obs.metrics.snapshot().render_prometheus())?;
         }
-        if let Some(path) = &self.events {
-            write_file(path, "events", obs.events.to_jsonl())?;
-        }
         if let Some(path) = &self.trace {
             let trace = obs.trace.finish();
             let body = if path.extension().is_some_and(|e| e == "json") {
@@ -622,11 +617,7 @@ impl Sinks {
 
     /// Say where each file went.
     fn announce(&self) {
-        for (what, path) in [
-            ("metrics snapshot", &self.metrics),
-            ("event stream", &self.events),
-            ("trace", &self.trace),
-        ] {
+        for (what, path) in [("metrics snapshot", &self.metrics), ("trace", &self.trace)] {
             if let Some(p) = path {
                 println!("{what} written to {}", p.display());
             }
@@ -770,7 +761,7 @@ fn cmd_report(args: &Args) -> Result<(), CliError> {
 
 fn cmd_metrics(args: &Args) -> Result<(), CliError> {
     let outcome = load_campaign_arg(args)?;
-    print!("{}", metrics_snapshot_of(&outcome).render_prometheus());
+    print!("{}", tally_snapshot(&outcome).render_prometheus());
     Ok(())
 }
 
@@ -1178,10 +1169,14 @@ mod tests {
 
     #[test]
     fn store_flag_is_rejected_by_every_subcommand() {
-        // There is one campaign store, so no subcommand takes --store.
-        for cmd in COMMANDS {
-            let err = error(cmd.name, &["--store", "columnar"]);
-            assert_eq!(err, "unknown flag \"--store\"", "{}", cmd.name);
+        // Removed flags are unknown to every subcommand: there is one
+        // campaign store (no --store), and events are only echoed to
+        // stderr, never written to a file (no --events-out).
+        for flag in ["--store", "--events-out"] {
+            for cmd in COMMANDS {
+                let err = error(cmd.name, &[flag, "x"]);
+                assert_eq!(err, format!("unknown flag {flag:?}"), "{}", cmd.name);
+            }
         }
     }
 

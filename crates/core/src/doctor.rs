@@ -10,10 +10,10 @@
 //! non-zero on those).
 
 use crate::export::CAMPAIGN_COLUMNAR_FILE;
-use crate::lab::metrics_snapshot_of;
 use std::path::Path;
 use topics_crawler::columnar::{ColumnarCampaign, SectionInfo};
 use topics_crawler::record::{CampaignOutcome, OutcomeCounts};
+use topics_crawler::shard::tally_snapshot;
 use topics_obs::profile::{integrity, profile, Integrity, Profile};
 use topics_obs::{FieldValue, Trace};
 
@@ -164,7 +164,7 @@ fn u64_field(trace: &Trace, span_name: &str, key: &str) -> u64 {
 /// Diagnose a campaign against its trace. `top_n` bounds the
 /// slowest-visit list.
 pub fn diagnose(outcome: &CampaignOutcome, trace: &Trace, top_n: usize) -> DoctorReport {
-    let snapshot = metrics_snapshot_of(outcome);
+    let snapshot = tally_snapshot(outcome);
     let mut reconciliation = Vec::new();
 
     // Every attempted site opens exactly one visit span — strict.

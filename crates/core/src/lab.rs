@@ -16,7 +16,7 @@ use topics_analysis::timeline::{render_timeline, timeline, Timeline};
 use topics_crawler::campaign::{run_campaign_observed, CampaignConfig};
 use topics_crawler::metrics::tally_outcome;
 use topics_crawler::record::CampaignOutcome;
-use topics_obs::{MetricsRegistry, MetricsSnapshot, Obs};
+use topics_obs::{MetricsSnapshot, Obs};
 use topics_webgen::World;
 
 /// A built world plus a campaign configuration, ready to run.
@@ -46,16 +46,6 @@ impl std::ops::Deref for CampaignRun {
     }
 }
 
-/// The tally-only metrics snapshot of an outcome (a fresh registry fed
-/// through [`tally_outcome`]). This is what the `topics-lab metrics`
-/// subcommand re-renders from a saved `campaign.col` — by construction
-/// it reconciles with the §2.4 report numbers.
-pub fn metrics_snapshot_of(outcome: &CampaignOutcome) -> MetricsSnapshot {
-    let registry = MetricsRegistry::new();
-    tally_outcome(outcome, &registry);
-    registry.snapshot()
-}
-
 impl Lab {
     /// Generate the world for a configuration.
     pub fn new(config: LabConfig) -> Lab {
@@ -72,9 +62,10 @@ impl Lab {
     }
 
     /// Run the measurement campaign against a caller-supplied
-    /// observability handle (the CLI passes one wired to stderr and the
-    /// JSONL sink). Live series fill `obs.metrics` while the crawl runs;
-    /// the authoritative tally is added before the snapshot is taken.
+    /// observability handle (the CLI passes one wired to stderr and its
+    /// metrics and trace files). Live series fill `obs.metrics` while
+    /// the crawl runs; the authoritative tally is added before the
+    /// snapshot is taken.
     pub fn run_observed(&self, obs: &Obs) -> CampaignRun {
         #[cfg(feature = "mem-regression-fixture")]
         let fixture_before = topics_obs::alloc::global_stats().alloc_bytes;

@@ -60,7 +60,7 @@ pub use doctor::{
 };
 pub use export::{load_campaign, write_bundle, StoreKind};
 pub use fidelity::{fidelity, FidelityReport};
-pub use lab::{evaluate, metrics_snapshot_of, CampaignRun, Evaluation, Lab};
+pub use lab::{evaluate, CampaignRun, Evaluation, Lab};
 pub use serve::{
     http_fetch, HttpResponse, QueryService, ServeConfig, ServeError, Server, ServerHandle,
     API_ENDPOINTS,

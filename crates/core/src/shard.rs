@@ -234,30 +234,11 @@ mod tests {
     fn sharded_segments_merge_back_to_the_single_run() {
         let config = LabConfig::quick(91, 60).with_threads(2);
         let single_obs = shard_obs();
-        let single = Lab::new(config.clone()).run_observed(&single_obs);
-        let single_store = ColumnarCampaign::from_outcome(&single.outcome);
+        let single = Lab::new(config.clone()).run_observed(&single_obs).outcome;
+        let single_store = ColumnarCampaign::from_outcome(&single);
         let single_trace = single_obs.trace.finish().stripped();
 
         let dir = std::env::temp_dir().join(format!("topics-shard-core-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        for shard in 0..3 {
-            let segment = run_shard(&config, shard, 3, &shard_obs());
-            write_segment(&dir, &segment).unwrap();
-        }
-        let merged = merge_dir_columnar(&dir).unwrap();
-        assert_eq!(merged.store.bytes(), single_store.bytes());
-        assert_eq!(merged.trace, single_trace);
-        assert_eq!(merged.metrics, crate::metrics_snapshot_of(&merged.outcome));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn columnar_merge_streams_to_the_single_run_store() {
-        let config = LabConfig::quick(92, 60).with_threads(2);
-        let single = Lab::new(config.clone()).run().outcome;
-        let single_store = ColumnarCampaign::from_outcome(&single);
-
-        let dir = std::env::temp_dir().join(format!("topics-shard-col-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         for shard in 0..3 {
             let segment = run_shard(&config, shard, 3, &shard_obs());
@@ -269,11 +250,12 @@ mod tests {
             single_store.bytes(),
             "streamed merge store must be byte-identical to the single-run store"
         );
+        assert_eq!(merged.trace, single_trace);
         assert_eq!(
             serde_json::to_string(&merged.outcome).unwrap(),
             serde_json::to_string(&single).unwrap()
         );
-        assert_eq!(merged.metrics, crate::metrics_snapshot_of(&single));
+        assert_eq!(merged.metrics, tally_snapshot(&single));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

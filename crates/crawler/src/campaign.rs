@@ -28,8 +28,8 @@ use topics_net::seed;
 use topics_net::service::{NetworkService, RetryPolicy};
 use topics_net::url::Url;
 use topics_net::wellknown::{attestation_url, AttestationError, AttestationFile};
-use topics_obs::alloc::{AllocDelta, AllocSpan, WindowSpan};
-use topics_obs::{FieldValue, Level, Obs, SpanGuard, TraceBuilder, Tracer, TracerSpan};
+use topics_obs::alloc::{AllocDelta, AllocSpan};
+use topics_obs::{Obs, PhaseGuard, TraceBuilder, Tracer};
 use topics_taxonomy::Classifier;
 
 /// The crawl start: 2024-03-30, i.e. day 303 of the simulation
@@ -183,91 +183,42 @@ fn attribute_alloc(tb: &mut TraceBuilder, idx: usize, delta: &AllocDelta) {
     tb.field(idx, "peak_bytes", delta.peak_bytes);
 }
 
-/// The observability around one campaign phase: its `span` event and
-/// `phase_wall_us` gauge, its trace span, the `phase_workers` gauge,
-/// and a process-wide allocation window over all its workers (a no-op
-/// unless the counting allocator is on; phases are sequential, so the
-/// windows never overlap).
-struct PhaseObs<'o> {
-    name: &'static str,
-    obs: Option<&'o Obs>,
-    event: Option<SpanGuard<'o>>,
-    span: Option<TracerSpan<'o>>,
-    window: WindowSpan,
+/// Open campaign phase `name` on `obs` ([`Obs::phase`]) and set its
+/// `phase_workers` gauge.
+fn open_phase<'o>(obs: Option<&'o Obs>, name: &str, threads: usize) -> Option<PhaseGuard<'o>> {
+    obs.map(|o| {
+        o.metrics
+            .labeled_gauge("phase_workers", "phase", name)
+            .set(threads as i64);
+        o.phase(name)
+    })
 }
 
-impl<'o> PhaseObs<'o> {
-    fn open(
-        name: &'static str,
-        obs: Option<&'o Obs>,
-        tracer: Option<&'o Tracer>,
-        threads: usize,
-    ) -> PhaseObs<'o> {
-        if let Some(o) = obs {
-            o.metrics
-                .labeled_gauge("phase_workers", "phase", name)
-                .set(threads as i64);
-        }
-        PhaseObs {
-            name,
-            obs,
-            event: obs.map(|o| o.events.span(name)),
-            span: tracer.map(|t| t.phase(name)),
-            window: WindowSpan::start(),
-        }
+/// Attach each unit's span tree in job order, then the pool's worker
+/// spans, set `fields`, and close the phase. Its simulated bounds run
+/// from `sim_start` to the latest unit end.
+fn close_phase(
+    phase: Option<PhaseGuard<'_>>,
+    units: Vec<Option<TraceBuilder>>,
+    workers: Vec<TraceBuilder>,
+    sim_start: u64,
+    fields: &[(&str, usize)],
+) {
+    let Some(mut phase) = phase else {
+        return;
+    };
+    let mut sim_end = sim_start;
+    for tb in units.into_iter().flatten() {
+        sim_end = sim_end.max(tb.max_sim_end().unwrap_or(sim_end));
+        phase.attach(tb);
     }
-
-    /// Attach each unit's span tree in job order, then the pool's
-    /// worker spans, and close the phase. Its simulated bounds run from
-    /// `sim_start` to the latest unit end.
-    fn close(
-        self,
-        units: Vec<Option<TraceBuilder>>,
-        workers: Vec<TraceBuilder>,
-        sim_start: u64,
-        trace_fields: &[(&str, usize)],
-        (event_key, event_value): (&str, usize),
-    ) {
-        let mut sim_end = sim_start;
-        if let Some(span) = &self.span {
-            for tb in units.into_iter().flatten() {
-                sim_end = sim_end.max(tb.max_sim_end().unwrap_or(sim_end));
-                span.attach(tb);
-            }
-        }
-        let alloc = self.window.finish();
-        if let (Some(o), false) = (self.obs, alloc.is_zero()) {
-            o.metrics
-                .labeled_gauge("mem_phase_alloc_bytes", "phase", self.name)
-                .set(alloc.alloc_bytes as i64);
-            o.metrics
-                .labeled_gauge("mem_phase_peak_bytes", "phase", self.name)
-                .set(alloc.peak_bytes as i64);
-        }
-        if let Some(span) = self.span {
-            for tb in workers {
-                span.attach(tb);
-            }
-            for &(key, value) in trace_fields {
-                span.field(key, value);
-            }
-            if !alloc.is_zero() {
-                span.field("alloc_bytes", alloc.alloc_bytes);
-                span.field("alloc_count", alloc.alloc_count);
-                span.field("peak_bytes", alloc.peak_bytes);
-            }
-            span.end(Some((sim_start, sim_end)));
-        }
-        if let Some(mut event) = self.event {
-            event.field(event_key, event_value);
-            if let Some(o) = self.obs {
-                o.metrics
-                    .labeled_gauge("phase_wall_us", "phase", self.name)
-                    .set(event.elapsed_us() as i64);
-            }
-            event.end();
-        }
+    for tb in workers {
+        phase.attach(tb);
     }
+    for &(key, value) in fields {
+        phase.field(key, value);
+    }
+    phase.end(sim_start, sim_end);
 }
 
 /// Build the browser-side attestation store for a setup.
@@ -290,9 +241,10 @@ pub fn run_campaign<W: CrawlTarget + ?Sized>(
 }
 
 /// [`run_campaign`] with observability attached: live crawl counters,
-/// browser-level network and Topics-call series, per-site visit
-/// events, and `crawl` / `attestation-probe` phase spans in the event
-/// log. `progress` is invoked roughly every 500 completed sites with
+/// browser-level network and Topics-call series, and the `crawl` /
+/// `attestation-probe` phases ([`Obs::phase`]: wall-time, worker and
+/// allocation gauges, plus per-visit and per-probe spans when tracing).
+/// `progress` is invoked roughly every 500 completed sites with
 /// `(done, total)` (from whichever worker crosses the boundary — counts
 /// are monotone but not strictly sequential).
 pub fn run_campaign_observed<W, F>(
@@ -389,7 +341,7 @@ where
     // byte-identical for every thread count. Worker utilization rides
     // along as operational spans, excluded from the stripped view.
     let tracer: Option<&Tracer> = obs.map(|o| &o.trace).filter(|t| t.is_enabled());
-    let crawl_phase = PhaseObs::open("crawl", obs, tracer, threads);
+    let crawl_phase = open_phase(obs, "crawl", threads);
     // Jobs are global ranks, so the timestamps and per-profile seeds a
     // visit derives from its rank coincide in sharded and unsharded runs.
     let crawled = pool::run(
@@ -422,22 +374,6 @@ where
             if let Some(tb) = vtrace.as_mut() {
                 attribute_alloc(tb, 0, &valloc);
             }
-            if let Some(o) = obs {
-                o.events.event(
-                    Level::Debug,
-                    "visit",
-                    Some(started.millis()),
-                    vec![
-                        ("rank".to_owned(), FieldValue::U64(rank as u64)),
-                        (
-                            "website".to_owned(),
-                            FieldValue::Str(outcome.website.to_string()),
-                        ),
-                        ("visited".to_owned(), FieldValue::Bool(outcome.visited())),
-                        ("accepted".to_owned(), FieldValue::Bool(outcome.accepted())),
-                    ],
-                );
-            }
             let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
             if n % 500 == 0 || n == stripe_len {
                 progress(n, stripe_len);
@@ -446,12 +382,12 @@ where
         },
     );
     let (sites, visit_traces): (Vec<SiteOutcome>, Vec<_>) = crawled.results.into_iter().unzip();
-    crawl_phase.close(
+    close_phase(
+        crawl_phase,
         visit_traces,
         crawled.workers,
         config.start.millis(),
         &[("sites", sites.len())],
-        ("sites", stripe_len),
     );
 
     // ---- Attestation probing (§2.3) ----------------------------------
@@ -475,7 +411,7 @@ where
         }
     }
     let domains: Vec<&Domain> = to_probe.into_iter().collect();
-    let probe_phase = PhaseObs::open("attestation-probe", obs, tracer, threads);
+    let probe_phase = open_phase(obs, "attestation-probe", threads);
 
     // The memo cache only applies when the target vouches for its
     // content (a fingerprint) and no fault plan can perturb responses.
@@ -540,12 +476,12 @@ where
         .collect();
     // Probe span trees attach in slot (= sorted-domain) order, so the
     // trace is independent of which worker won which domain.
-    probe_phase.close(
+    close_phase(
+        probe_phase,
         probe_traces,
         fetched.workers,
         probe_time.millis(),
         &[("probes", probes_fetched), ("cache_hits", cache_hits)],
-        ("probes", attestation_probes.len()),
     );
 
     CampaignOutcome {

@@ -1,26 +1,29 @@
 //! # topics-obs — observability for the reproduction pipeline
 //!
-//! A dependency-light metrics + structured-event layer shared by every
-//! stage of the crawl pipeline (world generation, crawl, attestation
-//! probing, analysis, export):
+//! A dependency-light metrics + tracing layer shared by every stage of
+//! the crawl pipeline (world generation, crawl, attestation probing,
+//! analysis, export):
 //!
 //! * [`metrics`] — a [`MetricsRegistry`] of named atomic counters,
 //!   gauges and fixed-bucket latency histograms, snapshotted into a
 //!   serialisable [`MetricsSnapshot`] with a Prometheus-style text
 //!   exposition;
-//! * [`events`] — an append-only structured [`EventLog`] with phase
-//!   spans and a JSONL sink, carrying both the simulated campaign clock
-//!   and wall-clock timings.
+//! * [`trace`] — a hierarchical span [`Tracer`] carrying both the
+//!   simulated campaign clock and wall-clock timings, with JSONL and
+//!   Chrome trace-event sinks;
+//! * [`events`] — the [`EventLog`], a stderr logger that stores
+//!   nothing (every fact it prints is also in the metrics or the trace).
 //!
-//! The two halves are bundled in [`Obs`], the handle the pipeline
-//! threads share. Determinism contract: every metric derived from the
-//! simulated world is reproducible bit-for-bit for a fixed seed; every
-//! wall-clock measurement carries `wall` in its metric name, and every
+//! The three are bundled in [`Obs`], the handle the pipeline threads
+//! share; [`Obs::phase`] records one pipeline phase into all of them.
+//! Determinism contract: every metric derived from the simulated world
+//! is reproducible bit-for-bit for a fixed seed; every wall-clock
+//! measurement carries `wall` in its metric name, and every
 //! memory-accounting series carries a `mem_`/`alloc_` prefix, so
 //! [`MetricsSnapshot::strip_wall_clock`] can separate operational data
 //! from the deterministic view.
 //!
-//! A third pillar, [`alloc`], adds opt-in allocation accounting: an
+//! A fourth pillar, [`alloc`], adds opt-in allocation accounting: an
 //! instrumented `#[global_allocator]` wrapper whose per-thread and
 //! process-wide counters feed `alloc_bytes`/`peak_bytes` span
 //! attributes and `mem_*` gauges. It is the one module allowed to use
@@ -37,7 +40,7 @@ pub mod profile;
 pub mod trace;
 
 pub use alloc::{AllocDelta, AllocSpan, AllocStats, CountingAlloc, WindowSpan};
-pub use events::{Event, EventLog, FieldValue, Level, SpanGuard};
+pub use events::{EventLog, FieldValue, Level};
 pub use metrics::{
     escape_label_value, labeled, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
     MetricsSnapshot,
@@ -50,15 +53,15 @@ pub use trace::{
 
 use std::time::Instant;
 
-/// The shared observability handle: one metric registry, one event
-/// log, and one (default-disabled) span tracer. Cheap to share across
-/// crawl workers behind an `Arc` (all inner state is atomic or
+/// The shared observability handle: one metric registry, one stderr
+/// logger, and one (default-disabled) span tracer. Cheap to share
+/// across crawl workers behind an `Arc` (all inner state is atomic or
 /// mutex-guarded).
 #[derive(Debug, Default)]
 pub struct Obs {
     /// Named counters, gauges and histograms.
     pub metrics: MetricsRegistry,
-    /// The structured event stream.
+    /// The stderr logger.
     pub events: EventLog,
     /// Hierarchical span tracer; disabled unless [`Obs::with_trace`]
     /// was called (disabled recording costs one branch per span site).
@@ -75,9 +78,8 @@ impl Obs {
     /// CLI front end), unless `TOPICS_LOG=off`.
     pub fn with_stderr_echo() -> Obs {
         Obs {
-            metrics: MetricsRegistry::new(),
             events: EventLog::new().with_stderr_echo(),
-            trace: Tracer::disabled(),
+            ..Obs::default()
         }
     }
 
@@ -88,23 +90,26 @@ impl Obs {
         self
     }
 
-    /// Start a pipeline phase: on drop the guard records a `span` event
-    /// and sets the `phase_wall_us{phase="…"}` gauge. Wall-clock by
-    /// design — phase gauges are stripped before determinism
-    /// comparisons. When tracing is enabled the guard also opens a
-    /// top-level trace span of the same name, and when the counting
-    /// allocator is on ([`alloc::set_enabled`]) the guard attributes
-    /// the phase's process-wide allocation delta to that span plus a
-    /// `mem_phase_alloc_bytes{phase="…"}` gauge. `Obs::phase` guards
-    /// must not overlap (they measure a process-wide allocation
-    /// window); the pipeline's phases are sequential by construction.
+    /// Start a pipeline phase. On drop (or [`PhaseGuard::end`]) the
+    /// guard sets the `phase_wall_us{phase="…"}` gauge and echoes one
+    /// `span` line. Wall-clock by design — phase gauges are stripped
+    /// before determinism comparisons. When tracing is enabled the
+    /// guard also opens a top-level trace span of the same name, and
+    /// when the counting allocator is on ([`alloc::set_enabled`]) the
+    /// guard attributes the phase's process-wide allocation delta to
+    /// that span plus `mem_phase_alloc_bytes`/`mem_phase_peak_bytes`
+    /// gauges. `Obs::phase` guards must not overlap (they measure a
+    /// process-wide allocation window); the pipeline's phases are
+    /// sequential by construction.
     pub fn phase(&self, name: &str) -> PhaseGuard<'_> {
         PhaseGuard {
             obs: self,
             name: name.to_owned(),
             started: Instant::now(),
-            alloc: Some(alloc::WindowSpan::start()),
-            span: self.trace.phase(name),
+            window: Some(WindowSpan::start()),
+            span: Some(self.trace.phase(name)),
+            fields: Vec::new(),
+            sim_bounds: None,
         }
     }
 }
@@ -114,39 +119,64 @@ pub struct PhaseGuard<'a> {
     obs: &'a Obs,
     name: String,
     started: Instant,
-    alloc: Option<alloc::WindowSpan>,
-    span: TracerSpan<'a>,
+    window: Option<WindowSpan>,
+    span: Option<TracerSpan<'a>>,
+    fields: Vec<(String, FieldValue)>,
+    sim_bounds: Option<(u64, u64)>,
+}
+
+impl PhaseGuard<'_> {
+    /// Attach a finished unit's span tree under the phase's trace span,
+    /// in a deterministic order (see [`TracerSpan::attach`]).
+    pub fn attach(&self, builder: TraceBuilder) {
+        if let Some(span) = &self.span {
+            span.attach(builder);
+        }
+    }
+
+    /// Add a field to the phase's trace span and its echoed line.
+    pub fn field(&mut self, key: &str, value: impl Into<FieldValue>) {
+        let value = value.into();
+        if let Some(span) = &self.span {
+            span.field(key, value.clone());
+        }
+        self.fields.push((key.to_owned(), value));
+    }
+
+    /// Close the phase, stamping the trace span's simulated bounds.
+    pub fn end(mut self, sim_start: u64, sim_end: u64) {
+        self.sim_bounds = Some((sim_start, sim_end));
+    }
 }
 
 impl Drop for PhaseGuard<'_> {
     fn drop(&mut self) {
         let us = self.started.elapsed().as_micros().max(1) as u64;
-        self.obs
-            .metrics
+        let metrics = &self.obs.metrics;
+        metrics
             .labeled_gauge("phase_wall_us", "phase", &self.name)
             .set(us as i64);
-        let mut fields = vec![
+        let mut line = vec![
             ("phase".to_owned(), FieldValue::Str(self.name.clone())),
             ("wall_us".to_owned(), FieldValue::U64(us)),
         ];
-        if let Some(window) = self.alloc.take() {
-            let delta = window.finish();
-            if !delta.is_zero() {
-                self.span.field("alloc_bytes", delta.alloc_bytes);
-                self.span.field("alloc_count", delta.alloc_count);
-                self.span.field("peak_bytes", delta.peak_bytes);
-                self.obs
-                    .metrics
-                    .labeled_gauge("mem_phase_alloc_bytes", "phase", &self.name)
-                    .set(delta.alloc_bytes as i64);
-                self.obs
-                    .metrics
-                    .labeled_gauge("mem_phase_peak_bytes", "phase", &self.name)
-                    .set(delta.peak_bytes as i64);
-                fields.push(("alloc_bytes".to_owned(), FieldValue::U64(delta.alloc_bytes)));
-            }
+        line.append(&mut self.fields);
+        let delta = self.window.take().map(WindowSpan::finish);
+        let span = self.span.take().expect("a phase ends once");
+        if let Some(delta) = delta.filter(|d| !d.is_zero()) {
+            span.field("alloc_bytes", delta.alloc_bytes);
+            span.field("alloc_count", delta.alloc_count);
+            span.field("peak_bytes", delta.peak_bytes);
+            metrics
+                .labeled_gauge("mem_phase_alloc_bytes", "phase", &self.name)
+                .set(delta.alloc_bytes as i64);
+            metrics
+                .labeled_gauge("mem_phase_peak_bytes", "phase", &self.name)
+                .set(delta.peak_bytes as i64);
+            line.push(("alloc_bytes".to_owned(), FieldValue::U64(delta.alloc_bytes)));
         }
-        self.obs.events.event(Level::Info, "span", None, fields);
+        span.end(self.sim_bounds);
+        self.obs.events.echo(Level::Info, "span", &line);
     }
 }
 
@@ -156,17 +186,18 @@ mod tests {
 
     #[test]
     fn phase_guard_sets_gauge_and_records_span() {
-        let obs = Obs::new();
+        let obs = Obs::new().with_trace();
         obs.phase("world-gen");
+        let mut crawl = obs.phase("crawl");
+        crawl.field("sites", 3usize);
+        crawl.end(10, 20);
         let snapshot = obs.metrics.snapshot();
         assert!(snapshot.gauge("phase_wall_us{phase=\"world-gen\"}") >= 1);
-        let events = obs.events.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].name, "span");
-        assert_eq!(
-            events[0].field("phase"),
-            Some(&FieldValue::Str("world-gen".to_owned()))
-        );
+        assert!(snapshot.gauge("phase_wall_us{phase=\"crawl\"}") >= 1);
+        let trace = obs.trace.finish();
+        let span = trace.spans.iter().find(|s| s.name == "crawl").unwrap();
+        assert_eq!(span.field("sites"), Some(&FieldValue::U64(3)));
+        assert_eq!((span.sim_start_ms, span.sim_end_ms), (Some(10), Some(20)));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Hierarchical trace spans: causal, per-visit span trees for the
 //! campaign pipeline.
 //!
-//! The event log ([`crate::events`]) answers *what happened*; traces
-//! answer *where the time went*. A [`Tracer`] owns one span tree per
+//! The metrics answer *how much happened*; traces answer *where the
+//! time went*. A [`Tracer`] owns one span tree per
 //! campaign: `campaign → phase → visit → {fetch, retry, consent-click,
 //! topics-call, probe}`. Every span carries both clocks — the simulated
 //! campaign clock (`sim_start_ms`/`sim_end_ms`, deterministic) and wall

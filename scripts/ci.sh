@@ -25,6 +25,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q
 
+echo "== benchmark package (builds against the program crates, tests pass) =="
+# benchmark/ is a workspace of its own that reaches the program crates
+# through path dependencies, so the root build never compiles it: an
+# API change in topics-core that breaks it would otherwise only show
+# when the benchmark is run.
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "== chaos suite (fault injection) =="
 cargo test -q -p topics-core --test integration_faults
 

@@ -164,7 +164,7 @@ fn different_fault_seeds_differ_only_where_faults_landed() {
 
 #[test]
 fn probe_thread_count_does_not_change_campaign_or_tallies() {
-    use topics_core::metrics_snapshot_of;
+    use topics_core::crawler::shard::tally_snapshot;
     // The crawl and probe phases share one worker pool, but the campaign
     // record and the tally metrics derived from it must be byte-identical
     // for any `--threads` (crawl and probe parallelism alike) — with and
@@ -178,7 +178,7 @@ fn probe_thread_count_does_not_change_campaign_or_tallies() {
             }
             let run = Lab::new(cfg).run();
             let campaign = serde_json::to_string(&run.outcome).unwrap();
-            let tally = serde_json::to_string(&metrics_snapshot_of(&run.outcome)).unwrap();
+            let tally = serde_json::to_string(&tally_snapshot(&run.outcome)).unwrap();
             match &reference {
                 None => reference = Some((campaign, tally)),
                 Some((c, t)) => {
