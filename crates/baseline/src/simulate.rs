@@ -12,9 +12,9 @@
 //!   reproducing the engine's answer path slot-for-slot: per-epoch
 //!   uniform noise, pads, and the witness rule (a real topic is only
 //!   returned if the caller observed the user on a matching site in
-//!   that epoch). Both panels are collected in one pass per user: each
-//!   back-epoch's visit list is drawn once and fills both panels'
-//!   witness sets.
+//!   that epoch). Each back-epoch's answers are drawn once per user,
+//!   for both panels at a time, and carried for as long as the epoch
+//!   stays in the call window.
 //! * Returned topics accumulate into **sparse CSR profiles** — one
 //!   `(topic, count)` run per user — instead of dense `TAXONOMY_SIZE`
 //!   histograms.
@@ -106,14 +106,21 @@ impl SimConfig {
         if self.visits_per_epoch == 0 {
             return Err("simulate needs --visits ≥ 1".into());
         }
+        if u32::try_from(self.sites).is_err() {
+            // Panels and visit lists store site ids as `u32`.
+            return Err(format!(
+                "simulate needs --sites ≤ {} (site ids are 32-bit), got {}",
+                u32::MAX,
+                self.sites
+            ));
+        }
         if self.context_sites == 0 {
             return Err("simulate needs --context ≥ 1".into());
         }
-        if self.sites < self.context_sites * 2 {
+        if !matches!(self.context_sites.checked_mul(2), Some(both) if both <= self.sites) {
             return Err(format!(
-                "simulate needs --sites ≥ 2 × --context ({} < {})",
-                self.sites,
-                self.context_sites * 2
+                "simulate needs --sites ≥ 2 × --context (sites {}, context {})",
+                self.sites, self.context_sites
             ));
         }
         if self.window == 0 || self.window > self.epochs {
@@ -339,6 +346,7 @@ fn pick_panels(cfg: &SimConfig, n_sites: usize) -> Panels {
 /// Sparse per-user topic profiles in CSR form: user `u`'s
 /// `(topic, count)` run is `offsets[u]..offsets[u + 1]`, topics
 /// ascending.
+#[derive(Debug, PartialEq)]
 struct Csr {
     offsets: Vec<u64>,
     topics: Vec<u16>,
@@ -396,7 +404,7 @@ fn merge_csr(cum: &Csr, inc: &Csr) -> Csr {
 }
 
 /// Counters one collection epoch produces for one panel.
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq)]
 struct CollectStats {
     api_calls: u64,
     topics_returned: u64,
@@ -422,132 +430,279 @@ impl BlockOut {
     }
 }
 
-/// A back-epoch one API call can draw from: its index into the witness
-/// sets, the epoch, its slot, and the slot seed's per-epoch root.
-type LiveEpoch<'a> = (usize, u64, &'a [u16], u64);
+/// Low bits of a packed answer: the topic id (`0` marks a skip entry,
+/// as real topic ids start at 1).
+const TOPIC_BITS: u32 = 9;
+const TOPIC_MASK: u32 = (1 << TOPIC_BITS) - 1;
+/// Set when the answer was noise or padding.
+const NOISED_BIT: u32 = 1 << TOPIC_BITS;
+/// The high bits hold the gap to the previous answer's position.
+const GAP_SHIFT: u32 = TOPIC_BITS + 1;
+/// The largest gap one packed answer holds; a longer one is bridged by
+/// skip entries of this gap each, so no shape is out of reach.
+const GAP_MAX: u64 = (1 << (32 - GAP_SHIFT)) - 1;
+const _: () = assert!(TAXONOMY_SIZE <= TOPIC_MASK as usize);
 
-/// Run one collection epoch `e` for both context panels in one pass
-/// per user: every panel site calls the API once per user, answers are
-/// reproduced slot-for-slot from the arena (noise → replacement topic;
-/// real topics gated on the witness rule; pads always returnable), and
-/// the per-call engine dedup (smallest epoch wins per topic) is applied
-/// before topics land in the panel's CSR increment.
+/// One back-epoch's API answers for one user block, drawn once and
+/// carried for as long as the epoch stays in the call window.
 ///
-/// Each reachable back-epoch's visit list is drawn once per user and
-/// fills both panels' witness sets; the slot lookup and the per-epoch
-/// slot-seed root are resolved once per user rather than once per
-/// panel site. Returns the `[A, B]` increments.
-fn collect_epoch(
-    cfg: &SimConfig,
-    universe: &SiteUniverse,
-    arena: &PopulationArena,
-    panels: &Panels,
-    e: u64,
+/// Only calls that return a topic are kept, in position order: the call
+/// of block-local user `l` on site `i` of panel `p` sits at position
+/// `(2l + p) × context_sites + i`. Each answer packs into one `u32`:
+/// topic, noised flag, and the gap to the previous answer's position
+/// (from 0 for the first).
+struct EpochAnswers {
+    epoch: u64,
+    packed: Vec<u32>,
+    /// The newest answer's position.
+    last: u64,
+}
+
+impl EpochAnswers {
+    fn new(epoch: u64) -> EpochAnswers {
+        EpochAnswers {
+            epoch,
+            packed: Vec::new(),
+            last: 0,
+        }
+    }
+
+    /// Append an answer at `pos`, after every answer so far.
+    fn push(&mut self, pos: u64, topic: u16, noised: bool) {
+        let mut gap = pos - self.last;
+        while gap > GAP_MAX {
+            self.packed.push((GAP_MAX as u32) << GAP_SHIFT);
+            gap -= GAP_MAX;
+        }
+        let flag = if noised { NOISED_BIT } else { 0 };
+        self.packed
+            .push(((gap as u32) << GAP_SHIFT) | flag | topic as u32);
+        self.last = pos;
+    }
+}
+
+/// A reader over one [`EpochAnswers`], walking positions upward.
+struct Cursor<'a> {
+    packed: &'a [u32],
+    at: usize,
+    pos: u64,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(answers: &'a EpochAnswers) -> Cursor<'a> {
+        Cursor {
+            packed: &answers.packed,
+            at: 0,
+            pos: 0,
+        }
+    }
+
+    /// The next answer positioned before `end`: `(position, topic,
+    /// noised)`.
+    fn next_before(&mut self, end: u64) -> Option<(u64, u16, bool)> {
+        loop {
+            let &w = self.packed.get(self.at)?;
+            let pos = self.pos + (w >> GAP_SHIFT) as u64;
+            if pos >= end {
+                return None;
+            }
+            self.at += 1;
+            self.pos = pos;
+            let topic = (w & TOPIC_MASK) as u16;
+            if topic != 0 {
+                return Some((pos, topic, w & NOISED_BIT != 0));
+            }
+        }
+    }
+}
+
+/// Collects both context panels checkpoint by checkpoint.
+///
+/// One API call at checkpoint `e` answers from the [`WINDOW_BACK`]
+/// epochs before `e`, and each answer is a pure function of `(user,
+/// site, back-epoch)` (the arena's seeding contract; the witness set is
+/// empty before collection began). So every back-epoch is drawn once,
+/// when it first enters the window, and carried by its user block for
+/// the next checkpoints.
+struct Collector<'a> {
+    cfg: &'a SimConfig,
+    universe: &'a SiteUniverse,
+    arena: &'a PopulationArena,
+    panels: Panels,
+    /// The first collection epoch.
     first: u64,
-    threads: usize,
-) -> [(Csr, CollectStats); 2] {
-    let taxonomy = Taxonomy::global();
-    let users = cfg.users;
-    let jobs: Vec<usize> = (0..users.div_ceil(BLOCK)).collect();
-    let blocks = pool::run(jobs, threads, None, |block| {
+    /// Per user block: the answers of the back-epochs still in the
+    /// window, oldest first.
+    carried: Vec<Vec<EpochAnswers>>,
+}
+
+impl<'a> Collector<'a> {
+    fn new(cfg: &'a SimConfig, universe: &'a SiteUniverse, arena: &'a PopulationArena) -> Self {
+        Collector {
+            cfg,
+            universe,
+            arena,
+            panels: pick_panels(cfg, universe.len()),
+            first: cfg.epochs - cfg.window,
+            carried: (0..cfg.users.div_ceil(BLOCK)).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// Run collection epoch `e` for both panels: every panel site calls
+    /// the API once per user, answers are reproduced slot-for-slot from
+    /// the arena (noise → replacement topic; real topics gated on the
+    /// witness rule; pads always returnable), and the per-call engine
+    /// dedup (smallest epoch wins per topic) is applied before topics
+    /// land in the panel's CSR increment. Returns the `[A, B]`
+    /// increments. Checkpoints must come one by one from the first
+    /// collection epoch.
+    fn checkpoint(&mut self, e: u64, threads: usize) -> [(Csr, CollectStats); 2] {
+        let jobs: Vec<(usize, Vec<EpochAnswers>)> = std::mem::take(&mut self.carried)
+            .into_iter()
+            .enumerate()
+            .collect();
+        let this = &*self;
+        let blocks = pool::run(jobs, threads, None, |(block, ring)| {
+            this.collect_block(block, ring, e)
+        });
+        let (rings, outs): (Vec<_>, Vec<_>) = blocks.results.into_iter().unzip();
+        self.carried = rings;
+        let (a, b): (Vec<BlockOut>, Vec<BlockOut>) = outs.into_iter().map(|[a, b]| (a, b)).unzip();
+        [
+            concat_blocks(self.cfg.users, a),
+            concat_blocks(self.cfg.users, b),
+        ]
+    }
+
+    /// One user block at checkpoint `e`: draw the back-epochs the ring
+    /// lacks, combine the ring's answers call by call, and return the
+    /// ring trimmed to what the next checkpoint reuses.
+    fn collect_block(
+        &self,
+        block: usize,
+        mut ring: Vec<EpochAnswers>,
+        e: u64,
+    ) -> (Vec<EpochAnswers>, [BlockOut; 2]) {
         let lo = block * BLOCK;
-        let hi = (lo + BLOCK).min(users);
+        let hi = (lo + BLOCK).min(self.cfg.users);
+        let drawn = ring
+            .last()
+            .map_or(e.saturating_sub(WINDOW_BACK), |a| a.epoch + 1);
+        for pe in drawn..e {
+            ring.push(self.draw(lo, hi, pe));
+        }
+
+        let context = self.cfg.context_sites as u64;
         let mut out = [BlockOut::new(hi - lo), BlockOut::new(hi - lo)];
         let mut counts = vec![0u16; TAXONOMY_SIZE + 1];
         let mut touched: Vec<u16> = Vec::with_capacity(64);
+        let mut cursors: Vec<Cursor> = ring.iter().map(Cursor::new).collect();
+        // (position, topic, ring index, noised): ring index order is
+        // epoch order.
+        let mut cand: Vec<(u64, u16, usize, bool)> = Vec::new();
+        for run in 0..(hi - lo) as u64 * 2 {
+            let panel_out = &mut out[(run % 2) as usize];
+            panel_out.stats.api_calls += context;
+            let end = (run + 1) * context;
+            cand.clear();
+            for (k, cursor) in cursors.iter_mut().enumerate() {
+                while let Some((pos, t, noised)) = cursor.next_before(end) {
+                    cand.push((pos, t, k, noised));
+                }
+            }
+            // Engine dedup: one result per call and topic, oldest epoch
+            // wins.
+            cand.sort_unstable_by_key(|&(pos, t, k, _)| (pos, t, k));
+            cand.dedup_by_key(|&mut (pos, t, _, _)| (pos, t));
+            for &(_, t, _, noised) in &cand {
+                panel_out.stats.topics_returned += 1;
+                panel_out.stats.noised += noised as u64;
+                if counts[t as usize] == 0 {
+                    touched.push(t);
+                }
+                counts[t as usize] = counts[t as usize].saturating_add(1);
+            }
+            touched.sort_unstable();
+            panel_out.lens.push(touched.len() as u32);
+            for &t in &touched {
+                panel_out.topics.push(t);
+                panel_out.counts.push(counts[t as usize]);
+                counts[t as usize] = 0;
+            }
+            touched.clear();
+        }
+        // The next checkpoint reaches back to `e + 1 - WINDOW_BACK`; the
+        // last one carries nothing.
+        if e + 1 < self.cfg.epochs {
+            ring.retain(|a| a.epoch + WINDOW_BACK > e);
+        } else {
+            ring.clear();
+        }
+        (ring, out)
+    }
+
+    /// Every answer of back-epoch `pe` for users `lo..hi`. Each user's
+    /// visit list is drawn once and fills both panels' witness sets,
+    /// and only in epochs the adversary was collecting in.
+    fn draw(&self, lo: usize, hi: usize, pe: u64) -> EpochAnswers {
+        let (cfg, universe, arena, panels) = (self.cfg, self.universe, self.arena, &self.panels);
+        let taxonomy = Taxonomy::global();
+        let context = cfg.context_sites as u64;
+        let mut answers = EpochAnswers::new(pe);
         let mut visits: Vec<u32> = Vec::with_capacity(cfg.visits_per_epoch);
-        // Per panel, per back-epoch: topics the panel observed the user
-        // on (only in epochs the adversary was actually collecting in).
-        let mut wit = [[TopicBitset::new(); WINDOW_BACK as usize]; 2];
-        let mut live: Vec<LiveEpoch> = Vec::with_capacity(WINDOW_BACK as usize);
-        let mut cand: Vec<(u16, u64, bool)> = Vec::with_capacity(WINDOW_BACK as usize);
+        let mut wit = [TopicBitset::new(); 2];
         for u in lo..hi {
             let us = user_seed(arena.seed(), u);
-            let slot_root = seed::derive(us, "slot");
-            live.clear();
-            for back in 1..=WINDOW_BACK {
-                let Some(pe) = e.checked_sub(back) else {
-                    continue;
-                };
-                let slot = arena.slot(pe, u);
-                let b = back as usize - 1;
-                wit[0][b].clear();
-                wit[1][b].clear();
-                if pe >= first {
-                    visits_for(
-                        us,
-                        arena.interests_of(u),
-                        universe,
-                        pe,
-                        cfg.visits_per_epoch,
-                        &mut visits,
-                    );
-                    for &si in &visits {
-                        let p = panels.panel_of[si as usize];
-                        if p != NO_PANEL {
-                            for &t in universe.topics(si as usize) {
-                                wit[p as usize][b].insert(t);
-                            }
+            let epoch_root = seed::derive_idx(seed::derive(us, "slot"), pe);
+            let slot = arena.slot(pe, u);
+            wit[0].clear();
+            wit[1].clear();
+            if pe >= self.first {
+                visits_for(
+                    us,
+                    arena.interests_of(u),
+                    universe,
+                    pe,
+                    cfg.visits_per_epoch,
+                    &mut visits,
+                );
+                for &si in &visits {
+                    let p = panels.panel_of[si as usize];
+                    if p != NO_PANEL {
+                        for &t in universe.topics(si as usize) {
+                            wit[p as usize].insert(t);
                         }
                     }
                 }
-                live.push((b, pe, slot, seed::derive_idx(slot_root, pe)));
             }
-            for ((sites, out), wit) in panels.sites.iter().zip(&mut out).zip(&wit) {
-                out.stats.api_calls += sites.len() as u64;
-                for &site in sites {
-                    cand.clear();
-                    for &(b, pe, slot, epoch_root) in &live {
-                        let slot_seed = seed::derive_idx(epoch_root, site as u64);
-                        if seed::unit_f64(seed::derive(slot_seed, "noise")) < cfg.noise {
-                            let t = arena::random_returnable(
-                                taxonomy,
-                                seed::derive(slot_seed, "replacement"),
-                            );
-                            cand.push((t.get(), pe, true));
-                            continue;
-                        }
+            for (p, (sites, wit)) in panels.sites.iter().zip(&wit).enumerate() {
+                let base = ((u - lo) * 2 + p) as u64 * context;
+                for (i, &site) in sites.iter().enumerate() {
+                    let slot_seed = seed::derive_idx(epoch_root, site as u64);
+                    let answer = if seed::unit_f64(seed::derive(slot_seed, "noise")) < cfg.noise {
+                        let t = arena::random_returnable(
+                            taxonomy,
+                            seed::derive(slot_seed, "replacement"),
+                        );
+                        Some((t, true))
+                    } else {
                         let idx = (seed::derive(slot_seed, "pick") % TOP_N as u64) as usize;
-                        let (t, real) = slot_topic(slot[idx]);
-                        if real {
+                        match slot_topic(slot[idx]) {
                             // Real topics need a witness: the caller saw
-                            // the user on a matching site in that epoch
-                            // (the set is empty before collection began).
-                            if wit[b].contains(t) {
-                                cand.push((t.get(), pe, false));
-                            }
-                        } else {
-                            cand.push((t.get(), pe, true));
+                            // the user on a matching site in that epoch.
+                            (t, true) => wit.contains(t).then_some((t, false)),
+                            (t, false) => Some((t, true)),
                         }
-                    }
-                    // Engine dedup: one result per topic, oldest epoch wins.
-                    cand.sort_unstable_by_key(|&(t, pe, _)| (t, pe));
-                    cand.dedup_by_key(|&mut (t, _, _)| t);
-                    for &(t, _, n) in cand.iter() {
-                        out.stats.topics_returned += 1;
-                        out.stats.noised += n as u64;
-                        if counts[t as usize] == 0 {
-                            touched.push(t);
-                        }
-                        counts[t as usize] = counts[t as usize].saturating_add(1);
+                    };
+                    if let Some((t, noised)) = answer {
+                        answers.push(base + i as u64, t.get(), noised);
                     }
                 }
-                touched.sort_unstable();
-                out.lens.push(touched.len() as u32);
-                for &t in &touched {
-                    out.topics.push(t);
-                    out.counts.push(counts[t as usize]);
-                    counts[t as usize] = 0;
-                }
-                touched.clear();
             }
         }
-        out
-    });
-
-    let (a, b): (Vec<BlockOut>, Vec<BlockOut>) =
-        blocks.results.into_iter().map(|[a, b]| (a, b)).unzip();
-    [concat_blocks(users, a), concat_blocks(users, b)]
+        answers.packed.shrink_to_fit();
+        answers
+    }
 }
 
 /// Stitch one panel's per-block outputs (in block order) into a
@@ -686,7 +841,7 @@ fn best_matches(cum_a: &Csr, cum_b: &Csr, sample: &[u32], threads: usize) -> Vec
             let mut best = f64::NEG_INFINITY;
             let mut best_u = u32::MAX;
             for &u in &touched[..n] {
-                let s = std::mem::take(&mut score[u as usize]) as f64 / norm_a[u as usize];
+                let s = std::mem::take(&mut score[u as usize]) as i64 as f64 / norm_a[u as usize];
                 if s > best || (s == best && u < best_u) {
                     best = s;
                     best_u = u;
@@ -734,14 +889,14 @@ pub fn reident_curve(
     arena: &PopulationArena,
     threads: usize,
 ) -> (Vec<ReidentRow>, SimStats) {
-    let panels = pick_panels(cfg, universe.len());
     let sample = sample_users(cfg);
-    let first = cfg.epochs - cfg.window;
+    let mut collector = Collector::new(cfg, universe, arena);
+    let first = collector.first;
     let mut cum = [Csr::empty(cfg.users), Csr::empty(cfg.users)];
     let mut stats = SimStats::default();
     let mut rows = Vec::with_capacity(cfg.window as usize);
     for e in first..cfg.epochs {
-        let incs = collect_epoch(cfg, universe, arena, &panels, e, first, threads);
+        let incs = collector.checkpoint(e, threads);
         for (cum, (inc, cs)) in cum.iter_mut().zip(incs) {
             *cum = merge_csr(cum, &inc);
             stats.api_calls += cs.api_calls;
@@ -879,6 +1034,127 @@ pub fn render_sim_report(run: &SimRun) -> String {
 mod tests {
     use super::*;
 
+    /// A back-epoch one API call can draw from: its index into the witness
+    /// sets, the epoch, its slot, and the slot seed's per-epoch root.
+    type LiveEpoch<'a> = (usize, u64, &'a [u16], u64);
+
+    /// The reference for [`Collector::checkpoint`]: run collection epoch
+    /// `e` from scratch, redrawing every back-epoch's visits and answers,
+    /// and deduplicate each call's candidates in one sort. Returns the
+    /// `[A, B]` increments.
+    fn collect_epoch(
+        cfg: &SimConfig,
+        universe: &SiteUniverse,
+        arena: &PopulationArena,
+        panels: &Panels,
+        e: u64,
+        first: u64,
+        threads: usize,
+    ) -> [(Csr, CollectStats); 2] {
+        let taxonomy = Taxonomy::global();
+        let users = cfg.users;
+        let jobs: Vec<usize> = (0..users.div_ceil(BLOCK)).collect();
+        let blocks = pool::run(jobs, threads, None, |block| {
+            let lo = block * BLOCK;
+            let hi = (lo + BLOCK).min(users);
+            let mut out = [BlockOut::new(hi - lo), BlockOut::new(hi - lo)];
+            let mut counts = vec![0u16; TAXONOMY_SIZE + 1];
+            let mut touched: Vec<u16> = Vec::with_capacity(64);
+            let mut visits: Vec<u32> = Vec::with_capacity(cfg.visits_per_epoch);
+            // Per panel, per back-epoch: topics the panel observed the user
+            // on (only in epochs the adversary was actually collecting in).
+            let mut wit = [[TopicBitset::new(); WINDOW_BACK as usize]; 2];
+            let mut live: Vec<LiveEpoch> = Vec::with_capacity(WINDOW_BACK as usize);
+            let mut cand: Vec<(u16, u64, bool)> = Vec::with_capacity(WINDOW_BACK as usize);
+            for u in lo..hi {
+                let us = user_seed(arena.seed(), u);
+                let slot_root = seed::derive(us, "slot");
+                live.clear();
+                for back in 1..=WINDOW_BACK {
+                    let Some(pe) = e.checked_sub(back) else {
+                        continue;
+                    };
+                    let slot = arena.slot(pe, u);
+                    let b = back as usize - 1;
+                    wit[0][b].clear();
+                    wit[1][b].clear();
+                    if pe >= first {
+                        visits_for(
+                            us,
+                            arena.interests_of(u),
+                            universe,
+                            pe,
+                            cfg.visits_per_epoch,
+                            &mut visits,
+                        );
+                        for &si in &visits {
+                            let p = panels.panel_of[si as usize];
+                            if p != NO_PANEL {
+                                for &t in universe.topics(si as usize) {
+                                    wit[p as usize][b].insert(t);
+                                }
+                            }
+                        }
+                    }
+                    live.push((b, pe, slot, seed::derive_idx(slot_root, pe)));
+                }
+                for ((sites, out), wit) in panels.sites.iter().zip(&mut out).zip(&wit) {
+                    out.stats.api_calls += sites.len() as u64;
+                    for &site in sites {
+                        cand.clear();
+                        for &(b, pe, slot, epoch_root) in &live {
+                            let slot_seed = seed::derive_idx(epoch_root, site as u64);
+                            if seed::unit_f64(seed::derive(slot_seed, "noise")) < cfg.noise {
+                                let t = arena::random_returnable(
+                                    taxonomy,
+                                    seed::derive(slot_seed, "replacement"),
+                                );
+                                cand.push((t.get(), pe, true));
+                                continue;
+                            }
+                            let idx = (seed::derive(slot_seed, "pick") % TOP_N as u64) as usize;
+                            let (t, real) = slot_topic(slot[idx]);
+                            if real {
+                                // Real topics need a witness: the caller saw
+                                // the user on a matching site in that epoch
+                                // (the set is empty before collection began).
+                                if wit[b].contains(t) {
+                                    cand.push((t.get(), pe, false));
+                                }
+                            } else {
+                                cand.push((t.get(), pe, true));
+                            }
+                        }
+                        // Engine dedup: one result per topic, oldest epoch wins.
+                        cand.sort_unstable_by_key(|&(t, pe, _)| (t, pe));
+                        cand.dedup_by_key(|&mut (t, _, _)| t);
+                        for &(t, _, n) in cand.iter() {
+                            out.stats.topics_returned += 1;
+                            out.stats.noised += n as u64;
+                            if counts[t as usize] == 0 {
+                                touched.push(t);
+                            }
+                            counts[t as usize] = counts[t as usize].saturating_add(1);
+                        }
+                    }
+                    touched.sort_unstable();
+                    out.lens.push(touched.len() as u32);
+                    for &t in &touched {
+                        out.topics.push(t);
+                        out.counts.push(counts[t as usize]);
+                        counts[t as usize] = 0;
+                    }
+                    touched.clear();
+                }
+            }
+            out
+        });
+
+        let (a, b): (Vec<BlockOut>, Vec<BlockOut>) =
+            blocks.results.into_iter().map(|[a, b]| (a, b)).unzip();
+        [concat_blocks(users, a), concat_blocks(users, b)]
+    }
+
     fn small() -> SimConfig {
         SimConfig {
             sites: 300,
@@ -958,6 +1234,25 @@ mod tests {
             .validate()
             .is_ok());
         }
+        // Site ids are `u32` too, and the panel width must not wrap
+        // when doubled.
+        if let Ok(sites) = usize::try_from(u64::from(u32::MAX) + 1) {
+            let err = SimConfig { sites, ..small() }.validate().unwrap_err();
+            assert!(err.contains("--sites ≤ 4294967295"), "{err}");
+            assert!(SimConfig {
+                sites: sites - 1,
+                ..small()
+            }
+            .validate()
+            .is_ok());
+        }
+        let err = SimConfig {
+            context_sites: usize::MAX / 2 + 1,
+            ..small()
+        }
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("--context"), "{err}");
     }
 
     #[test]
@@ -1308,12 +1603,12 @@ mod tests {
         let r = run(&cfg, 2).unwrap();
         let universe = build_universe(&cfg);
         let arena = build_arena(&cfg, &universe, 2).unwrap();
-        let panels = pick_panels(&cfg, universe.len());
+        let mut collector = Collector::new(&cfg, &universe, &arena);
         let sample = sample_users(&cfg);
         let first = cfg.epochs - cfg.window;
         let mut cum = [Csr::empty(cfg.users), Csr::empty(cfg.users)];
         for (e, row) in (first..cfg.epochs).zip(&r.reident) {
-            let incs = collect_epoch(&cfg, &universe, &arena, &panels, e, first, 2);
+            let incs = collector.checkpoint(e, 2);
             for (cum, (inc, _)) in cum.iter_mut().zip(incs) {
                 *cum = merge_csr(cum, &inc);
             }
@@ -1326,5 +1621,102 @@ mod tests {
         }
         let last = r.reident.last().unwrap();
         assert!(last.accuracy() > 0.3, "accuracy {}", last.accuracy());
+    }
+
+    #[test]
+    fn carried_answers_match_the_redrawing_reference_at_every_checkpoint() {
+        // Every valid window for 1 to 10 epochs, over 2,049 users (the
+        // last block holds one). Visits, noise and thread count cycle
+        // through all twelve combinations as the shapes go by.
+        let mut case = 0;
+        for epochs in 1..=10 {
+            let shapes = [1, 20].map(|visits_per_epoch| {
+                let shape = SimConfig {
+                    sites: 120,
+                    visits_per_epoch,
+                    context_sites: 8,
+                    sample: 1,
+                    ..SimConfig::new(epochs, 2049, epochs)
+                };
+                let universe = build_universe(&shape);
+                let arena = build_arena(&shape, &universe, 2).unwrap();
+                (shape, universe, arena)
+            });
+            for window in 1..=epochs {
+                let (shape, universe, arena) = &shapes[case % 2];
+                let noise = [0.0, 0.05, 1.0][case % 3];
+                let threads = [1, 3][case / 6 % 2];
+                case += 1;
+                let cfg = SimConfig {
+                    window,
+                    noise,
+                    ..*shape
+                };
+                let mut collector = Collector::new(&cfg, universe, arena);
+                let first = epochs - window;
+                for e in first..epochs {
+                    let want = collect_epoch(&cfg, universe, arena, &collector.panels, e, first, 2);
+                    assert_eq!(
+                        collector.checkpoint(e, threads),
+                        want,
+                        "epochs {epochs}, window {window}, visits {}, noise {noise}, \
+                         threads {threads}, checkpoint {e}",
+                        cfg.visits_per_epoch
+                    );
+                    // Each back-epoch is drawn once: the next checkpoint
+                    // finds all its back-epochs but the newest carried,
+                    // and the last one carries nothing.
+                    let keep = if e + 1 < epochs {
+                        e.saturating_sub(WINDOW_BACK - 1)..e
+                    } else {
+                        e..e
+                    };
+                    assert!(
+                        collector
+                            .carried
+                            .iter()
+                            .all(|ring| ring.iter().map(|a| a.epoch).eq(keep.clone())),
+                        "carried after checkpoint {e} of {epochs}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_answers_round_trip_across_long_gaps() {
+        // Gaps up to and far beyond one entry's reach, an answer at
+        // position 0, and adjacent answers.
+        let want: Vec<(u64, u16, bool)> = vec![
+            (0, 1, false),
+            (1, TAXONOMY_SIZE as u16, true),
+            (1 + GAP_MAX, 7, false),
+            (2 + GAP_MAX, 7, true),
+            (3 + 3 * GAP_MAX, 300, false),
+            (1 << 40, 2, true),
+        ];
+        let mut answers = EpochAnswers::new(0);
+        for &(pos, t, n) in &want {
+            answers.push(pos, t, n);
+        }
+        assert!(answers.packed.len() > want.len(), "long gaps need skips");
+        let mut all = Cursor::new(&answers);
+        let got: Vec<_> = std::iter::from_fn(|| all.next_before(u64::MAX)).collect();
+        assert_eq!(got, want);
+        // Reading run by run stops at each run's end and resumes there,
+        // also where a skip entry crosses the boundary.
+        let mut runs = Cursor::new(&answers);
+        let mut start = 0;
+        for end in [1, 2 + GAP_MAX, 2 * GAP_MAX, 1 << 40, u64::MAX] {
+            let got: Vec<_> = std::iter::from_fn(|| runs.next_before(end)).collect();
+            let run: Vec<_> = want
+                .iter()
+                .copied()
+                .filter(|a| (start..end).contains(&a.0))
+                .collect();
+            assert_eq!(got, run, "run {start}..{end}");
+            start = end;
+        }
+        assert_eq!(runs.next_before(u64::MAX), None);
     }
 }

@@ -230,15 +230,26 @@ for T in 1 4; do
         --noise 0 --seed 7 --threads "$T" --quiet --out "$SIM_DIR/strong$T" > /dev/null
     cmp "$SIM_DIR/strong$T/sim_reident.csv" tests/golden/sim_reident_strong.csv
 done
-# One visit per epoch leaves some user-epochs without a classifiable
-# site; the arena pads those like any thin epoch, and the curves must
-# still not depend on the thread count.
-for T in 1 4; do
-    $TL simulate --users 2000 --epochs 8 --sites 800 --visits 1 --sample 500 --seed 7 \
-        --threads "$T" --quiet --out "$SIM_DIR/thin$T" > /dev/null
-done
-for ART in sim_kanon.csv sim_reident.csv; do
-    cmp "$SIM_DIR/thin1/$ART" "$SIM_DIR/thin4/$ART"
+# Edge shapes, whose artefacts must still not depend on the thread
+# count:
+# - thin: one visit per epoch leaves some user-epochs without a
+#   classifiable site; the arena pads those like any thin epoch;
+# - nohist: collection starts at epoch 0, so the first checkpoint has
+#   no back-epoch to answer from;
+# - partial: 4,097 users leave one user in the last 2,048-user block.
+for SHAPE in thin nohist partial; do
+    case $SHAPE in
+        thin) FLAGS=(--users 2000 --epochs 8 --visits 1) ;;
+        nohist) FLAGS=(--users 2000 --epochs 3 --window 3) ;;
+        partial) FLAGS=(--users 4097 --epochs 8) ;;
+    esac
+    for T in 1 4; do
+        $TL simulate "${FLAGS[@]}" --sites 800 --sample 500 --seed 7 \
+            --threads "$T" --quiet --out "$SIM_DIR/$SHAPE$T" > /dev/null
+    done
+    for ART in sim_kanon.csv sim_reident.csv sim_report.txt; do
+        cmp "$SIM_DIR/${SHAPE}1/$ART" "$SIM_DIR/${SHAPE}4/$ART"
+    done
 done
 # Trace-only doctor over the simulate trace (no campaign to load).
 $TL doctor --trace "$SIM_DIR/t4/trace.jsonl" > /dev/null
