@@ -282,11 +282,6 @@ impl Browser {
         self
     }
 
-    /// Access the Topics engine (for assertions and the baseline crate).
-    pub fn topics_engine(&self) -> &TopicsEngine {
-        &self.engine
-    }
-
     /// Mutable access to the Topics engine (used by the baseline crate to
     /// feed synthetic browsing histories).
     pub fn topics_engine_mut(&mut self) -> &mut TopicsEngine {

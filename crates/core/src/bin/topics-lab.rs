@@ -10,10 +10,12 @@
 //! attestation probe and the population engine share one worker pool
 //! that returns results in job order. `--full` is the paper's 50,000
 //! sites and excludes `--sites`. `--campaign` takes a bundle directory
-//! or its `campaign.col`; a trace defaults to `trace.jsonl` beside it.
-//! `--metrics-out` and `--trace-out` paths are relative to `--out`; a
-//! `.json` trace is Chrome trace-event format (Perfetto), anything else
-//! one span per line (what `doctor` reads).
+//! or its `campaign.col`; a trace defaults to `trace.col` beside it.
+//! `--metrics-out` and `--trace-out` paths are relative to `--out`. The
+//! `--trace-out` extension picks the format: `.col` is the trace file
+//! `doctor`, `memprofile` and `serve` read; `.jsonl` (one span per
+//! line) and `.json` (Chrome trace-event format, for Perfetto) are
+//! exports that nothing reads back.
 //! `--alloc-stats` turns on the counting allocator; the outputs stay
 //! byte-identical.
 //!
@@ -28,13 +30,15 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use topics_core::crawler::campaign::AllowListSetup;
 use topics_core::crawler::record::CampaignOutcome;
+use topics_core::crawler::spans::encode_trace;
 use topics_core::export::{
-    load_campaign, write_artefacts, write_bundle, StoreKind, CAMPAIGN_COLUMNAR_FILE,
+    load_campaign, load_trace, write_artefacts, write_bundle, StoreKind, CAMPAIGN_COLUMNAR_FILE,
+    TRACE_FILE,
 };
 use topics_core::obs::{alloc, Obs, Trace};
 use topics_core::{
-    comparison_rows, crawler::shard::tally_snapshot, diagnose, evaluate, render_comparison, Lab,
-    LabConfig,
+    comparison_rows, crawler::shard::tally_snapshot, diagnose_bundle, evaluate, render_comparison,
+    Lab, LabConfig,
 };
 
 /// The instrumented allocator wraps the system one for the whole
@@ -468,10 +472,10 @@ fn campaign_path(args: &Args) -> Option<PathBuf> {
     args.text("--campaign").map(resolve_campaign)
 }
 
-/// `--trace`, else `trace.jsonl` next to the `--campaign` store.
+/// `--trace`, else `trace.col` next to the `--campaign` store.
 fn trace_path(args: &Args) -> Option<PathBuf> {
     args.opt("--trace")
-        .or_else(|| Some(campaign_path(args)?.with_file_name("trace.jsonl")))
+        .or_else(|| Some(campaign_path(args)?.with_file_name(TRACE_FILE)))
 }
 
 /// [`load_campaign`] with the error classified for exit codes.
@@ -484,13 +488,10 @@ fn load_campaign_arg(args: &Args) -> Result<CampaignOutcome, CliError> {
     load_campaign_cli(&campaign_path(args).expect("--campaign is required"))
 }
 
-/// Read and parse a span trace: a missing file is exit 3, one that is
-/// not UTF-8 or not trace JSONL exit 4.
+/// [`load_trace`] with the error classified for exit codes: a missing
+/// file is exit 3, one that is not a valid `trace.col` exit 4.
 fn load_trace_cli(path: &Path) -> Result<Trace, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::io(&e, format!("reading trace {}: {e}", path.display())))?;
-    Trace::from_jsonl(&text)
-        .map_err(|e| CliError::Corrupt(format!("parsing trace {}: {e}", path.display())))
+    load_trace(path).map_err(|e| CliError::io(&e, format!("trace {}: {e}", path.display())))
 }
 
 /// Strict `--shard K/N` parse: K is 1-based, 1 ≤ K ≤ N. Returns the
@@ -561,27 +562,49 @@ fn obs_for(args: &Args) -> Obs {
     }
 }
 
+/// How a trace is written to `path`, chosen by its extension:
+/// `trace.col`, or one of the two write-only exports.
+fn trace_encoder(path: &Path) -> Result<fn(&Trace) -> Vec<u8>, String> {
+    match path.extension().and_then(|e| e.to_str()) {
+        Some("col") => Ok(encode_trace),
+        Some("jsonl") => Ok(|t| t.to_jsonl().into_bytes()),
+        Some("json") => Ok(|t| t.to_chrome_json().into_bytes()),
+        _ => Err(format!(
+            "bad --trace-out {} (want a .col trace, a .jsonl or a .json export)",
+            path.display()
+        )),
+    }
+}
+
+/// The trace's encoder and path.
+type TraceSink = (fn(&Trace) -> Vec<u8>, PathBuf);
+
 /// The files [`SINK_FLAGS`] ask a run to write.
 struct Sinks {
     metrics: Option<PathBuf>,
-    trace: Option<PathBuf>,
+    trace: Option<TraceSink>,
     alloc_stats: bool,
 }
 
 impl Sinks {
     /// Read the sink flags (relative paths land in `out`, absolute ones
-    /// replace it) and turn on allocation counting when asked.
-    fn new(args: &Args, out: &Path) -> Sinks {
+    /// replace it) and turn on allocation counting when asked. A
+    /// `--trace-out` with no known extension fails here, before any work.
+    fn new(args: &Args, out: &Path) -> Result<Sinks, String> {
         let at = |flag| args.text(flag).map(|v| out.join(v));
+        let trace = match at("--trace-out") {
+            Some(path) => Some((trace_encoder(&path)?, path)),
+            None => None,
+        };
         let sinks = Sinks {
             metrics: at("--metrics-out"),
-            trace: at("--trace-out"),
+            trace,
             alloc_stats: args.has("--alloc-stats"),
         };
         if sinks.alloc_stats {
             alloc::set_enabled(true);
         }
-        sinks
+        Ok(sinks)
     }
 
     /// The run's `Obs`, tracing when a trace is to be written.
@@ -603,21 +626,19 @@ impl Sinks {
             }
             write_file(path, "metrics", obs.metrics.snapshot().render_prometheus())?;
         }
-        if let Some(path) = &self.trace {
-            let trace = obs.trace.finish();
-            let body = if path.extension().is_some_and(|e| e == "json") {
-                trace.to_chrome_json()
-            } else {
-                trace.to_jsonl()
-            };
-            write_file(path, "trace", body)?;
+        if let Some((encode, path)) = &self.trace {
+            write_file(path, "trace", encode(&obs.trace.finish()))?;
         }
         Ok(())
     }
 
     /// Say where each file went.
     fn announce(&self) {
-        for (what, path) in [("metrics snapshot", &self.metrics), ("trace", &self.trace)] {
+        let trace = self.trace.as_ref().map(|(_, path)| path);
+        for (what, path) in [
+            ("metrics snapshot", self.metrics.as_ref()),
+            ("trace", trace),
+        ] {
             if let Some(p) = path {
                 println!("{what} written to {}", p.display());
             }
@@ -629,7 +650,7 @@ fn cmd_crawl(args: &Args) -> Result<(), CliError> {
     let config = lab_config(args)?;
     let (sites, seed) = (config.world.num_sites, config.world.seed);
     let out: PathBuf = args.get("--out");
-    let sinks = Sinks::new(args, &out);
+    let sinks = Sinks::new(args, &out)?;
     let obs = sinks.obs(args);
 
     obs.events.info(
@@ -742,7 +763,7 @@ fn cmd_merge(args: &Args) -> Result<(), CliError> {
     let full_scale = merged.outcome.sites.len() >= 50_000;
     write_artefacts(&out, &merged.outcome, &eval, full_scale)
         .map_err(|e| format!("writing bundle to {}: {e}", out.display()))?;
-    write_file(&out.join("trace.jsonl"), "trace", merged.trace.to_jsonl())?;
+    write_file(&out.join(TRACE_FILE), "trace", encode_trace(&merged.trace))?;
 
     println!("{}", eval.render_report());
     println!(
@@ -804,21 +825,7 @@ fn cmd_doctor(args: &Args) -> Result<(), CliError> {
     };
     let outcome = load_campaign_cli(&campaign)?;
     let trace = load_trace_cli(&trace_path(args).expect("a campaign gives a trace path"))?;
-
-    // Shard segments and the columnar store next to the campaign are
-    // verified automatically: segment checksums, coverage, and
-    // byte-identity of their merge with campaign.col; campaign.col
-    // section checksums and intern referential integrity.
-    let mut report = diagnose(&outcome, &trace, top);
-    if let Some(dir) = campaign.parent().filter(|d| d.is_dir()) {
-        let (checked, violations) = topics_core::doctor::verify_segments(dir);
-        if checked > 0 {
-            report = report.with_segment_checks(checked, violations);
-        }
-        if let Some(check) = topics_core::doctor::verify_columnar(dir) {
-            report = report.with_columnar_check(check);
-        }
-    }
+    let report = diagnose_bundle(&campaign, &outcome, &trace, top);
     verdict(report.render(), report.violations().len())
 }
 
@@ -866,7 +873,7 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
     });
 
     let out: PathBuf = args.get("--out");
-    let sinks = Sinks::new(args, &out);
+    let sinks = Sinks::new(args, &out)?;
     let obs = sinks.obs(args);
     obs.events.info(
         "sim-start",
@@ -1090,9 +1097,20 @@ mod tests {
             &["--trace-out", "/tmp/t.json", "--metrics-out", "m"],
         )
         .unwrap();
-        let sinks = Sinks::new(&a, Path::new("bundle"));
-        assert_eq!(sinks.trace, Some(PathBuf::from("/tmp/t.json")));
+        let sinks = Sinks::new(&a, Path::new("bundle")).unwrap();
+        let trace = sinks.trace.map(|(_, path)| path);
+        assert_eq!(trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(sinks.metrics, Some(PathBuf::from("bundle/m")));
+        // The extension picks the format; any other than .col, .jsonl
+        // and .json is refused before the run starts.
+        for bad in ["t.txt", "trace", "t.col.gz"] {
+            let a = parse("crawl", &["--trace-out", bad]).unwrap();
+            let err = Sinks::new(&a, Path::new("bundle")).err().expect("refused");
+            assert!(
+                err.contains("bad --trace-out") && err.contains(bad),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1142,7 +1160,7 @@ mod tests {
         let a = parse("doctor", &[]).unwrap();
         assert_eq!((a.get::<usize>("--top"), trace_path(&a)), (10, None));
         let a = parse("doctor", &["--campaign", "bundle/campaign.col"]).unwrap();
-        assert_eq!(trace_path(&a), Some(PathBuf::from("bundle/trace.jsonl")));
+        assert_eq!(trace_path(&a), Some(PathBuf::from("bundle/trace.col")));
         assert!(error("doctor", &["--top", "0"]).contains("bad --top"));
     }
 
@@ -1155,16 +1173,12 @@ mod tests {
     #[test]
     fn memprofile_flags_parse_strictly() {
         assert_strict("memprofile", "--trace", "--addr");
-        // --campaign DIR resolves to trace.jsonl next to campaign.col.
+        // --campaign DIR resolves to trace.col next to campaign.col.
         let dir = std::env::temp_dir();
         let a = parse("memprofile", &["--campaign", dir.to_str().unwrap()]).unwrap();
-        assert_eq!(trace_path(&a), Some(dir.join("trace.jsonl")));
-        let a = parse("memprofile", &["--trace", "t.jsonl", "--campaign", "c"]).unwrap();
-        assert_eq!(
-            trace_path(&a),
-            Some(PathBuf::from("t.jsonl")),
-            "--trace wins"
-        );
+        assert_eq!(trace_path(&a), Some(dir.join("trace.col")));
+        let a = parse("memprofile", &["--trace", "t.col", "--campaign", "c"]).unwrap();
+        assert_eq!(trace_path(&a), Some(PathBuf::from("t.col")), "--trace wins");
     }
 
     #[test]

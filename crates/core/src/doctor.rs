@@ -148,6 +148,29 @@ pub fn verify_segments(dir: &Path) -> (usize, Vec<String>) {
     (count, violation.into_iter().collect())
 }
 
+/// The `doctor` report over a bundle: [`diagnose`] of `outcome`
+/// against `trace`, with [`verify_segments`] and [`verify_columnar`]
+/// over the directory that holds the `campaign` store. The `doctor`
+/// subcommand and serve's `/api/doctor` both render this report, so
+/// their bodies are the same bytes.
+pub fn diagnose_bundle(
+    campaign: &Path,
+    outcome: &CampaignOutcome,
+    trace: &Trace,
+    top_n: usize,
+) -> DoctorReport {
+    let mut report = diagnose(outcome, trace, top_n);
+    if let Some(dir) = campaign.parent().filter(|d| d.is_dir()) {
+        let (checked, violations) = verify_segments(dir);
+        if checked > 0 {
+            report.segments_checked = checked;
+            report.segment_violations = violations;
+        }
+        report.columnar = verify_columnar(dir);
+    }
+    report
+}
+
 fn u64_field(trace: &Trace, span_name: &str, key: &str) -> u64 {
     trace
         .spans
@@ -279,19 +302,14 @@ impl TraceReport {
     /// allocation-balance checks. Empty iff [`TraceReport::is_healthy`].
     pub fn violations(&self) -> Vec<String> {
         let mut out = self.integrity.violations();
-        for b in self.alloc_balance.iter().filter(|b| !b.ok) {
-            out.push(format!(
-                "allocation balance failed: phase {} window {} B < children {} B",
-                b.phase, b.phase_bytes, b.children_bytes
-            ));
-        }
+        out.extend(alloc_violations(&self.alloc_balance));
         out
     }
 
     /// True when the trace is structurally sound and every
     /// allocation-balance check passed.
     pub fn is_healthy(&self) -> bool {
-        self.integrity.is_clean() && self.alloc_balance.iter().all(|b| b.ok)
+        self.violations().is_empty()
     }
 
     /// Render the report as plain text.
@@ -307,33 +325,8 @@ impl TraceReport {
             }
         ));
         out.push('\n');
-
-        out.push_str("== Phases (simulated unless noted) ==\n");
-        for p in &self.profile.phases {
-            out.push_str(&format!(
-                "{:<18} total {:>9} ms  self {:>9} ms{}\n",
-                p.name,
-                p.total_ms,
-                p.self_ms,
-                if p.simulated { "" } else { "  (wall)" },
-            ));
-        }
-        out.push('\n');
-
-        out.push_str("== Allocation balance ==\n");
-        if self.alloc_balance.is_empty() {
-            out.push_str("no allocation attribution in trace (record with --alloc-stats)\n");
-        } else {
-            for b in &self.alloc_balance {
-                out.push_str(&format!(
-                    "[{}] {:<18} phase window {:>12} B  children {:>12} B\n",
-                    if b.ok { "ok" } else { "FAIL" },
-                    b.phase,
-                    b.phase_bytes,
-                    b.children_bytes,
-                ));
-            }
-        }
+        render_phases(&mut out, &self.profile);
+        render_alloc_balance(&mut out, &self.alloc_balance, "record");
 
         let violations = self.violations();
         if !violations.is_empty() {
@@ -348,23 +341,6 @@ impl TraceReport {
 }
 
 impl DoctorReport {
-    /// Fold in the result of [`verify_segments`] (the CLI runs it when
-    /// the campaign directory holds `*.seg` files).
-    #[must_use]
-    pub fn with_segment_checks(mut self, checked: usize, violations: Vec<String>) -> DoctorReport {
-        self.segments_checked = checked;
-        self.segment_violations = violations;
-        self
-    }
-
-    /// Fold in the result of [`verify_columnar`] (the CLI runs it when
-    /// the campaign directory holds a `campaign.col`).
-    #[must_use]
-    pub fn with_columnar_check(mut self, check: ColumnarCheck) -> DoctorReport {
-        self.columnar = Some(check);
-        self
-    }
-
     /// Every violation found: structural trace problems plus failed
     /// reconciliation checks. Empty iff [`DoctorReport::is_healthy`].
     pub fn violations(&self) -> Vec<String> {
@@ -379,26 +355,15 @@ impl DoctorReport {
                 r.check, r.traced, r.tallied
             ));
         }
-        for b in self.alloc_balance.iter().filter(|b| !b.ok) {
-            out.push(format!(
-                "allocation balance failed: phase {} window {} B < children {} B",
-                b.phase, b.phase_bytes, b.children_bytes
-            ));
-        }
+        out.extend(alloc_violations(&self.alloc_balance));
         out
     }
 
     /// True when the trace is structurally sound and every
-    /// reconciliation and allocation-balance check passed.
+    /// reconciliation, allocation-balance, segment and store check
+    /// passed.
     pub fn is_healthy(&self) -> bool {
-        self.integrity.is_clean()
-            && self.reconciliation.iter().all(|r| r.ok)
-            && self.alloc_balance.iter().all(|b| b.ok)
-            && self.segment_violations.is_empty()
-            && self
-                .columnar
-                .as_ref()
-                .map_or(true, |c| c.violations.is_empty())
+        self.violations().is_empty()
     }
 
     /// Render the report as plain text.
@@ -422,18 +387,7 @@ impl DoctorReport {
             ));
         }
         out.push('\n');
-
-        out.push_str("== Phases (simulated unless noted) ==\n");
-        for p in &self.profile.phases {
-            out.push_str(&format!(
-                "{:<18} total {:>9} ms  self {:>9} ms{}\n",
-                p.name,
-                p.total_ms,
-                p.self_ms,
-                if p.simulated { "" } else { "  (wall)" },
-            ));
-        }
-        out.push('\n');
+        render_phases(&mut out, &self.profile);
 
         out.push_str("== Critical path ==\n");
         for hop in &self.profile.critical_path {
@@ -466,20 +420,7 @@ impl DoctorReport {
         }
         out.push('\n');
 
-        out.push_str("== Allocation balance ==\n");
-        if self.alloc_balance.is_empty() {
-            out.push_str("no allocation attribution in trace (run with --alloc-stats)\n");
-        } else {
-            for b in &self.alloc_balance {
-                out.push_str(&format!(
-                    "[{}] {:<18} phase window {:>12} B  children {:>12} B\n",
-                    if b.ok { "ok" } else { "FAIL" },
-                    b.phase,
-                    b.phase_bytes,
-                    b.children_bytes,
-                ));
-            }
-        }
+        render_alloc_balance(&mut out, &self.alloc_balance, "run");
         out.push('\n');
 
         if self.segments_checked > 0 {
@@ -551,6 +492,51 @@ impl DoctorReport {
         }
         out
     }
+}
+
+/// The per-phase time section both reports print.
+fn render_phases(out: &mut String, profile: &Profile) {
+    out.push_str("== Phases (simulated unless noted) ==\n");
+    for p in &profile.phases {
+        out.push_str(&format!(
+            "{:<18} total {:>9} ms  self {:>9} ms{}\n",
+            p.name,
+            p.total_ms,
+            p.self_ms,
+            if p.simulated { "" } else { "  (wall)" },
+        ));
+    }
+    out.push('\n');
+}
+
+/// The allocation-balance section both reports print; `verb` starts
+/// the hint shown when the trace has no attribution.
+fn render_alloc_balance(out: &mut String, rows: &[AllocBalance], verb: &str) {
+    out.push_str("== Allocation balance ==\n");
+    if rows.is_empty() {
+        out.push_str(&format!(
+            "no allocation attribution in trace ({verb} with --alloc-stats)\n"
+        ));
+    }
+    for b in rows {
+        out.push_str(&format!(
+            "[{}] {:<18} phase window {:>12} B  children {:>12} B\n",
+            if b.ok { "ok" } else { "FAIL" },
+            b.phase,
+            b.phase_bytes,
+            b.children_bytes,
+        ));
+    }
+}
+
+/// One violation line per failed allocation-balance check.
+fn alloc_violations(rows: &[AllocBalance]) -> impl Iterator<Item = String> + '_ {
+    rows.iter().filter(|b| !b.ok).map(|b| {
+        format!(
+            "allocation balance failed: phase {} window {} B < children {} B",
+            b.phase, b.phase_bytes, b.children_bytes
+        )
+    })
 }
 
 #[cfg(test)]
@@ -708,8 +694,7 @@ mod tests {
         let (checked, violations) = verify_segments(&dir);
         assert_eq!(checked, 2);
         assert!(violations.is_empty(), "{violations:?}");
-        let report =
-            diagnose(&merged.outcome, &merged.trace, 5).with_segment_checks(checked, violations);
+        let report = diagnose_bundle(&col_path, &merged.outcome, &merged.trace, 5);
         assert!(report.is_healthy(), "violations: {:?}", report.violations());
         assert!(report.render().contains("== Shard segments =="));
         assert!(report.render().contains("[ok] 2 segment file(s)"));
@@ -740,8 +725,7 @@ mod tests {
                 .any(|v| v.contains("checksum mismatch") && v.contains(name)),
             "{violations:?}"
         );
-        let report =
-            diagnose(&merged.outcome, &merged.trace, 5).with_segment_checks(checked, violations);
+        let report = diagnose_bundle(&col_path, &merged.outcome, &merged.trace, 5);
         assert!(!report.is_healthy());
         assert!(report.render().contains("[FAIL]"));
 
@@ -775,7 +759,7 @@ mod tests {
         assert!(check.violations.is_empty(), "{:?}", check.violations);
         assert_eq!(check.sections.len(), 8);
         assert_eq!(check.bytes, store.bytes().len() as u64);
-        let report = diagnose(&outcome, &trace, 5).with_columnar_check(check);
+        let report = diagnose_bundle(&path, &outcome, &trace, 5);
         assert!(report.is_healthy(), "violations: {:?}", report.violations());
         let text = report.render();
         assert!(text.contains("== Columnar store =="));
@@ -793,7 +777,7 @@ mod tests {
             "{:?}",
             check.violations
         );
-        let report = diagnose(&outcome, &trace, 5).with_columnar_check(check);
+        let report = diagnose_bundle(&path, &outcome, &trace, 5);
         assert!(!report.is_healthy());
         assert!(report.render().contains("[FAIL]"));
         std::fs::remove_dir_all(&dir).unwrap();

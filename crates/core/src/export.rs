@@ -9,9 +9,15 @@ use topics_analysis::dataset::{DatasetId, Datasets};
 use topics_analysis::export as csv;
 use topics_crawler::columnar::{ColumnarCampaign, ColumnarError};
 use topics_crawler::record::CampaignOutcome;
+use topics_crawler::spans::decode_trace;
+use topics_obs::Trace;
 
 /// The bundle's dataset file: the columnar campaign store.
 pub const CAMPAIGN_COLUMNAR_FILE: &str = "campaign.col";
+
+/// The bundle's span trace (`crawl --trace-out trace.col`, `merge`):
+/// what `doctor`, `memprofile` and `serve` read beside a campaign.
+pub const TRACE_FILE: &str = "trace.col";
 
 /// The on-disk representation of a bundle's campaign dataset. There is
 /// one: the interned struct-of-arrays layout in
@@ -120,6 +126,24 @@ pub fn load_campaign(path: &Path) -> io::Result<CampaignOutcome> {
     ColumnarCampaign::decode(fs::read(path)?)
         .and_then(|col| col.to_outcome())
         .map_err(bad)
+}
+
+/// Load a `trace.col` ([`topics_crawler::spans`]). The decoder checks
+/// the magic, checksums and every id and range: any failure is an
+/// `InvalidData` error naming it, a missing file `NotFound`. A JSONL
+/// trace is an export, not read back: it fails the magic check like
+/// any other file, and the message says so.
+pub fn load_trace(path: &Path) -> io::Result<Trace> {
+    decode_trace(&fs::read(path)?).map_err(|e| {
+        let why = match e {
+            ColumnarError::BadMagic => {
+                "not a trace.col file (bad magic); a JSONL trace is an export and is not read"
+                    .to_owned()
+            }
+            e => e.to_string(),
+        };
+        io::Error::new(io::ErrorKind::InvalidData, format!("bad trace.col: {why}"))
+    })
 }
 
 /// Quick sanity accessor used by tests: dataset sizes of a loaded

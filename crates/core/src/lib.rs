@@ -55,10 +55,10 @@ pub mod sim;
 pub use compare::{comparison_rows, render_comparison, ComparisonRow};
 pub use config::LabConfig;
 pub use doctor::{
-    diagnose, diagnose_trace, verify_columnar, verify_segments, ColumnarCheck, DoctorReport,
-    TraceReport,
+    diagnose, diagnose_bundle, diagnose_trace, verify_columnar, verify_segments, ColumnarCheck,
+    DoctorReport, TraceReport,
 };
-pub use export::{load_campaign, write_bundle, StoreKind};
+pub use export::{load_campaign, load_trace, write_bundle, StoreKind, TRACE_FILE};
 pub use fidelity::{fidelity, FidelityReport};
 pub use lab::{evaluate, CampaignRun, Evaluation, Lab};
 pub use serve::{

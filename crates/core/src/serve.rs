@@ -47,9 +47,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use crate::export::{load_trace, TRACE_FILE};
 use topics_analysis::export as csv;
 use topics_crawler::columnar::ColumnarCampaign;
-use topics_obs::{Counter, FieldValue, Gauge, Histogram, Level, MetricsRegistry, Obs, Trace};
+use topics_obs::{Counter, FieldValue, Gauge, Histogram, Level, MetricsRegistry, Obs};
 
 /// The eight artefact-backed API endpoints: URL path → the bundle file
 /// whose bytes the endpoint serves. `/api/doctor` and `/api/profile`
@@ -146,10 +147,10 @@ pub struct ServeConfig {
     /// by the caller, the CLI does).
     pub campaign: PathBuf,
     /// The span trace backing `/api/doctor` and `/api/profile`.
-    /// `None` means "try `trace.jsonl` next to the campaign"; the two
+    /// `None` means "try `trace.col` next to the campaign"; the two
     /// endpoints answer 404 when that file does not exist. A trace
-    /// named here must exist, and any trace that is found must read
-    /// and parse, or the build fails.
+    /// named here must exist, and any trace that is found must decode,
+    /// or the build fails.
     pub trace: Option<PathBuf>,
     /// Listen address; port 0 picks an ephemeral port (read it back
     /// with [`Server::local_addr`]).
@@ -221,29 +222,17 @@ impl QueryService {
         let render_us = lap_us();
 
         // The doctor/profile endpoints mirror the subcommands byte for
-        // byte, including the segment/columnar directory checks. Only
-        // the default trace may be absent.
+        // byte. Only the default trace may be absent.
         let trace_path = trace
             .map(Path::to_path_buf)
-            .unwrap_or_else(|| campaign.with_file_name("trace.jsonl"));
-        let text = match std::fs::read_to_string(&trace_path) {
-            Ok(text) => Some(text),
+            .unwrap_or_else(|| campaign.with_file_name(TRACE_FILE));
+        let found = match load_trace(&trace_path) {
+            Ok(trace) => Some(trace),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound && trace.is_none() => None,
             Err(e) => return Err(read_error(&trace_path, e)),
         };
-        if let Some(text) = text {
-            let trace = Trace::from_jsonl(&text)
-                .map_err(|e| ServeError::Corrupt(trace_path.clone(), e.to_string()))?;
-            let mut report = crate::diagnose(&outcome, &trace, 10);
-            if let Some(dir) = campaign.parent().filter(|d| d.is_dir()) {
-                let (checked, violations) = crate::doctor::verify_segments(dir);
-                if checked > 0 {
-                    report = report.with_segment_checks(checked, violations);
-                }
-                if let Some(check) = crate::doctor::verify_columnar(dir) {
-                    report = report.with_columnar_check(check);
-                }
-            }
+        if let Some(trace) = found {
+            let report = crate::doctor::diagnose_bundle(campaign, &outcome, &trace, 10);
             put("/api/doctor", TEXT, report.render());
             put(
                 "/api/profile",
@@ -295,8 +284,8 @@ impl QueryService {
 }
 
 /// A failed read of the campaign or a trace, typed by its cause: a
-/// file that is not there, one that is not UTF-8 text, or any other
-/// I/O failure.
+/// file that is not there, one that does not decode, or any other I/O
+/// failure.
 fn read_error(path: &Path, e: std::io::Error) -> ServeError {
     match e.kind() {
         std::io::ErrorKind::NotFound => ServeError::Missing(path.to_path_buf()),
@@ -538,7 +527,7 @@ impl Server {
             _ => match self.service.body(path) {
                 Some((content_type, body)) => (200, content_type, body),
                 None if path == "/api/doctor" || path == "/api/profile" => {
-                    (404, TEXT, b"no trace.jsonl next to the campaign\n")
+                    (404, TEXT, b"no trace.col next to the campaign\n")
                 }
                 None => (404, TEXT, b"not found\n"),
             },

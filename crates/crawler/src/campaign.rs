@@ -12,9 +12,7 @@ use crate::metrics::CrawlMetrics;
 use crate::record::{
     AttestationInfo, AttestationProbe, CampaignOutcome, SiteOutcome, CAMPAIGN_SCHEMA_VERSION,
 };
-use crate::visit::{
-    run_site_full, run_site_traced, ConsentAction, VisitPolicy, DEFAULT_VISIT_TIMEOUT_MS,
-};
+use crate::visit::{run_site, ConsentAction, VisitPolicy, DEFAULT_VISIT_TIMEOUT_MS};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 use topics_browser::attestation::{AttestationStore, EnforcementMode};
@@ -356,7 +354,7 @@ where
             // Thread-local allocation scope for this visit; the visit
             // root is always builder span index 0.
             let vspan = AllocSpan::start();
-            let outcome = run_site_traced(
+            let outcome = run_site(
                 service,
                 &targets[rank],
                 rank,
@@ -685,7 +683,7 @@ pub fn run_repeated<W: CrawlTarget + ?Sized>(
             urls.iter()
                 .enumerate()
                 .map(|(rank, url)| {
-                    run_site_full(
+                    run_site(
                         world,
                         url,
                         rank,
@@ -695,6 +693,9 @@ pub fn run_repeated<W: CrawlTarget + ?Sized>(
                         t,
                         config.consent_action,
                         config.vantage,
+                        None,
+                        &VisitPolicy::default(),
+                        None,
                     )
                 })
                 .collect()

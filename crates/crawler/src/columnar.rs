@@ -790,11 +790,6 @@ impl ColumnarCampaign {
         self.counts[C_CALLS] as usize
     }
 
-    /// Number of interned domain strings.
-    pub fn domain_count(&self) -> usize {
-        self.counts[C_STRINGS] as usize
-    }
-
     /// The section directory (name, payload length, checksum).
     pub fn section_map(&self) -> Vec<SectionInfo> {
         self.dir
@@ -1944,13 +1939,6 @@ mod tests {
     #[test]
     fn crafted_headers_are_typed_errors_not_aborts() {
         let good = ColumnarCampaign::from_outcome(&outcome()).bytes().to_vec();
-        // Header layout: counts at 24..56, section count at 56..60, eight
-        // 25-byte directory entries at 60..260, header checksum 260..268.
-        let reseal = |mut bytes: Vec<u8>| {
-            let sum = fnv1a(&bytes[..260]);
-            bytes[260..268].copy_from_slice(&sum.to_le_bytes());
-            bytes
-        };
 
         // A huge section count is read before the checksum covers it.
         let mut huge_dir = good.clone();
@@ -1964,18 +1952,118 @@ mod tests {
         let mut huge_len = good.clone();
         huge_len[244..252].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            ColumnarCampaign::decode(reseal(huge_len)).unwrap_err(),
+            ColumnarCampaign::decode(reseal_header(huge_len)).unwrap_err(),
             ColumnarError::Malformed(_)
         ));
 
         // A row count far beyond what the section holds.
         let mut huge_count = good.clone();
         huge_count[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
-        let store = ColumnarCampaign::decode(reseal(huge_count)).unwrap();
+        let store = ColumnarCampaign::decode(reseal_header(huge_count)).unwrap();
         assert!(matches!(
             store.domains().unwrap_err(),
             ColumnarError::Truncated { .. }
         ));
+    }
+
+    /// Recompute the header checksum of an edited store. Header layout:
+    /// counts at 24..56, section count at 56..60, eight 25-byte
+    /// directory entries at 60..260, header checksum 260..268.
+    fn reseal_header(mut bytes: Vec<u8>) -> Vec<u8> {
+        let sum = fnv1a(&bytes[..260]);
+        bytes[260..268].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    /// Decode `bytes` and read every section the way `to_outcome` and
+    /// `verify` do, returning the first error.
+    fn full_read(bytes: Vec<u8>) -> Result<(), ColumnarError> {
+        let store = ColumnarCampaign::decode(bytes)?;
+        store.to_outcome()?;
+        store.verify()
+    }
+
+    /// Mutations re-sealed behind fresh checksums reach the column
+    /// decoders: every bad id, range, enum byte and row count is a
+    /// typed error, and random byte edits never panic.
+    #[test]
+    fn resealed_column_mutations_are_typed_errors() {
+        let good = ColumnarCampaign::from_outcome(&outcome()).bytes().to_vec();
+        assert_eq!(full_read(good.clone()), Ok(()));
+        let id = 9_999u32.to_le_bytes();
+        // (section, byte offset, bytes written there, the error's
+        // `section.field: kind`) over the fixture's 3 sites, 3 visits
+        // and 3 calls.
+        let cases: [(u8, usize, &[u8], &str); 17] = [
+            (TAG_SITES, 12, &id, "sites.website: id"),
+            (TAG_SITES, 24, &3u32.to_le_bytes(), "sites.visit: id"),
+            (TAG_SITES, 48, &1u32.to_le_bytes(), "sites.error: id"),
+            (TAG_SITES, 72, &[0x80], "sites.flags: invalid enum"),
+            (TAG_VISITS, 0, &[3], "visits.phase: invalid enum"),
+            (TAG_VISITS, 3, &id, "visits.website: id"),
+            (
+                TAG_VISITS,
+                39,
+                &u32::MAX.to_le_bytes(),
+                "visits.parties: range",
+            ),
+            (TAG_VISITS, 87, &4u32.to_le_bytes(), "visits.calls: range"),
+            (TAG_PARTIES, 0, &id, "parties.domain: id"),
+            (TAG_CALLS, 0, &id, "calls.caller: id"),
+            (TAG_CALLS, 24, &id, "calls.script_source: id"),
+            (TAG_CALLS, 36, &[3], "calls.call_type: invalid enum"),
+            (TAG_CALLS, 39, &[4], "calls.decision: invalid enum"),
+            (TAG_ALLOW, 4, &id, "allow.domain: id"),
+            (TAG_PROBES, 0, &id, "probes.domain: id"),
+            (
+                TAG_STRINGS,
+                0,
+                &u32::MAX.to_le_bytes(),
+                "strings: truncated",
+            ),
+            (
+                TAG_ERRORS,
+                4,
+                &[0xFF],
+                "store malformed: error string 0 is not UTF-8",
+            ),
+        ];
+        for (tag, at, bytes, want) in cases {
+            let resealed = container::reseal(&FORMAT, &good, tag, |p| {
+                p[at..at + bytes.len()].copy_from_slice(bytes)
+            });
+            let err = full_read(resealed).unwrap_err().to_string();
+            assert!(
+                err.starts_with(&format!("columnar {want}")),
+                "{want}: {err}"
+            );
+        }
+        // Every row count in the header one too high or one too low.
+        for at in (24..56).step_by(4) {
+            for delta in [1i64, -1] {
+                let mut bytes = good.clone();
+                let n = i64::from(u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()));
+                bytes[at..at + 4].copy_from_slice(&((n + delta) as u32).to_le_bytes());
+                assert!(
+                    full_read(reseal_header(bytes)).is_err(),
+                    "count at {at} {delta:+}"
+                );
+            }
+        }
+        // Random single-byte edits of any section: an error or a
+        // campaign, never a panic.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..4_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let (tag, _) = FORMAT.sections[(state >> 60) as usize % FORMAT.sections.len()];
+            let bytes = container::reseal(&FORMAT, &good, tag, |p| {
+                let at = (state >> 20) as usize % p.len();
+                p[at] = (state >> 8) as u8;
+            });
+            let _ = full_read(bytes);
+        }
     }
 
     #[test]

@@ -319,3 +319,22 @@ impl<'a> Cur<'a> {
         Ok(())
     }
 }
+
+/// Replace section `tag`'s payload via `edit` and re-seal the file:
+/// fresh offsets, section digests and header checksum, so the mutation
+/// gets past the checksums to the decoders.
+#[cfg(test)]
+pub(crate) fn reseal(
+    format: &'static Format,
+    bytes: &[u8],
+    tag: u8,
+    edit: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let (preamble, dir) = parse(format, bytes, |cur| cur.take(format.preamble_len)).unwrap();
+    let payload = |e: &DirEntry| bytes[e.offset as usize..(e.offset + e.len) as usize].to_vec();
+    let mut sections: Vec<(u8, Vec<u8>)> =
+        dir.entries.iter().map(|e| (e.tag, payload(e))).collect();
+    edit(&mut sections.iter_mut().find(|(t, _)| *t == tag).unwrap().1);
+    let refs: Vec<(u8, &[u8])> = sections.iter().map(|(t, p)| (*t, p.as_slice())).collect();
+    assemble(format, preamble, &refs)
+}

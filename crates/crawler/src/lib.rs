@@ -20,6 +20,7 @@
 //!   its zero-deserialization query layer.
 //! * [`shard`] — rank-stripe shard planning, checksummed record
 //!   segments, and the deterministic merge back into one campaign.
+//! * [`spans`] — the span codec shard segments and `trace.col` share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +32,7 @@ pub mod metrics;
 pub mod privaccept;
 pub mod record;
 pub mod shard;
+pub mod spans;
 pub mod visit;
 
 pub use campaign::{
@@ -50,7 +52,4 @@ pub use shard::{
     merge_to_store, shard_token, split_outcome, tally_snapshot, MergeError, Segment, SegmentError,
     SegmentHeader, ShardPlan, StreamingMerge, SEGMENT_MAGIC, SEGMENT_VERSION,
 };
-pub use visit::{
-    run_site, run_site_full, run_site_instrumented, run_site_with_action, run_site_with_policy,
-    ConsentAction, VisitPolicy,
-};
+pub use visit::{run_site, ConsentAction, VisitPolicy};

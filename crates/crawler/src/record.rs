@@ -11,7 +11,6 @@ use topics_browser::attestation::AllowDecision;
 use topics_browser::observer::{CallType, ObjectEvent, TopicsCallEvent};
 use topics_net::clock::Timestamp;
 use topics_net::domain::Domain;
-use topics_net::http::ResourceKind;
 use topics_net::psl::{registrable_domain, registrable_str};
 
 /// Which of the two visits a record belongs to (§2.2).
@@ -380,14 +379,10 @@ impl CampaignOutcome {
     }
 }
 
-/// Helper for tests: count objects of a given kind in raw events.
-pub fn count_kind(objects: &[ObjectEvent], kind: ResourceKind) -> usize {
-    objects.iter().filter(|o| o.kind == kind).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use topics_net::http::ResourceKind;
     use topics_net::url::Url;
 
     fn d(s: &str) -> Domain {

@@ -67,186 +67,15 @@ pub enum ConsentAction {
 ///
 /// `attestation` is cloned into the browser — the paper's configuration
 /// passes a corrupted store so non-enrolled callers become observable.
+/// `action` says which banner button to click (the opt-out experiment
+/// passes [`ConsentAction::Reject`]), `metrics` records the browser's
+/// network and Topics-call series and the visit outcome counters, and
+/// `policy` sets retries and the visit's time budget. With `trace`, the
+/// visit records a `visit` span (domain, rank, outcome, retries)
+/// wrapping the browser's `page-load` trees and a `consent-click` leaf
+/// at the moment the banner button is clicked.
+#[allow(clippy::too_many_arguments)]
 pub fn run_site<S: NetworkService + ?Sized>(
-    service: &S,
-    url: &Url,
-    rank: usize,
-    classifier: Arc<Classifier>,
-    attestation: AttestationStore,
-    campaign_seed: u64,
-    started: Timestamp,
-) -> SiteOutcome {
-    run_site_with_action(
-        service,
-        url,
-        rank,
-        classifier,
-        attestation,
-        campaign_seed,
-        started,
-        ConsentAction::Accept,
-    )
-}
-
-/// The full-parameter visit entry point used by the campaign runner.
-#[allow(clippy::too_many_arguments)]
-pub fn run_site_full<S: NetworkService + ?Sized>(
-    service: &S,
-    url: &Url,
-    rank: usize,
-    classifier: Arc<Classifier>,
-    attestation: AttestationStore,
-    campaign_seed: u64,
-    started: Timestamp,
-    action: ConsentAction,
-    vantage: topics_net::http::Vantage,
-) -> SiteOutcome {
-    run_site_inner(
-        service,
-        url,
-        rank,
-        classifier,
-        attestation,
-        campaign_seed,
-        started,
-        action,
-        vantage,
-        None,
-        &VisitPolicy::default(),
-        None,
-    )
-}
-
-/// [`run_site_full`] with live crawl metrics attached: the browser
-/// records network and Topics-call series while the visit runs, and the
-/// visit/banner outcome counters are bumped before returning.
-#[allow(clippy::too_many_arguments)]
-pub fn run_site_instrumented<S: NetworkService + ?Sized>(
-    service: &S,
-    url: &Url,
-    rank: usize,
-    classifier: Arc<Classifier>,
-    attestation: AttestationStore,
-    campaign_seed: u64,
-    started: Timestamp,
-    action: ConsentAction,
-    vantage: topics_net::http::Vantage,
-    metrics: Option<&CrawlMetrics>,
-) -> SiteOutcome {
-    run_site_inner(
-        service,
-        url,
-        rank,
-        classifier,
-        attestation,
-        campaign_seed,
-        started,
-        action,
-        vantage,
-        metrics,
-        &VisitPolicy::default(),
-        None,
-    )
-}
-
-/// [`run_site_instrumented`] with an explicit [`VisitPolicy`] — the
-/// entry point the campaign runner uses when a fault profile is active.
-#[allow(clippy::too_many_arguments)]
-pub fn run_site_with_policy<S: NetworkService + ?Sized>(
-    service: &S,
-    url: &Url,
-    rank: usize,
-    classifier: Arc<Classifier>,
-    attestation: AttestationStore,
-    campaign_seed: u64,
-    started: Timestamp,
-    action: ConsentAction,
-    vantage: topics_net::http::Vantage,
-    metrics: Option<&CrawlMetrics>,
-    policy: &VisitPolicy,
-) -> SiteOutcome {
-    run_site_inner(
-        service,
-        url,
-        rank,
-        classifier,
-        attestation,
-        campaign_seed,
-        started,
-        action,
-        vantage,
-        metrics,
-        policy,
-        None,
-    )
-}
-
-/// [`run_site_with_policy`] recording the visit's span tree into
-/// `trace`: a `visit` span (domain, rank, outcome, retries) wrapping the
-/// browser's `page-load` trees and a `consent-click` leaf at the moment
-/// the banner button is clicked.
-#[allow(clippy::too_many_arguments)]
-pub fn run_site_traced<S: NetworkService + ?Sized>(
-    service: &S,
-    url: &Url,
-    rank: usize,
-    classifier: Arc<Classifier>,
-    attestation: AttestationStore,
-    campaign_seed: u64,
-    started: Timestamp,
-    action: ConsentAction,
-    vantage: topics_net::http::Vantage,
-    metrics: Option<&CrawlMetrics>,
-    policy: &VisitPolicy,
-    trace: Option<&mut TraceBuilder>,
-) -> SiteOutcome {
-    run_site_inner(
-        service,
-        url,
-        rank,
-        classifier,
-        attestation,
-        campaign_seed,
-        started,
-        action,
-        vantage,
-        metrics,
-        policy,
-        trace,
-    )
-}
-
-/// [`run_site`] with an explicit banner action (the opt-out experiment
-/// passes [`ConsentAction::Reject`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_site_with_action<S: NetworkService + ?Sized>(
-    service: &S,
-    url: &Url,
-    rank: usize,
-    classifier: Arc<Classifier>,
-    attestation: AttestationStore,
-    campaign_seed: u64,
-    started: Timestamp,
-    action: ConsentAction,
-) -> SiteOutcome {
-    run_site_inner(
-        service,
-        url,
-        rank,
-        classifier,
-        attestation,
-        campaign_seed,
-        started,
-        action,
-        topics_net::http::Vantage::Europe,
-        None,
-        &VisitPolicy::default(),
-        None,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_site_inner<S: NetworkService + ?Sized>(
     service: &S,
     url: &Url,
     rank: usize,
@@ -474,6 +303,11 @@ mod tests {
             AttestationStore::corrupted(),
             world.seed(),
             Timestamp::from_days(302),
+            ConsentAction::Accept,
+            topics_net::http::Vantage::Europe,
+            None,
+            &VisitPolicy::default(),
+            None,
         )
     }
 

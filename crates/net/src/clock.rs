@@ -148,11 +148,6 @@ impl SimClock {
         self.now
     }
 
-    /// Advance the clock by whole days and return the new time.
-    pub fn advance_days(&mut self, days: u64) -> Timestamp {
-        self.advance_millis(days * MILLIS_PER_DAY)
-    }
-
     /// Jump to a later timestamp. Panics if `to` is in the past — the clock
     /// is monotone by construction.
     pub fn jump_to(&mut self, to: Timestamp) {

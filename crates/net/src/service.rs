@@ -117,21 +117,10 @@ impl RetryStats {
 /// resets, timeouts, HTTP 5xx) under `policy`. Each retry is issued at
 /// `now + waited_ms` on the simulated clock. The final attempt's result
 /// is returned as-is — an exhausted 5xx stays an `Ok` response, matching
-/// how pathological always-500 sites behave without retries.
-pub fn fetch_exchange_with_retry<S: NetworkService + ?Sized>(
-    service: &S,
-    request: &HttpRequest,
-    now: Timestamp,
-    policy: &RetryPolicy,
-    metrics: Option<&NetMetrics>,
-) -> (Result<HttpResponse, NetError>, RetryStats) {
-    fetch_exchange_traced(service, request, now, policy, metrics, None)
-}
-
-/// [`fetch_exchange_with_retry`] with span emission: every retry adds a
-/// `retry` leaf span covering the backoff window on the simulated
-/// clock, with the host, 1-based failed attempt, backoff delay, and the
-/// failure kind that triggered it.
+/// how pathological always-500 sites behave without retries. With
+/// `trace`, every retry adds a `retry` leaf span covering the backoff
+/// window on the simulated clock, with the host, 1-based failed
+/// attempt, backoff delay, and the failure kind that triggered it.
 pub fn fetch_exchange_traced<S: NetworkService + ?Sized>(
     service: &S,
     request: &HttpRequest,
@@ -205,34 +194,12 @@ impl FetchOutcome {
 }
 
 /// Issue `request` and follow redirects (up to [`MAX_REDIRECTS`]),
-/// resolving each new host as a third party.
-///
-/// This is the single fetch path used by the browser for subresources and
-/// by the crawler for top-level documents (which resolve the first hop as
-/// ranked before calling this).
-pub fn fetch_following_redirects<S: NetworkService + ?Sized>(
-    service: &S,
-    request: HttpRequest,
-    now: Timestamp,
-) -> Result<FetchOutcome, NetError> {
-    fetch_following_redirects_retrying(service, request, now, &RetryPolicy::none(), None).0
-}
-
-/// [`fetch_following_redirects`] with per-hop bounded retry. Stats are
+/// resolving each new host as a third party, with per-hop bounded retry
+/// and `retry` span emission (see [`fetch_exchange_traced`]). Stats are
 /// returned even when the chain ultimately fails, so callers can account
 /// for simulated time spent on retries.
-pub fn fetch_following_redirects_retrying<S: NetworkService + ?Sized>(
-    service: &S,
-    request: HttpRequest,
-    now: Timestamp,
-    policy: &RetryPolicy,
-    metrics: Option<&NetMetrics>,
-) -> (Result<FetchOutcome, NetError>, RetryStats) {
-    fetch_following_redirects_traced(service, request, now, policy, metrics, None)
-}
-
-/// [`fetch_following_redirects_retrying`] with `retry` span emission
-/// (see [`fetch_exchange_traced`]).
+///
+/// The browser fetches every subresource through this.
 pub fn fetch_following_redirects_traced<S: NetworkService + ?Sized>(
     service: &S,
     mut request: HttpRequest,
@@ -305,6 +272,15 @@ pub fn fetch_following_redirects_traced<S: NetworkService + ?Sized>(
 mod tests {
     use super::*;
     use crate::http::{Method, ResourceKind, StatusCode};
+
+    /// Follow redirects with no retries and no trace.
+    fn fetch_following_redirects<S: NetworkService + ?Sized>(
+        service: &S,
+        request: HttpRequest,
+        now: Timestamp,
+    ) -> Result<FetchOutcome, NetError> {
+        fetch_following_redirects_traced(service, request, now, &RetryPolicy::none(), None, None).0
+    }
 
     /// A toy service: `/hop{n}` redirects to `/hop{n+1}` until `limit`,
     /// then serves a body.
@@ -439,12 +415,13 @@ mod tests {
             };
             let registry = MetricsRegistry::new();
             let m = NetMetrics::new(&registry);
-            let (result, stats) = fetch_exchange_with_retry(
+            let (result, stats) = fetch_exchange_traced(
                 &svc,
                 &req("/x"),
                 Timestamp::ORIGIN,
                 &RetryPolicy::standard(),
                 Some(&m),
+                None,
             );
             let response = result.unwrap();
             assert_eq!(response.body, "recovered");
@@ -468,7 +445,7 @@ mod tests {
         let m = NetMetrics::new(&registry);
         let policy = RetryPolicy::standard();
         let (result, stats) =
-            fetch_exchange_with_retry(&svc, &req("/x"), Timestamp::ORIGIN, &policy, Some(&m));
+            fetch_exchange_traced(&svc, &req("/x"), Timestamp::ORIGIN, &policy, Some(&m), None);
         assert!(matches!(result, Err(NetError::ConnectionReset { .. })));
         assert_eq!(stats.retries, policy.max_attempts - 1);
         let s = registry.snapshot();
@@ -482,11 +459,12 @@ mod tests {
             healthy_after_ms: u64::MAX,
             error_500: true,
         };
-        let (result, stats) = fetch_exchange_with_retry(
+        let (result, stats) = fetch_exchange_traced(
             &svc,
             &req("/x"),
             Timestamp::ORIGIN,
             &RetryPolicy::none(),
+            None,
             None,
         );
         assert!(result.unwrap().status.is_server_error());
@@ -510,11 +488,12 @@ mod tests {
                 })
             }
         }
-        let (result, stats) = fetch_exchange_with_retry(
+        let (result, stats) = fetch_exchange_traced(
             &AlwaysSlow,
             &req("/x"),
             Timestamp::ORIGIN,
             &RetryPolicy::standard(),
+            None,
             None,
         );
         assert!(matches!(result, Err(NetError::TimedOut { .. })));
@@ -554,11 +533,12 @@ mod tests {
                 })
             }
         }
-        let (result, stats) = fetch_following_redirects_retrying(
+        let (result, stats) = fetch_following_redirects_traced(
             &DeadEnd,
             req("/x"),
             Timestamp::ORIGIN,
             &RetryPolicy::standard(),
+            None,
             None,
         );
         assert!(matches!(result, Err(NetError::ConnectionReset { .. })));

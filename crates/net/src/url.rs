@@ -54,13 +54,6 @@ impl Url {
         }
     }
 
-    /// Construct an HTTPS URL with a query string (without the `?`).
-    pub fn https_with_query(host: Domain, path: &str, query: &str) -> Url {
-        let mut u = Url::https(host, path);
-        u.query = Some(query.to_owned());
-        u
-    }
-
     /// Parse an absolute URL string.
     pub fn parse(input: &str) -> Result<Url, NetError> {
         let bad = |reason: &'static str| NetError::BadUrl {

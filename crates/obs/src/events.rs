@@ -12,7 +12,7 @@
 //! opt in with [`EventLog::with_stderr_echo`], which in turn honours
 //! `TOPICS_LOG=off`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Environment variable that globally disables stderr echo when set to
 /// `off`.
@@ -38,7 +38,7 @@ impl Level {
 }
 
 /// One structured field value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum FieldValue {
     /// Unsigned integer.
     U64(u64),

@@ -25,6 +25,9 @@ pub struct Integrity {
     pub negative: Vec<u64>,
     /// Non-root spans with no parent link at all.
     pub rootless: Vec<u64>,
+    /// No root span: a sealed trace always starts with span 1, which
+    /// has no parent, so an empty or headless trace is not one.
+    pub missing_root: bool,
 }
 
 impl Integrity {
@@ -34,11 +37,15 @@ impl Integrity {
             && self.duplicates.is_empty()
             && self.negative.is_empty()
             && self.rootless.is_empty()
+            && !self.missing_root
     }
 
     /// Human-readable violation lines (empty when clean).
     pub fn violations(&self) -> Vec<String> {
         let mut out = Vec::new();
+        if self.missing_root {
+            out.push("missing root span (no span 1 without a parent)".to_owned());
+        }
         if !self.orphans.is_empty() {
             out.push(format!(
                 "{} orphan span(s) (missing parent): IDs {:?}",
@@ -75,8 +82,8 @@ fn preview(ids: &[u64]) -> Vec<u64> {
     ids.iter().take(8).copied().collect()
 }
 
-/// Check a trace for orphan spans, duplicate IDs, and negative
-/// durations.
+/// Check a trace for a missing root, orphan spans, duplicate IDs, and
+/// negative durations.
 pub fn integrity(trace: &Trace) -> Integrity {
     let mut seen: BTreeMap<u64, usize> = BTreeMap::new();
     for s in &trace.spans {
@@ -114,6 +121,7 @@ pub fn integrity(trace: &Trace) -> Integrity {
         duplicates,
         negative,
         rootless,
+        missing_root: !trace.spans.iter().any(|s| s.id == 1 && s.parent.is_none()),
     }
 }
 
@@ -771,6 +779,13 @@ mod tests {
         assert!(!report.duplicates.is_empty());
         assert!(!report.negative.is_empty());
         assert_eq!(report.violations().len(), 3);
+        // A sealed trace always has its root span: an empty one does not.
+        let empty = integrity(&Trace::default());
+        assert!(empty.missing_root && !empty.is_clean());
+        assert_eq!(
+            empty.violations(),
+            ["missing root span (no span 1 without a parent)"]
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::events::FieldValue;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -434,33 +434,33 @@ fn bool_is_false(v: &bool) -> bool {
 }
 
 /// One sealed span: stable ID, parent link, both clocks, fields.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SpanRecord {
     /// Stable 1-based span ID (1 is always the `campaign` root).
     pub id: u64,
     /// Parent span ID; `None` only for the root.
-    #[serde(skip_serializing_if = "Option::is_none", default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub parent: Option<u64>,
     /// Span name (`crawl`, `visit`, `fetch`, `retry`, `topics-call`, …).
     pub name: String,
     /// Operational (scheduling-dependent) spans are dropped from the
     /// stripped trace.
-    #[serde(skip_serializing_if = "bool_is_false", default)]
+    #[serde(skip_serializing_if = "bool_is_false")]
     pub op: bool,
     /// Simulated-clock start, ms since campaign epoch.
-    #[serde(skip_serializing_if = "Option::is_none", default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub sim_start_ms: Option<u64>,
     /// Simulated-clock end.
-    #[serde(skip_serializing_if = "Option::is_none", default)]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub sim_end_ms: Option<u64>,
     /// Wall-clock start, µs since the tracer epoch (0 when stripped).
-    #[serde(skip_serializing_if = "u64_is_zero", default)]
+    #[serde(skip_serializing_if = "u64_is_zero")]
     pub wall_start_us: u64,
     /// Wall-clock end, µs since the tracer epoch (0 when stripped).
-    #[serde(skip_serializing_if = "u64_is_zero", default)]
+    #[serde(skip_serializing_if = "u64_is_zero")]
     pub wall_end_us: u64,
     /// Ordered key/value payload (domain, CP, retry attempt, …).
-    #[serde(skip_serializing_if = "Vec::is_empty", default)]
+    #[serde(skip_serializing_if = "Vec::is_empty")]
     pub fields: Vec<(String, FieldValue)>,
 }
 
@@ -494,11 +494,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Look up a span by ID.
-    pub fn span(&self, id: u64) -> Option<&SpanRecord> {
-        self.spans.iter().find(|s| s.id == id)
-    }
-
     /// Number of spans with the given name.
     pub fn count_named(&self, name: &str) -> usize {
         self.spans.iter().filter(|s| s.name == name).count()
@@ -522,7 +517,8 @@ impl Trace {
         self
     }
 
-    /// JSONL export: one span object per line, in sealed order.
+    /// JSONL export: one span object per line, in sealed order. It is
+    /// write-only: `trace.col` is the trace file the tools read.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for span in &self.spans {
@@ -530,20 +526,6 @@ impl Trace {
             out.push('\n');
         }
         out
-    }
-
-    /// Parse a JSONL export back into a trace (the `doctor` loader).
-    pub fn from_jsonl(text: &str) -> Result<Trace, String> {
-        let mut spans = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let span: SpanRecord = serde_json::from_str(line)
-                .map_err(|e| format!("trace line {}: {e}", lineno + 1))?;
-            spans.push(span);
-        }
-        Ok(Trace { spans })
     }
 
     /// Chrome trace-event JSON (the `{"traceEvents": […]}` format),
@@ -1022,13 +1004,6 @@ mod tests {
         // The unstripped trace keeps the attribution.
         let full = t.spans.iter().find(|s| s.name == "visit").unwrap();
         assert_eq!(full.field("alloc_bytes"), Some(&FieldValue::U64(4096)));
-    }
-
-    #[test]
-    fn stripped_jsonl_round_trips() {
-        let t = sample_trace().stripped();
-        let back = Trace::from_jsonl(&t.to_jsonl()).unwrap();
-        assert_eq!(back, t);
     }
 
     #[test]

@@ -20,8 +20,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 use topics_core::crawler::columnar::ColumnarCampaign;
+use topics_core::crawler::spans::encode_trace;
 use topics_core::obs::Obs;
-use topics_core::{http_fetch, Lab, LabConfig, ServeConfig, Server, API_ENDPOINTS};
+use topics_core::{http_fetch, Lab, LabConfig, ServeConfig, Server, API_ENDPOINTS, TRACE_FILE};
 
 const WARMUP: usize = 8;
 const SAMPLES: u32 = 64;
@@ -41,7 +42,8 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let store = ColumnarCampaign::from_outcome(&run.outcome);
     std::fs::write(dir.join("campaign.col"), store.bytes()).expect("store persists");
-    std::fs::write(dir.join("trace.jsonl"), obs.trace.finish().to_jsonl()).expect("trace persists");
+    let trace = encode_trace(&obs.trace.finish());
+    std::fs::write(dir.join(TRACE_FILE), trace).expect("trace persists");
 
     // Cold: everything `bind` does once so requests never touch rows.
     let config = ServeConfig::new(dir.join("campaign.col"));

@@ -47,7 +47,7 @@ SERVE_PID=""
 trap 'rm -rf "$DOCTOR_DIR" "$SHARD_DIR" "$SIM_DIR"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
 cargo run --release -q -p topics-core --bin topics-lab -- crawl \
     --sites 500 --seed 7 --quiet --fault-profile 0.05 --alloc-stats \
-    --out "$DOCTOR_DIR" --trace-out trace.jsonl --metrics-out metrics.prom \
+    --out "$DOCTOR_DIR" --trace-out trace.col --metrics-out metrics.prom \
     > /dev/null
 cargo run --release -q -p topics-core --bin topics-lab -- doctor \
     --campaign "$DOCTOR_DIR" > /dev/null
@@ -86,16 +86,17 @@ for ART in campaign.col report.txt; do
     cmp "$SHARD_DIR/single/$ART" "$SHARD_DIR/m4/$ART"
 done
 # Merged stripped traces must agree across shard counts.
-diff -q "$SHARD_DIR/m1/trace.jsonl" "$SHARD_DIR/m4/trace.jsonl"
+cmp "$SHARD_DIR/m1/trace.col" "$SHARD_DIR/m4/trace.col"
 # The doctor re-verifies segment checksums, shard coverage, and that the
 # merge reproduces campaign.col, from the files on disk.
 $TL doctor --campaign "$SHARD_DIR/m4" > /dev/null
 
 echo "== golden crawl digests (800 sites, seed 5, light faults, 1 and 4 threads) =="
 # campaign.col, report.txt, comparison.txt, every rendered CSV and the
-# trace with wall-clock fields and operational spans removed must match
-# the digests recorded in tests/golden — the CLI mirror of
-# golden_crawl_digests_are_unchanged and golden_api_body_digests_are_unchanged.
+# trace's JSONL export with wall-clock fields and operational spans
+# removed must match the digests recorded in tests/golden — the CLI
+# mirror of golden_crawl_digests_are_unchanged and
+# golden_api_body_digests_are_unchanged.
 # The crawl and probe pool must not leak its thread count into any of it.
 GOLDEN_SUMS="$PWD/tests/golden/crawl_800_seed5.sha256"
 for T in 1 4; do
@@ -105,7 +106,15 @@ for T in 1 4; do
         | grep -v '"op":true' > "$SHARD_DIR/golden$T/trace.stripped.jsonl"
     (cd "$SHARD_DIR/golden$T" && sha256sum --quiet -c "$GOLDEN_SUMS")
 done
-# The same shape split in three shards and merged: the merged trace and
+# The JSONL trace is a write-only export: the doctor refuses it as a
+# corrupt input (exit 4) instead of reading it.
+CODE=0
+$TL doctor --trace "$SHARD_DIR/golden1/trace.jsonl" > /dev/null 2>&1 || CODE=$?
+if [ "$CODE" != "4" ]; then
+    echo "error: doctor on a JSONL trace exited $CODE, expected 4" >&2
+    exit 1
+fi
+# The same shape split in three shards and merged: the merged trace.col and
 # campaign.col must match recorded digests, not only each other, so a
 # merge rewrite that shifted every shard count alike still fails — the
 # CLI mirror of golden_merge_digests_are_unchanged.
@@ -132,7 +141,7 @@ $TL merge --segments "$SHARD_DIR/f2" > /dev/null
 for ART in campaign.col report.txt; do
     cmp "$SHARD_DIR/fsingle/$ART" "$SHARD_DIR/f2/$ART"
 done
-diff -q "$SHARD_DIR/f1/trace.jsonl" "$SHARD_DIR/f2/trace.jsonl"
+cmp "$SHARD_DIR/f1/trace.col" "$SHARD_DIR/f2/trace.col"
 SEG="$SHARD_DIR/f2/shard-1-of-2.seg"
 OFF=$(( $(wc -c < "$SEG") / 2 ))
 BYTE=$(od -An -tu1 -j "$OFF" -N1 "$SEG" | tr -d ' ')
@@ -214,7 +223,7 @@ echo "== simulate smoke (population engine vs committed goldens) =="
 SIM_DIR=$(mktemp -d)
 $TL simulate --users 2000 --epochs 8 --sites 800 --sample 500 --seed 7 \
     --threads 4 --quiet --out "$SIM_DIR/t4" --alloc-stats \
-    --trace-out trace.jsonl > /dev/null
+    --trace-out trace.col > /dev/null
 $TL simulate --users 2000 --epochs 8 --sites 800 --sample 500 --seed 7 \
     --threads 1 --quiet --out "$SIM_DIR/t1" > /dev/null
 for ART in sim_kanon.csv sim_reident.csv sim_report.txt; do
@@ -252,7 +261,7 @@ for SHAPE in thin nohist partial; do
     done
 done
 # Trace-only doctor over the simulate trace (no campaign to load).
-$TL doctor --trace "$SIM_DIR/t4/trace.jsonl" > /dev/null
+$TL doctor --trace "$SIM_DIR/t4/trace.col" > /dev/null
 rm -rf "$SIM_DIR"
 
 echo "== perf ledger verifies and is append-only =="

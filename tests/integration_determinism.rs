@@ -294,14 +294,16 @@ fn golden_crawl_digests_are_unchanged() {
 
 /// FNV-1a digests of the same 800-site, seed-5, light-fault campaign
 /// run as three shards and merged by `merge_dir_columnar`: the merged
-/// stripped trace as JSONL and `campaign.col`. Both equal the crawl's
-/// golden digests above, as the shard contract demands. The
-/// shard-equivalence tests only compare merges with each other; this
-/// pins the merge itself.
+/// stripped trace, read back from the `trace.col` that `merge` writes
+/// and exported as JSONL, and `campaign.col`. Both equal the crawl's
+/// golden digests above, as the shard contract demands; the
+/// `trace.col` bytes are pinned too. The shard-equivalence tests only
+/// compare merges with each other; this pins the merge itself.
 /// `scripts/ci.sh` checks the same merge through the CLI against
 /// `tests/golden/merge_800_seed5.sha256`.
 #[test]
 fn golden_merge_digests_are_unchanged() {
+    use topics_core::crawler::spans::{decode_trace, encode_trace};
     use topics_core::net::seed::fnv1a;
     use topics_core::obs::Obs;
     use topics_core::{merge_dir_columnar, run_shard, write_segment};
@@ -315,12 +317,20 @@ fn golden_merge_digests_are_unchanged() {
     }
     let merged = merge_dir_columnar(&dir).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
-    let trace = fnv1a(merged.trace.to_jsonl().as_bytes());
+    let trace_col = encode_trace(&merged.trace);
+    let decoded = decode_trace(&trace_col).expect("trace.col decodes");
+    let trace = fnv1a(decoded.to_jsonl().as_bytes());
     let store = fnv1a(merged.store.bytes());
+    let trace_col = fnv1a(&trace_col);
     assert_eq!(
-        [trace, store],
-        [0x891d_809d_92f8_e339, 0x23c7_da1a_365b_9152],
-        "merged trace, campaign.col digests: [{trace:#018x}, {store:#018x}]"
+        [trace, store, trace_col],
+        [
+            0x891d_809d_92f8_e339,
+            0x23c7_da1a_365b_9152,
+            0x94e7_85da_c519_ea10
+        ],
+        "merged trace (JSONL export of the decoded trace.col), campaign.col, trace.col \
+         digests: [{trace:#018x}, {store:#018x}, {trace_col:#018x}]"
     );
 }
 

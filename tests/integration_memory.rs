@@ -9,6 +9,7 @@
 
 use std::sync::Mutex;
 use topics_core::analysis::dataset::Datasets;
+use topics_core::crawler::spans::{decode_trace, encode_trace};
 use topics_core::net::fault::FaultProfile;
 use topics_core::obs::{alloc, mem_profile, Obs, Trace};
 use topics_core::{diagnose, Lab, LabConfig};
@@ -113,6 +114,25 @@ fn attribution_reaches_phases_visits_and_memprofile() {
 
     // The stripped trace keeps determinism: no alloc fields survive.
     assert!(!out.stripped_trace.contains("alloc_bytes"));
+}
+
+/// `trace.col` keeps everything a traced, alloc-counted crawl records:
+/// wall clocks, allocation fields and operational spans decode back to
+/// an equal trace. The Chrome export wraps at least one event per span
+/// in the `traceEvents` envelope Perfetto expects.
+#[test]
+fn trace_survives_a_trace_col_round_trip() {
+    let _gate = GATE.lock().unwrap();
+    let trace = run(LabConfig::quick(29, 60).with_threads(2), true).trace;
+    assert!(trace.spans.iter().any(|s| s.op));
+    assert!(trace.spans.iter().all(|s| s.wall_end_us > 0));
+    assert!(trace.spans.iter().any(|s| s.field("alloc_bytes").is_some()));
+    let decoded = decode_trace(&encode_trace(&trace)).expect("trace.col decodes");
+    assert_eq!(decoded, trace);
+
+    let chrome = trace.to_chrome_json();
+    assert!(chrome.starts_with("{\"traceEvents\":["));
+    assert!(chrome.matches("\"ph\":").count() >= trace.spans.len());
 }
 
 #[test]

@@ -16,11 +16,12 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+use topics_core::crawler::spans::encode_trace;
 use topics_core::net::fault::FaultProfile;
 use topics_core::obs::Obs;
 use topics_core::{
     evaluate, http_fetch, merge_dir_columnar, run_shard, write_segment, Lab, LabConfig,
-    QueryService, ServeConfig, ServeError, Server, StoreKind, API_ENDPOINTS,
+    QueryService, ServeConfig, ServeError, Server, StoreKind, API_ENDPOINTS, TRACE_FILE,
 };
 
 const SITES: usize = 150;
@@ -104,7 +105,7 @@ fn serve_answers_the_merged_store_with_doctor_and_profile() {
     }
     let merged = merge_dir_columnar(&dir).unwrap();
     std::fs::write(dir.join("campaign.col"), merged.store.bytes()).unwrap();
-    std::fs::write(dir.join("trace.jsonl"), merged.trace.to_jsonl()).unwrap();
+    std::fs::write(dir.join(TRACE_FILE), encode_trace(&merged.trace)).unwrap();
     let eval = evaluate(&merged.outcome);
     topics_core::export::write_artefacts(&dir, &merged.outcome, &eval, false).unwrap();
 
@@ -250,9 +251,11 @@ fn requests_are_counted_but_not_stored_as_events() {
 #[test]
 fn trace_read_failures_are_typed_errors() {
     let dir = temp_dir("trace-errors");
+    let obs = Obs::new().with_trace();
     let outcome = Lab::new(LabConfig::quick(63, 40).with_threads(2))
-        .run()
+        .run_observed(&obs)
         .outcome;
+    let trace = obs.trace.finish();
     let eval = evaluate(&outcome);
     topics_core::write_bundle(&dir, &outcome, &eval, false, StoreKind::Columnar).unwrap();
     let campaign = dir.join("campaign.col");
@@ -263,25 +266,41 @@ fn trace_read_failures_are_typed_errors() {
     assert_eq!(build(None), Ok(()));
 
     // A named trace that does not exist.
-    let absent = dir.join("absent.jsonl");
+    let absent = dir.join("absent.col");
     assert_eq!(
         build(Some(&absent)),
         Err(ServeError::Missing(absent.clone()))
     );
 
-    // A trace that is not UTF-8 text, named or found by default.
-    let default = dir.join("trace.jsonl");
-    std::fs::write(&default, [0x7b, 0xff, 0xfe, 0x7d, b'\n']).unwrap();
-    for trace in [Some(default.as_path()), None] {
-        assert!(
-            matches!(build(trace), Err(ServeError::Corrupt(p, _)) if p == default),
-            "non-UTF-8 trace {trace:?}"
-        );
+    // A cut, a flipped or an empty file, named or found by default.
+    let default = dir.join(TRACE_FILE);
+    let good = encode_trace(&trace);
+    let mut flipped = good.clone();
+    flipped[good.len() / 2] ^= 0x01;
+    for (bytes, why) in [
+        (&good[..good.len() - 1], "truncated"),
+        (&flipped[..], "checksum mismatch"),
+        (&[][..], "truncated"),
+    ] {
+        std::fs::write(&default, bytes).unwrap();
+        for trace in [Some(default.as_path()), None] {
+            assert!(
+                matches!(build(trace), Err(ServeError::Corrupt(p, e)) if p == default && e.contains(why)),
+                "{why} trace {trace:?}"
+            );
+        }
     }
 
-    // Malformed JSONL.
-    std::fs::write(&default, "{\"not\": \"a span\"\n").unwrap();
-    assert!(matches!(build(None), Err(ServeError::Corrupt(p, _)) if p == default));
+    // A JSONL trace is an export: it fails the magic check.
+    let jsonl = dir.join("trace.jsonl");
+    std::fs::write(&jsonl, trace.to_jsonl()).unwrap();
+    match build(Some(&jsonl)) {
+        Err(ServeError::Corrupt(p, e)) => {
+            assert_eq!(p, jsonl);
+            assert!(e.contains("bad magic") && e.contains("export"), "{e}");
+        }
+        other => panic!("a JSONL trace must be corrupt, got {other:?}"),
+    }
 
     // A trace path that cannot be read as a file.
     std::fs::remove_file(&default).unwrap();
@@ -293,21 +312,34 @@ fn trace_read_failures_are_typed_errors() {
         );
     }
 
-    // The CLI maps a missing named trace to the missing-input exit.
-    let out = lab(&[
-        "serve",
-        "--campaign",
-        dir.to_str().unwrap(),
-        "--trace",
-        absent.to_str().unwrap(),
-        "--quiet",
-    ]);
+    // The CLI maps a missing named trace to the missing-input exit and
+    // a JSONL one, in serve, doctor and memprofile alike, to the
+    // corrupt-input exit.
+    let cli = |cmd: &str, trace: &Path| {
+        lab(&[
+            cmd,
+            "--campaign",
+            dir.to_str().unwrap(),
+            "--trace",
+            trace.to_str().unwrap(),
+        ])
+    };
+    let out = cli("serve", &absent);
     assert_eq!(
         out.status.code(),
         Some(3),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    for cmd in ["serve", "doctor", "memprofile"] {
+        let out = cli(cmd, &jsonl);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(4), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("bad magic") && stderr.contains("a JSONL trace is an export"),
+            "{cmd}: {stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -372,7 +404,7 @@ fn cli_exit_codes_distinguish_missing_from_corrupt() {
     let root = temp_dir("campaign-inputs");
     let bundle = root.join("bundle");
     let crawl =
-        "crawl --sites 300 --seed 3 --threads 2 --quiet --alloc-stats --trace-out trace.jsonl";
+        "crawl --sites 300 --seed 3 --threads 2 --quiet --alloc-stats --trace-out trace.col";
     let out = lab(&[
         crawl.split(' ').collect(),
         vec!["--out", bundle.to_str().unwrap()],
@@ -389,7 +421,7 @@ fn cli_exit_codes_distinguish_missing_from_corrupt() {
     let mid = store.len() / 2;
     store[mid] ^= 0x40;
     std::fs::write(corrupt.join("campaign.col"), store).unwrap();
-    std::fs::write(corrupt.join("trace.jsonl"), "{\"id\":1,\"parent\":").unwrap();
+    std::fs::write(corrupt.join(TRACE_FILE), "{\"id\":1,\"parent\":").unwrap();
     let missing = root.join("missing");
 
     let commands: [(&str, &[&str]); 7] = [

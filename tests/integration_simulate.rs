@@ -11,7 +11,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use topics_core::baseline::SimConfig;
-use topics_core::obs::Obs;
+use topics_core::crawler::spans::encode_trace;
+use topics_core::obs::{Obs, Trace};
 use topics_core::{run_simulation, SIM_KANON_FILE, SIM_REIDENT_FILE, SIM_REPORT_FILE};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -109,13 +110,13 @@ fn doctor_trace_only_mode_accepts_a_simulate_trace() {
             "2",
             "--alloc-stats",
             "--trace-out",
-            "trace.jsonl",
+            "trace.col",
             "--metrics-out",
             "metrics.prom",
         ],
     );
-    let trace_path = dir.join("trace.jsonl");
-    assert!(trace_path.is_file(), "trace.jsonl lands inside --out");
+    let trace_path = dir.join("trace.col");
+    assert!(trace_path.is_file(), "trace.col lands inside --out");
 
     let doctor = Command::new(env!("CARGO_BIN_EXE_topics-lab"))
         .args(["doctor", "--trace"])
@@ -138,6 +139,23 @@ fn doctor_trace_only_mode_accepts_a_simulate_trace() {
     let prom = std::fs::read_to_string(dir.join("metrics.prom")).unwrap();
     assert!(prom.contains("sim_users 400"), "{prom}");
     assert!(prom.contains("sim_api_calls_total"), "{prom}");
+
+    // A trace.col without spans has no root span: a violation, exit
+    // 1. A zero-byte file is no trace.col at all: corrupt, exit 4.
+    let empty = dir.join("empty.col");
+    std::fs::write(&empty, encode_trace(&Trace::default())).unwrap();
+    let zero = dir.join("zero.col");
+    std::fs::write(&zero, b"").unwrap();
+    for (path, code, needle) in [(&empty, 1, "missing root span"), (&zero, 4, "truncated")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_topics-lab"))
+            .args(["doctor", "--trace"])
+            .arg(path)
+            .output()
+            .expect("doctor runs");
+        let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{text}");
+        assert!(text.contains(needle), "{text}");
+    }
 
     // Without --campaign and without --trace the subcommand points at
     // both modes; exit 2 is the usage error.
@@ -165,6 +183,8 @@ fn rejects_bad_flags_before_running_anything() {
         vec!["simulate", "--context", "9223372036854775808"],
         // Site ids are 32-bit.
         vec!["simulate", "--sites", "18446744073709551615"],
+        // The extension picks the trace format.
+        vec!["simulate", "--trace-out", "trace.txt"],
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_topics-lab"))
             .args(&bad)

@@ -4,12 +4,16 @@
 //! operational worker spans stripped, the same seed and configuration
 //! must serialize to byte-identical JSONL regardless of thread counts.
 //! On top of the trace, the doctor report must profile a real campaign
-//! and catch structural corruption.
+//! and catch structural corruption, and the `trace.col` reader must
+//! answer every damaged file with a typed error.
 
+use std::process::Command;
 use topics_core::crawler::record::CampaignOutcome;
+use topics_core::crawler::spans::{decode_trace, encode_trace};
+use topics_core::crawler::ColumnarError;
 use topics_core::net::fault::FaultProfile;
-use topics_core::obs::{merge_stripped, FieldValue, Obs, Trace};
-use topics_core::{diagnose, Lab, LabConfig, MERGE_RULES};
+use topics_core::obs::{FieldValue, Obs, Trace};
+use topics_core::{diagnose, Lab, LabConfig, StoreKind, TRACE_FILE};
 
 const SITES: usize = 500;
 
@@ -79,48 +83,35 @@ fn worker_items_sum_to_the_visit_and_probe_spans() {
     }
 }
 
+/// The `trace.col` reader (the `doctor`, `memprofile` and `serve`
+/// loader) against every truncation, every flip of a header byte, and
+/// 2,000 single-bit flips of a small light-fault campaign's trace
+/// file: each is a typed error, never a panic or a silently different
+/// trace.
 #[test]
-fn trace_survives_a_jsonl_round_trip() {
-    let (_, trace) = traced_run(LabConfig::quick(29, 60).with_threads(2));
-    let parsed = Trace::from_jsonl(&trace.to_jsonl()).expect("round trip parses");
-    assert_eq!(trace.spans, parsed.spans);
-    // The Chrome export wraps at least one event per span in the
-    // `traceEvents` envelope Perfetto expects.
-    let chrome = trace.to_chrome_json();
-    assert!(chrome.starts_with("{\"traceEvents\":["));
-    assert!(chrome.matches("\"ph\":").count() >= trace.spans.len());
-}
-
-/// The trace JSONL reader (the `doctor` and `serve` loader) against
-/// every line-boundary truncation, every cut one byte short of a line
-/// end, and 2,000 single-bit flips of a small light-fault campaign's
-/// stripped trace. Each input is an error naming the line it broke, or a trace
-/// that `merge_stripped` accepts or rejects without panicking; a cut at
-/// a line boundary leaves a trace the merge accepts.
-#[test]
-fn trace_jsonl_reader_survives_truncation_and_byte_flips() {
-    // 444 lines: three visits with retries, then the probe phase. An
-    // 800-site trace has 38k lines; at ~15 µs a line in a debug build,
-    // reading each of its truncations would take hours.
-    let text = stripped_jsonl(LabConfig::quick(37, 3).with_fault_profile(FaultProfile::light()));
-    assert!(text.contains("\"retry\"") && text.contains("\"probe\""));
-    let read = |input: &str, line: usize| match Trace::from_jsonl(input) {
-        Err(e) => {
-            assert!(e.starts_with(&format!("trace line {line}:")), "{e}");
-            None
-        }
-        Ok(trace) => Some(merge_stripped(vec![trace], &MERGE_RULES)),
-    };
-    for (line, (end, _)) in text.match_indices('\n').enumerate() {
-        let merged = read(&text[..=end], line + 1).expect("whole lines parse");
-        assert!(merged.is_ok(), "cut after line {}: {merged:?}", line + 1);
+fn trace_col_reader_survives_truncation_and_byte_flips() {
+    let (_, trace) = traced_run(LabConfig::quick(37, 3).with_fault_profile(FaultProfile::light()));
+    assert!(trace.count_named("retry") > 0 && trace.count_named("probe") > 0);
+    let bytes = encode_trace(&trace);
+    assert_eq!(decode_trace(&bytes).expect("the file decodes"), trace);
+    for cut in 0..bytes.len() {
+        let err = decode_trace(&bytes[..cut]).expect_err("a cut file");
         assert!(
-            read(&text[..end - 1], line + 1).is_none(),
-            "line {} cut short parsed",
-            line + 1
+            matches!(err, ColumnarError::Truncated { .. }),
+            "cut at {cut}: {err}"
         );
     }
-    let mut bytes = text.into_bytes();
+    // The header: magic, version, section count, one directory entry
+    // and the header checksum.
+    let header = 8 + 4 + 4 + 25 + 8;
+    let mut flipped = bytes.clone();
+    for at in 0..header {
+        for bit in 0..8 {
+            flipped[at] ^= 1 << bit;
+            assert!(decode_trace(&flipped).is_err(), "bit {bit} of byte {at}");
+            flipped[at] ^= 1 << bit;
+        }
+    }
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     for _ in 0..2_000 {
         state = state
@@ -128,10 +119,9 @@ fn trace_jsonl_reader_survives_truncation_and_byte_flips() {
             .wrapping_add(1_442_695_040_888_963_407);
         let at = (state >> 33) as usize % bytes.len();
         let mask = 1u8 << (state % 7);
-        bytes[at] ^= mask;
-        let line = 1 + bytes[..at].iter().filter(|&&c| c == b'\n').count();
-        read(&String::from_utf8_lossy(&bytes), line);
-        bytes[at] ^= mask;
+        flipped[at] ^= mask;
+        assert!(decode_trace(&flipped).is_err(), "flip {mask:#04x} at {at}");
+        flipped[at] ^= mask;
     }
 }
 
@@ -187,29 +177,28 @@ fn doctor_profiles_a_faulty_campaign() {
     }
 }
 
+/// A `trace.col` written with an orphan span, the way a broken writer
+/// would, read back by the `doctor` subcommand: exit 1, naming the
+/// orphan's ID.
 #[test]
 fn doctor_detects_an_injected_orphan_in_a_serialized_trace() {
-    let (outcome, trace) = traced_run(LabConfig::quick(41, 60).with_threads(2));
-    // Corrupt the trace the way a broken writer would: through the
-    // serialized fixture, not the in-memory structs.
-    let corrupted: String = trace
-        .to_jsonl()
-        .lines()
-        .enumerate()
-        .map(|(i, line)| {
-            let mut span: topics_core::obs::SpanRecord = serde_json::from_str(line).unwrap();
-            if i == 5 {
-                span.parent = Some(999_999);
-            }
-            format!("{}\n", serde_json::to_string(&span).unwrap())
-        })
-        .collect();
-    let trace = Trace::from_jsonl(&corrupted).expect("corrupted fixture still parses");
-    let report = diagnose(&outcome, &trace, 10);
-    assert!(!report.is_healthy());
+    let (outcome, mut trace) = traced_run(LabConfig::quick(41, 60).with_threads(2));
+    let dir = std::env::temp_dir().join(format!("topics-itrace-orphan-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let eval = topics_core::evaluate(&outcome);
+    topics_core::write_bundle(&dir, &outcome, &eval, false, StoreKind::Columnar).unwrap();
+    let orphan = trace.spans[5].id;
+    trace.spans[5].parent = Some(999_999);
+    std::fs::write(dir.join(TRACE_FILE), encode_trace(&trace)).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_topics-lab"))
+        .args(["doctor", "--campaign", dir.to_str().unwrap()])
+        .output()
+        .expect("doctor runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(
-        report.violations().iter().any(|v| v.contains("orphan")),
-        "violations: {:?}",
-        report.violations()
+        stdout.contains(&format!("orphan span(s) (missing parent): IDs [{orphan}")),
+        "{stdout}"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
