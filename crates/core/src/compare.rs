@@ -21,7 +21,8 @@ pub struct ComparisonRow {
     pub paper: String,
     /// The value measured on the synthetic web.
     pub measured: String,
-    /// `Some(ok)` when the row is checkable at this scale.
+    /// `Some(ok)` when the row is checkable at this scale. At full scale
+    /// every row is: a row without data is `Some(false)`.
     pub ok: Option<bool>,
 }
 
@@ -282,6 +283,15 @@ pub fn comparison_rows(eval: &Evaluation, full_scale: bool) -> Vec<ComparisonRow
         Some((6.0..=25.0).contains(&eval.timeline.monthly_rate())),
     ));
 
+    // At full scale the scale gate passes every check through, so a row
+    // left unchecked is one whose value is absent (a platform the paper
+    // names that never called, say): a deviation, not "n/a".
+    if full_scale {
+        for r in rows.iter_mut().filter(|r| r.ok.is_none()) {
+            r.measured = "no data".to_owned();
+            r.ok = Some(false);
+        }
+    }
     rows
 }
 
@@ -339,5 +349,30 @@ mod tests {
         let render = render_comparison(&rows);
         assert!(render.contains("paper"));
         assert!(render.contains("§4"));
+    }
+
+    #[test]
+    fn missing_data_deviates_at_full_scale_only() {
+        let lab = Lab::new(LabConfig::quick(73, 800).with_threads(4));
+        let mut eval = evaluate(&lab.run());
+        eval.fig3.retain(|r| r.cp.as_str() != "criteo.com");
+        let criteo = |full_scale| {
+            comparison_rows(&eval, full_scale)
+                .into_iter()
+                .find(|r| r.metric == "criteo.com enabled fraction")
+                .unwrap()
+        };
+        let full = criteo(true);
+        assert_eq!((full.measured.as_str(), full.ok), ("no data", Some(false)));
+        assert!(render_comparison(&[full]).contains("DEVIATES"));
+        assert_eq!(criteo(false).ok, None);
+        // Rows with data keep their verdicts at full scale; only the
+        // missing one changes.
+        let (small, full) = (comparison_rows(&eval, false), comparison_rows(&eval, true));
+        for (s, f) in small.iter().zip(&full) {
+            if s.ok.is_some() {
+                assert_eq!((s.ok, &s.measured), (f.ok, &f.measured), "{}", s.metric);
+            }
+        }
     }
 }

@@ -31,7 +31,7 @@ use topics_crawler::record::{CampaignOutcome, CAMPAIGN_SCHEMA_VERSION};
 use topics_crawler::shard::{
     shard_token, tally_snapshot, Segment, SegmentHeader, ShardPlan, StreamingMerge, SEGMENT_VERSION,
 };
-use topics_net::seed;
+use topics_net::{pool, seed};
 use topics_obs::{merge_stripped, MergeRule, MetricsSnapshot, Obs, Trace};
 
 /// How the two campaign phases combine across shard traces: visits are
@@ -180,10 +180,14 @@ pub struct MergedColumnar {
 }
 
 /// Merge every `*.seg` under `dir` by streaming each segment's sites
-/// directly into a [`ColumnarBuilder`] — one decoded segment in memory
-/// at a time. Any decode failure (truncation, checksum mismatch,
-/// malformed section) or merge violation (missing/duplicate shard, stripe
-/// or token mismatch, diverging duplicates) is a named error.
+/// directly into a [`ColumnarBuilder`]. Segments are read and decoded
+/// on the worker pool, one window of as many segments as the host has
+/// cores at a time, and accepted in shard order, so at most that many
+/// decoded segments are in memory besides the kept traces. Any decode
+/// failure (truncation, checksum mismatch, malformed section) or merge
+/// violation (missing/duplicate shard, stripe or token mismatch,
+/// diverging duplicates) is a named error; the first failing segment
+/// in shard order is the one reported, for any worker count.
 ///
 /// Shard order is validated per segment by
 /// [`topics_crawler::shard::StreamingMerge`] (the canonical zero-padded
@@ -192,6 +196,12 @@ pub struct MergedColumnar {
 /// site walk a single-process crawl performs, the resulting store is
 /// byte-identical to the one `crawl` writes without sharding.
 pub fn merge_dir_columnar(dir: &Path) -> Result<MergedColumnar, String> {
+    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
+    merge_dir_with(dir, workers)
+}
+
+/// [`merge_dir_columnar`] over `workers` decode workers.
+fn merge_dir_with(dir: &Path, workers: usize) -> Result<MergedColumnar, String> {
     let paths = segment_paths(dir)?;
     if paths.is_empty() {
         return Err(format!("no segment files (*.seg) in {}", dir.display()));
@@ -199,14 +209,17 @@ pub fn merge_dir_columnar(dir: &Path) -> Result<MergedColumnar, String> {
     let mut merge = StreamingMerge::default();
     let mut builder = ColumnarBuilder::new();
     let mut traces: Vec<Trace> = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let mut segment = read_segment(path)?;
-        traces.push(Trace {
-            spans: std::mem::take(&mut segment.trace),
-        });
-        let sites = merge.accept(segment).map_err(|e| e.to_string())?;
-        for site in &sites {
-            builder.push_site(site);
+    for window in paths.chunks(workers.max(1)) {
+        let jobs: Vec<&Path> = window.iter().map(PathBuf::as_path).collect();
+        for decoded in pool::run(jobs, workers, None, read_segment).results {
+            let mut segment = decoded?;
+            traces.push(Trace {
+                spans: std::mem::take(&mut segment.trace),
+            });
+            let sites = merge.accept(segment).map_err(|e| e.to_string())?;
+            for site in &sites {
+                builder.push_site(site);
+            }
         }
     }
     let (allow_list, probes, started) = merge.finish().map_err(|e| e.to_string())?;
@@ -230,32 +243,107 @@ mod tests {
         Obs::new().with_trace()
     }
 
+    /// Write a 5-shard split of a 200-site light-fault campaign into a
+    /// fresh `dir` and return the segment paths in shard order.
+    fn five_shard_split(config: &LabConfig, tag: &str) -> (PathBuf, Vec<PathBuf>) {
+        let dir = std::env::temp_dir().join(format!("topics-shard-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let paths = (0..5)
+            .map(|shard| write_segment(&dir, &run_shard(config, shard, 5, &shard_obs())).unwrap())
+            .collect();
+        (dir, paths)
+    }
+
+    fn light_config() -> LabConfig {
+        LabConfig::quick(67, 200)
+            .with_threads(2)
+            .with_fault_profile(topics_net::fault::FaultProfile::light())
+    }
+
     #[test]
     fn sharded_segments_merge_back_to_the_single_run() {
-        let config = LabConfig::quick(91, 60).with_threads(2);
+        // At any decode window: 3 workers leave a partial last window,
+        // 8 are more than the 5 segments.
+        let config = light_config();
         let single_obs = shard_obs();
         let single = Lab::new(config.clone()).run_observed(&single_obs).outcome;
         let single_store = ColumnarCampaign::from_outcome(&single);
         let single_trace = single_obs.trace.finish().stripped();
-
-        let dir = std::env::temp_dir().join(format!("topics-shard-core-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        for shard in 0..3 {
-            let segment = run_shard(&config, shard, 3, &shard_obs());
-            write_segment(&dir, &segment).unwrap();
+        let single_json = serde_json::to_string(&single).unwrap();
+        let (dir, _) = five_shard_split(&config, "merge");
+        for workers in [1, 2, 3, 8] {
+            let merged = merge_dir_with(&dir, workers).unwrap();
+            assert!(
+                merged.store.bytes() == single_store.bytes(),
+                "campaign.col differs at {workers} workers"
+            );
+            assert_eq!(merged.trace, single_trace, "{workers} workers");
+            assert_eq!(
+                serde_json::to_string(&merged.outcome).unwrap(),
+                single_json,
+                "{workers} workers"
+            );
+            assert_eq!(merged.metrics, tally_snapshot(&single), "{workers} workers");
         }
-        let merged = merge_dir_columnar(&dir).unwrap();
-        assert_eq!(
-            merged.store.bytes(),
-            single_store.bytes(),
-            "streamed merge store must be byte-identical to the single-run store"
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `segment` with one byte in the middle of its `store` section
+    /// flipped: the directory's second entry (after the 16-byte magic,
+    /// version and section count; each entry is tag u8, offset u64,
+    /// len u64, fnv1a u64).
+    fn flip_store_byte(segment: &[u8]) -> Vec<u8> {
+        let entry = 16 + 25;
+        assert_eq!(segment[entry], 2, "the second section is the store");
+        let word = |at: usize| u64::from_le_bytes(segment[at..at + 8].try_into().unwrap());
+        let mut flipped = segment.to_vec();
+        flipped[(word(entry + 1) + word(entry + 9) / 2) as usize] ^= 0x01;
+        flipped
+    }
+
+    /// The merge error at 1, 2, 3 and 8 workers, checked to be one
+    /// message: the one-at-a-time merge's.
+    fn merge_error(dir: &Path) -> String {
+        let sequential = merge_dir_with(dir, 1).unwrap_err();
+        for workers in [2, 3, 8] {
+            assert_eq!(
+                merge_dir_with(dir, workers).unwrap_err(),
+                sequential,
+                "{workers} workers"
+            );
+        }
+        sequential
+    }
+
+    #[test]
+    fn the_first_failing_segment_in_shard_order_is_reported_at_any_worker_count() {
+        let (dir, paths) = five_shard_split(&light_config(), "precedence");
+        let pristine: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
+        let fourth = paths[3].file_name().unwrap().to_str().unwrap();
+
+        // A flipped store byte in segment 4, inside the second window at
+        // 2 workers: a decode error naming its file.
+        std::fs::write(&paths[3], flip_store_byte(&pristine[3])).unwrap();
+        let err = merge_error(&dir);
+        assert!(
+            err.contains("checksum mismatch") && err.contains(fourth),
+            "{err}"
         );
-        assert_eq!(merged.trace, single_trace);
-        assert_eq!(
-            serde_json::to_string(&merged.outcome).unwrap(),
-            serde_json::to_string(&single).unwrap()
-        );
-        assert_eq!(merged.metrics, tally_snapshot(&single));
+
+        // Shard 1 again at position 2, before the corrupt segment 4: the
+        // duplicate is reported, though segment 4 fails to decode in the
+        // same window at 8 workers.
+        std::fs::write(&paths[1], &pristine[0]).unwrap();
+        let err = merge_error(&dir);
+        assert!(err.contains("duplicate shard segment: shard 0"), "{err}");
+
+        // A missing last shard.
+        std::fs::write(&paths[1], &pristine[1]).unwrap();
+        std::fs::write(&paths[3], &pristine[3]).unwrap();
+        std::fs::remove_file(&paths[4]).unwrap();
+        let err = merge_error(&dir);
+        assert!(err.contains("missing shard segment: shard 4"), "{err}");
+
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

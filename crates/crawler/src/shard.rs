@@ -397,10 +397,11 @@ pub fn tally_snapshot(outcome: &CampaignOutcome) -> MetricsSnapshot {
     registry.snapshot()
 }
 
-/// The deterministic merge, one segment at a time: the columnar writer
-/// pushes each accepted stripe straight into its column vectors, so the
-/// merge never holds more than one decoded segment plus the growing
-/// columns.
+/// The deterministic merge, one segment at a time: `accept` takes each
+/// segment by value and hands back its sites for the columnar writer to
+/// push straight into its column vectors, so the merge itself keeps no
+/// decoded segment, only the first header, its allow-list and the
+/// probes seen so far.
 ///
 /// Segments must arrive in shard order — exactly what iterating the
 /// canonical `shard-K-of-N.seg` file names in sorted order yields.

@@ -142,16 +142,29 @@ for ART in campaign.col report.txt; do
     cmp "$SHARD_DIR/fsingle/$ART" "$SHARD_DIR/f2/$ART"
 done
 cmp "$SHARD_DIR/f1/trace.col" "$SHARD_DIR/f2/trace.col"
-SEG="$SHARD_DIR/f2/shard-1-of-2.seg"
-OFF=$(( $(wc -c < "$SEG") / 2 ))
-BYTE=$(od -An -tu1 -j "$OFF" -N1 "$SEG" | tr -d ' ')
-printf "\\$(printf %o $(( BYTE ^ 1 )))" | dd of="$SEG" bs=1 seek="$OFF" conv=notrunc status=none
-CODE=0
-$TL merge --segments "$SHARD_DIR/f2" --out "$SHARD_DIR/fbad" > /dev/null 2>&1 || CODE=$?
-if [ "$CODE" != "4" ]; then
-    echo "error: merge of a flipped segment exited $CODE, expected 4" >&2
-    exit 1
-fi
+# Each segment in turn gets a flipped byte, the other one pristine: the
+# merge decodes segments on a worker pool, so the second segment is the
+# one a second worker reads, and its error must surface just the same.
+for N in 1 2; do
+    SEG="$SHARD_DIR/f2/shard-$N-of-2.seg"
+    cp "$SEG" "$SHARD_DIR/pristine.seg"
+    OFF=$(( $(wc -c < "$SEG") / 2 ))
+    BYTE=$(od -An -tu1 -j "$OFF" -N1 "$SEG" | tr -d ' ')
+    printf "\\$(printf %o $(( BYTE ^ 1 )))" | dd of="$SEG" bs=1 seek="$OFF" conv=notrunc status=none
+    CODE=0
+    $TL merge --segments "$SHARD_DIR/f2" --out "$SHARD_DIR/fbad" > /dev/null \
+        2> "$SHARD_DIR/fbad.err" || CODE=$?
+    if [ "$CODE" != "4" ]; then
+        echo "error: merge of flipped segment $N exited $CODE, expected 4" >&2
+        exit 1
+    fi
+    if ! grep -q "shard-$N-of-2.seg" "$SHARD_DIR/fbad.err"; then
+        echo "error: merge of flipped segment $N did not name the file:" >&2
+        cat "$SHARD_DIR/fbad.err" >&2
+        exit 1
+    fi
+    mv "$SHARD_DIR/pristine.seg" "$SEG"
+done
 
 echo "== store equivalence (merged campaign.col == crawled campaign.col) =="
 # A merge written to a fresh directory must reproduce the crawl-written
