@@ -196,8 +196,7 @@ pub struct MergedColumnar {
 /// site walk a single-process crawl performs, the resulting store is
 /// byte-identical to the one `crawl` writes without sharding.
 pub fn merge_dir_columnar(dir: &Path) -> Result<MergedColumnar, String> {
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-    merge_dir_with(dir, workers)
+    merge_dir_with(dir, pool::available_workers())
 }
 
 /// [`merge_dir_columnar`] over `workers` decode workers.

@@ -13,7 +13,7 @@ use crate::record::{
     AttestationInfo, AttestationProbe, CampaignOutcome, SiteOutcome, CAMPAIGN_SCHEMA_VERSION,
 };
 use crate::visit::{run_site, ConsentAction, VisitPolicy, DEFAULT_VISIT_TIMEOUT_MS};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use topics_browser::attestation::{AttestationStore, EnforcementMode};
 use topics_net::clock::Timestamp;
@@ -95,9 +95,7 @@ impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
             allow_list: AllowListSetup::CorruptedFailOpen,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            threads: pool::available_workers(),
             per_site_interval_ms: 1_728, // 86,400,000 ms / 50,000 sites
             start: Timestamp::from_days(CRAWL_START_DAY),
             consent_action: ConsentAction::Accept,
@@ -399,16 +397,7 @@ where
         .start
         .plus_millis(targets.len() as u64 * config.per_site_interval_ms);
     let probe_time = crawl_end.max(Timestamp::from_days(ATTESTATION_SNAPSHOT_DAY));
-    // Collect by reference: each distinct domain is cloned exactly once,
-    // inside the probe result it ends up in anyway.
-    let mut to_probe: BTreeSet<&Domain> = allow_list.iter().collect();
-    for s in &sites {
-        for v in s.before.iter().chain(s.after.iter()) {
-            to_probe.extend(v.party_domains.iter());
-            to_probe.extend(v.topics_calls.iter().map(|c| &c.caller_site));
-        }
-    }
-    let domains: Vec<&Domain> = to_probe.into_iter().collect();
+    let domains = probe_set(&sites, &allow_list, threads);
     let probe_phase = open_phase(obs, "attestation-probe", threads);
 
     // The memo cache only applies when the target vouches for its
@@ -489,6 +478,46 @@ where
         attestation_probes,
         started: config.start,
     }
+}
+
+/// The domains the attestation probe visits, each once, in sorted
+/// order: the allow-list plus every party and caller site the visits
+/// encountered. Collected by reference, so each distinct domain is
+/// cloned exactly once, inside the probe result it ends up in anyway.
+/// Each of up to `threads` workers dedupes one contiguous chunk of
+/// sites in a hash set and sorts what is left; the sorted runs and the
+/// allow-list are then merged by a run-adaptive stable sort and
+/// deduplicated.
+fn probe_set<'a>(
+    sites: &'a [SiteOutcome],
+    allow_list: &'a [Domain],
+    threads: usize,
+) -> Vec<&'a Domain> {
+    let runs = pool::run(
+        pool::chunks(sites, threads),
+        threads,
+        None,
+        |chunk: &[SiteOutcome]| {
+            let mut seen: HashSet<&Domain> = HashSet::new();
+            for v in chunk
+                .iter()
+                .flat_map(|s| s.before.iter().chain(s.after.iter()))
+            {
+                seen.extend(v.party_domains.iter());
+                seen.extend(v.topics_calls.iter().map(|c| &c.caller_site));
+            }
+            let mut run: Vec<&Domain> = seen.into_iter().collect();
+            run.sort_unstable();
+            run
+        },
+    );
+    let mut domains: Vec<&Domain> = allow_list
+        .iter()
+        .chain(runs.results.into_iter().flatten())
+        .collect();
+    domains.sort();
+    domains.dedup();
+    domains
 }
 
 /// The process-wide probe memo: `(world fingerprint, probe-time millis)`
@@ -707,6 +736,7 @@ pub fn run_repeated<W: CrawlTarget + ?Sized>(
 mod tests {
     use super::*;
     use crate::record::Phase;
+    use std::collections::BTreeSet;
     use topics_webgen::{World, WorldConfig};
 
     fn small_campaign(seed: u64, n: usize) -> (World, CampaignOutcome) {
@@ -792,6 +822,49 @@ mod tests {
             permitted_unallowed(&healthy),
             0,
             "a healthy list blocks all non-enrolled callers"
+        );
+    }
+
+    #[test]
+    fn probe_set_equals_the_sorted_set_fold() {
+        let world = World::generate(WorldConfig::scaled(67, 200));
+        let outcome = run_campaign(
+            &world,
+            &CampaignConfig {
+                threads: 2,
+                fault: FaultProfile::light(),
+                ..Default::default()
+            },
+        );
+        let mut allow_list = outcome.allow_list.clone();
+        allow_list.push(Domain::parse("never-visited.example").unwrap());
+        allow_list.push(allow_list[0].clone());
+        let encountered: BTreeSet<&Domain> = outcome
+            .sites
+            .iter()
+            .flat_map(|s| s.before.iter().chain(s.after.iter()))
+            .flat_map(|v| {
+                v.party_domains
+                    .iter()
+                    .chain(v.topics_calls.iter().map(|c| &c.caller_site))
+            })
+            .collect();
+        assert!(outcome.sites.iter().any(|s| s.error.is_some()));
+        assert!(allow_list.iter().any(|d| !encountered.contains(d)));
+        let mut fold: BTreeSet<&Domain> = allow_list.iter().collect();
+        fold.extend(encountered);
+        let fold: Vec<&Domain> = fold.into_iter().collect();
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(
+                probe_set(&outcome.sites, &allow_list, threads),
+                fold,
+                "{threads} threads"
+            );
+        }
+        let allowed: BTreeSet<&Domain> = allow_list.iter().collect();
+        assert_eq!(
+            probe_set(&[], &allow_list, 2),
+            allowed.into_iter().collect::<Vec<_>>()
         );
     }
 

@@ -54,6 +54,8 @@ use topics_browser::attestation::AllowDecision;
 use topics_browser::observer::CallType;
 use topics_net::clock::Timestamp;
 use topics_net::domain::Domain;
+use topics_net::pool;
+use topics_net::seed::fnv1a;
 
 /// First eight bytes of every columnar campaign file.
 pub const COLUMNAR_MAGIC: [u8; 8] = *b"TOPICCOL";
@@ -361,10 +363,18 @@ struct ProbeCols {
 // Builder.
 
 /// Streams [`SiteOutcome`]s (in rank order) into column vectors and
-/// encodes the canonical byte layout. Used by both
-/// [`ColumnarCampaign::from_outcome`] and the shard merge, which feeds
-/// sites segment-by-segment without ever materialising the row-struct
-/// campaign — the two paths produce byte-identical files.
+/// encodes the canonical byte layout. [`push_site`](Self::push_site)
+/// is the one way rows enter a builder. The shard merge streams sites
+/// segment by segment into one builder without ever materialising the
+/// row-struct campaign. [`ColumnarCampaign::from_outcome`] (and a shard
+/// segment's store) cuts the sites into one contiguous chunk per
+/// worker, fills a builder per chunk on the worker pool, and absorbs
+/// the chunks in rank order into the first: a string or error first
+/// seen in chunk k is absent from every earlier chunk, so interning
+/// chunk k's table in its own first-use order hands out exactly the
+/// ids the one-builder walk would. Both paths, at any worker count,
+/// produce byte-identical files. [`finish`](Self::finish) encodes and
+/// digests the eight sections on the pool as well.
 #[derive(Debug, Default)]
 pub struct ColumnarBuilder {
     intern: HashMap<Domain, u32>,
@@ -484,15 +494,101 @@ impl ColumnarBuilder {
         self.sites.flags.push(flags);
     }
 
+    /// Append `chunk`, a builder filled with the sites that follow this
+    /// builder's in rank order, as if its sites had been pushed here.
+    /// The chunk's strings and errors are interned in its own
+    /// first-use order, its ids rewritten (`NONE_ID` stays), and its
+    /// visit, party and call positions offset by this builder's row
+    /// counts.
+    fn absorb(&mut self, chunk: ColumnarBuilder) {
+        self.intern.reserve(chunk.arena.len());
+        let ids: Vec<u32> = chunk.arena.iter().map(|d| self.intern(d)).collect();
+        let error_ids: Vec<u32> = chunk.errors.iter().map(|e| self.intern_error(e)).collect();
+        let id = |i: &u32| ids[*i as usize];
+        let opt = |table: &[u32], i: u32| {
+            if i == NONE_ID {
+                NONE_ID
+            } else {
+                table[i as usize]
+            }
+        };
+        // The offset rows must stay addressable, as `push_site` checks.
+        let visit_base = fits_u32(self.visits.phase.len(), "visit");
+        fits_u32(self.visits.phase.len() + chunk.visits.phase.len(), "visit");
+        let party_base = fits_u32(self.parties.len(), "party id");
+        fits_u32(self.parties.len() + chunk.parties.len(), "party id");
+        let call_base = fits_u32(self.calls.caller.len(), "call");
+        fits_u32(self.calls.caller.len() + chunk.calls.caller.len(), "call");
+        let visit = |i: &u32| {
+            if *i == NONE_ID {
+                NONE_ID
+            } else {
+                i + visit_base
+            }
+        };
+
+        let (s, cs) = (&mut self.sites, chunk.sites);
+        s.rank.extend(cs.rank);
+        s.website.extend(cs.website.iter().map(id));
+        s.before.extend(cs.before.iter().map(visit));
+        s.after.extend(cs.after.iter().map(visit));
+        s.error.extend(cs.error.iter().map(|&e| opt(&error_ids, e)));
+        s.retries.extend(cs.retries);
+        s.flags.extend(cs.flags);
+
+        let (v, cv) = (&mut self.visits, chunk.visits);
+        v.phase.extend(cv.phase);
+        v.website.extend(cv.website.iter().map(id));
+        v.final_website.extend(cv.final_website.iter().map(id));
+        v.party_start
+            .extend(cv.party_start.iter().map(|p| p + party_base));
+        v.party_len.extend(cv.party_len);
+        v.object_count.extend(cv.object_count);
+        v.failed_objects.extend(cv.failed_objects);
+        v.call_start
+            .extend(cv.call_start.iter().map(|c| c + call_base));
+        v.call_len.extend(cv.call_len);
+        v.started.extend(cv.started);
+        v.duration_ms.extend(cv.duration_ms);
+        v.banner.extend(cv.banner);
+
+        self.parties.extend(chunk.parties.iter().map(id));
+
+        let (c, cc) = (&mut self.calls, chunk.calls);
+        c.caller.extend(cc.caller.iter().map(id));
+        c.caller_site.extend(cc.caller_site.iter().map(id));
+        c.script_source
+            .extend(cc.script_source.iter().map(|&i| opt(&ids, i)));
+        c.call_type.extend(cc.call_type);
+        c.decision.extend(cc.decision);
+        c.topics_returned.extend(cc.topics_returned);
+        c.timestamp.extend(cc.timestamp);
+        c.root_context.extend(cc.root_context);
+    }
+
     /// Encode the finished campaign. `allow_list` and `probes` arrive
     /// last because the merge only has the full probe set once every
-    /// segment has streamed through.
+    /// segment has streamed through. The sections are encoded and
+    /// digested on [`pool::available_workers`] workers.
     pub fn finish(
+        self,
+        schema_version: u32,
+        allow_list: &[Domain],
+        probes: &[AttestationProbe],
+        started: Timestamp,
+    ) -> ColumnarCampaign {
+        let workers = pool::available_workers();
+        self.finish_with(schema_version, allow_list, probes, started, workers)
+    }
+
+    /// [`finish`](Self::finish) over `workers` encode workers.
+    fn finish_with(
         mut self,
         schema_version: u32,
         allow_list: &[Domain],
         probes: &[AttestationProbe],
         started: Timestamp,
+        workers: usize,
     ) -> ColumnarCampaign {
         let allow: Vec<u32> = allow_list.iter().map(|d| self.intern(d)).collect();
         let mut probe_cols = ProbeCols::default();
@@ -522,31 +618,46 @@ impl ColumnarBuilder {
             fits_u32(allow.len(), "allow-list entry"),
             fits_u32(probe_cols.domain.len(), "probe"),
         ];
-        let sections = [
-            (TAG_STRINGS, encode_strings(&self.arena)),
-            (TAG_ERRORS, encode_errors(&self.errors)),
-            (TAG_SITES, encode_sites(&self.sites)),
-            (TAG_VISITS, encode_visits(&self.visits)),
-            (TAG_PARTIES, encode_u32s(&self.parties)),
-            (TAG_CALLS, encode_calls(&self.calls)),
-            (TAG_ALLOW, encode_u32s(&allow)),
-            (TAG_PROBES, encode_probes(&probe_cols)),
+        // One job per section, in directory order; each encodes its
+        // payload and digests it.
+        let jobs: Vec<SectionJob<'_>> = vec![
+            (TAG_STRINGS, Box::new(|| encode_strings(&self.arena))),
+            (TAG_ERRORS, Box::new(|| encode_errors(&self.errors))),
+            (TAG_SITES, Box::new(|| encode_sites(&self.sites))),
+            (TAG_VISITS, Box::new(|| encode_visits(&self.visits))),
+            (TAG_PARTIES, Box::new(|| encode_u32s(&self.parties))),
+            (TAG_CALLS, Box::new(|| encode_calls(&self.calls))),
+            (TAG_ALLOW, Box::new(|| encode_u32s(&allow))),
+            (TAG_PROBES, Box::new(|| encode_probes(&probe_cols))),
         ];
+        let sections = pool::run(jobs, workers, None, |(tag, encode)| {
+            let payload = encode();
+            let digest = fnv1a(&payload);
+            (tag, payload, digest)
+        })
+        .results;
         let mut preamble = Vec::with_capacity(FORMAT.preamble_len);
         put_u32(&mut preamble, schema_version);
         put_u64(&mut preamble, started.0);
         for c in counts {
             put_u32(&mut preamble, c);
         }
-        let sections: Vec<(u8, &[u8])> = sections.iter().map(|(t, p)| (*t, p.as_slice())).collect();
-        let bytes = container::assemble(&FORMAT, &preamble, &sections);
+        let sections: Vec<(u8, &[u8], u64)> = sections
+            .iter()
+            .map(|(tag, payload, digest)| (*tag, payload.as_slice(), *digest))
+            .collect();
+        let bytes = container::assemble_digested(&FORMAT, &preamble, &sections);
         ColumnarCampaign::decode(bytes)
             .expect("a freshly assembled columnar campaign always decodes")
     }
 }
 
+/// A section tag and the closure that encodes its payload.
+type SectionJob<'a> = (u8, Box<dyn FnOnce() -> Vec<u8> + Send + 'a>);
+
 fn encode_strings(arena: &[Domain]) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let len = arena.iter().map(|d| 4 + d.as_str().len()).sum();
+    let mut buf = Vec::with_capacity(len);
     for d in arena {
         put_u32(&mut buf, fits_u32(d.as_str().len(), "string length"));
         buf.extend_from_slice(d.as_str().as_bytes());
@@ -563,68 +674,72 @@ fn encode_errors(errors: &[String]) -> Vec<u8> {
     buf
 }
 
-fn encode_u32s(ids: &[u32]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(ids.len() * 4);
+fn put_u32s(buf: &mut Vec<u8>, ids: &[u32]) {
+    buf.reserve(ids.len() * 4);
     for &id in ids {
-        put_u32(&mut buf, id);
+        put_u32(buf, id);
     }
-    buf
 }
 
-fn encode_u64s(vals: &[u64]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(vals.len() * 8);
+fn put_u64s(buf: &mut Vec<u8>, vals: &[u64]) {
+    buf.reserve(vals.len() * 8);
     for &v in vals {
-        put_u64(&mut buf, v);
+        put_u64(buf, v);
     }
+}
+
+fn encode_u32s(ids: &[u32]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_u32s(&mut buf, ids);
     buf
 }
 
 fn encode_sites(s: &SiteCols) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&encode_u32s(&s.rank));
-    buf.extend_from_slice(&encode_u32s(&s.website));
-    buf.extend_from_slice(&encode_u32s(&s.before));
-    buf.extend_from_slice(&encode_u32s(&s.after));
-    buf.extend_from_slice(&encode_u32s(&s.error));
-    buf.extend_from_slice(&encode_u32s(&s.retries));
+    let mut buf = Vec::with_capacity(s.rank.len() * (6 * 4 + 1));
+    put_u32s(&mut buf, &s.rank);
+    put_u32s(&mut buf, &s.website);
+    put_u32s(&mut buf, &s.before);
+    put_u32s(&mut buf, &s.after);
+    put_u32s(&mut buf, &s.error);
+    put_u32s(&mut buf, &s.retries);
     buf.extend_from_slice(&s.flags);
     buf
 }
 
 fn encode_visits(v: &VisitCols) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(v.phase.len() * (1 + 8 * 4 + 2 * 8 + 1));
     buf.extend_from_slice(&v.phase);
-    buf.extend_from_slice(&encode_u32s(&v.website));
-    buf.extend_from_slice(&encode_u32s(&v.final_website));
-    buf.extend_from_slice(&encode_u32s(&v.party_start));
-    buf.extend_from_slice(&encode_u32s(&v.party_len));
-    buf.extend_from_slice(&encode_u32s(&v.object_count));
-    buf.extend_from_slice(&encode_u32s(&v.failed_objects));
-    buf.extend_from_slice(&encode_u32s(&v.call_start));
-    buf.extend_from_slice(&encode_u32s(&v.call_len));
-    buf.extend_from_slice(&encode_u64s(&v.started));
-    buf.extend_from_slice(&encode_u64s(&v.duration_ms));
+    put_u32s(&mut buf, &v.website);
+    put_u32s(&mut buf, &v.final_website);
+    put_u32s(&mut buf, &v.party_start);
+    put_u32s(&mut buf, &v.party_len);
+    put_u32s(&mut buf, &v.object_count);
+    put_u32s(&mut buf, &v.failed_objects);
+    put_u32s(&mut buf, &v.call_start);
+    put_u32s(&mut buf, &v.call_len);
+    put_u64s(&mut buf, &v.started);
+    put_u64s(&mut buf, &v.duration_ms);
     buf.extend_from_slice(&pack_bits(&v.banner));
     buf
 }
 
 fn encode_calls(c: &CallCols) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&encode_u32s(&c.caller));
-    buf.extend_from_slice(&encode_u32s(&c.caller_site));
-    buf.extend_from_slice(&encode_u32s(&c.script_source));
+    let mut buf = Vec::with_capacity(c.caller.len() * (3 * 4 + 2 + 4 + 8 + 1));
+    put_u32s(&mut buf, &c.caller);
+    put_u32s(&mut buf, &c.caller_site);
+    put_u32s(&mut buf, &c.script_source);
     buf.extend_from_slice(&c.call_type);
     buf.extend_from_slice(&c.decision);
-    buf.extend_from_slice(&encode_u32s(&c.topics_returned));
-    buf.extend_from_slice(&encode_u64s(&c.timestamp));
+    put_u32s(&mut buf, &c.topics_returned);
+    put_u64s(&mut buf, &c.timestamp);
     buf.extend_from_slice(&pack_bits(&c.root_context));
     buf
 }
 
 fn encode_probes(p: &ProbeCols) -> Vec<u8> {
     let mut buf = Vec::new();
-    buf.extend_from_slice(&encode_u32s(&p.domain));
-    buf.extend_from_slice(&encode_u64s(&p.issued));
+    put_u32s(&mut buf, &p.domain);
+    put_u64s(&mut buf, &p.issued);
     buf.extend_from_slice(&pack_bits(&p.valid));
     buf.extend_from_slice(&pack_bits(&p.enrollment_site));
     buf
@@ -694,16 +809,62 @@ impl ColumnarCampaign {
     /// Build the columnar form of an outcome (what `crawl` writes).
     /// Deterministic: same outcome, same bytes.
     pub fn from_outcome(outcome: &CampaignOutcome) -> ColumnarCampaign {
-        let mut b = ColumnarBuilder::new();
-        for site in &outcome.sites {
-            b.push_site(site);
-        }
-        b.finish(
+        ColumnarCampaign::from_sites(
             outcome.schema_version,
+            &outcome.sites,
             &outcome.allow_list,
             &outcome.attestation_probes,
             outcome.started,
         )
+    }
+
+    /// Encode `sites` (in rank order) with the campaign-wide allow-list,
+    /// probes and start time on [`pool::available_workers`] workers:
+    /// `campaign.col` for an outcome, and the stripe store of a shard
+    /// segment. It runs the pool, so never call it from a pool worker.
+    pub(crate) fn from_sites(
+        schema_version: u32,
+        sites: &[SiteOutcome],
+        allow_list: &[Domain],
+        probes: &[AttestationProbe],
+        started: Timestamp,
+    ) -> ColumnarCampaign {
+        let workers = pool::available_workers();
+        ColumnarCampaign::from_sites_with(
+            schema_version,
+            sites,
+            allow_list,
+            probes,
+            started,
+            workers,
+        )
+    }
+
+    /// [`from_sites`](Self::from_sites) over `workers` workers: one
+    /// contiguous chunk of sites per worker, each pushed into a builder
+    /// of its own, then absorbed in rank order into the first (see
+    /// [`ColumnarBuilder`]); the bytes are the same for every count.
+    fn from_sites_with(
+        schema_version: u32,
+        sites: &[SiteOutcome],
+        allow_list: &[Domain],
+        probes: &[AttestationProbe],
+        started: Timestamp,
+        workers: usize,
+    ) -> ColumnarCampaign {
+        let filled = pool::run(pool::chunks(sites, workers), workers, None, |chunk| {
+            let mut b = ColumnarBuilder::new();
+            for site in chunk {
+                b.push_site(site);
+            }
+            b
+        });
+        let mut chunks = filled.results.into_iter();
+        let mut builder = chunks.next().unwrap_or_default();
+        for chunk in chunks {
+            builder.absorb(chunk);
+        }
+        builder.finish_with(schema_version, allow_list, probes, started, workers)
     }
 
     /// Parse and validate the header + directory of an encoded file.
@@ -1632,7 +1793,6 @@ impl ColumnarCampaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use topics_net::seed::fnv1a;
 
     fn d(s: &str) -> Domain {
         Domain::parse(s).unwrap()
@@ -1797,23 +1957,106 @@ mod tests {
         assert_eq!(a.bytes(), b.bytes());
     }
 
-    #[test]
-    fn builder_streams_sites_like_from_outcome() {
-        let original = outcome();
+    /// The one-builder walk: `push_site` over every site in rank order,
+    /// the way the shard merge streams sites.
+    fn streamed(o: &CampaignOutcome) -> ColumnarCampaign {
         let mut b = ColumnarBuilder::new();
-        for site in &original.sites {
+        for site in &o.sites {
             b.push_site(site);
         }
-        let streamed = b.finish(
-            original.schema_version,
-            &original.allow_list,
-            &original.attestation_probes,
-            original.started,
+        b.finish(
+            o.schema_version,
+            &o.allow_list,
+            &o.attestation_probes,
+            o.started,
+        )
+    }
+
+    /// A 200-site light-fault campaign, with a visit budget tight
+    /// enough that some visits time out.
+    fn faulty_outcome() -> CampaignOutcome {
+        let world = topics_webgen::World::generate(topics_webgen::WorldConfig::scaled(67, 200));
+        let config = crate::campaign::CampaignConfig {
+            threads: 2,
+            fault: topics_net::fault::FaultProfile::light(),
+            visit_timeout_ms: 2_000,
+            ..Default::default()
+        };
+        crate::campaign::run_campaign(&world, &config)
+    }
+
+    #[test]
+    fn builder_streams_sites_like_from_outcome() {
+        let faulty = faulty_outcome();
+        assert!(faulty.sites.iter().any(|s| s.error.is_some()));
+        assert!(faulty.sites.iter().any(|s| s.faults.retries > 0));
+        assert!(faulty
+            .sites
+            .iter()
+            .any(|s| s.faults.timed_out || s.faults.second_visit_failed));
+        // Errors only in the last site, which lies in the last chunk at
+        // every worker count: the error table's first entry comes from
+        // the last chunk.
+        let mut late_error = faulty.clone();
+        late_error.sites.retain(|s| s.error.is_none());
+        late_error.sites.truncate(40);
+        late_error.sites.push(
+            faulty
+                .sites
+                .iter()
+                .find(|s| s.error.is_some())
+                .unwrap()
+                .clone(),
         );
-        assert_eq!(
-            streamed.bytes(),
-            ColumnarCampaign::from_outcome(&original).bytes()
-        );
+        for (rank, site) in late_error.sites.iter_mut().enumerate() {
+            site.rank = rank;
+        }
+        let small = outcome();
+        let cases = [
+            ("200-site light-fault campaign", faulty.clone()),
+            (
+                "empty outcome",
+                CampaignOutcome {
+                    sites: vec![],
+                    ..small.clone()
+                },
+            ),
+            (
+                "single site",
+                CampaignOutcome {
+                    sites: small.sites[..1].to_vec(),
+                    ..small.clone()
+                },
+            ),
+            ("fewer sites than workers", small),
+            ("first error in the last chunk", late_error),
+        ];
+        let calls = cases
+            .iter()
+            .flat_map(|(_, o)| &o.sites)
+            .flat_map(|s| s.before.iter().chain(&s.after))
+            .flat_map(|v| &v.topics_calls);
+        assert!(calls.clone().any(|c| c.script_source.is_none()));
+        assert!(calls.clone().any(|c| c.script_source.is_some()));
+        for (name, o) in &cases {
+            let want = streamed(o);
+            want.verify().unwrap();
+            assert!(
+                ColumnarCampaign::from_outcome(o).bytes() == want.bytes(),
+                "{name}: from_outcome"
+            );
+            for workers in [1, 2, 3, 8] {
+                let chunked = ColumnarCampaign::from_sites_with(
+                    o.schema_version,
+                    &o.sites,
+                    &o.allow_list,
+                    &o.attestation_probes,
+                    o.started,
+                    workers,
+                );
+                assert!(chunked.bytes() == want.bytes(), "{name}: {workers} workers");
+            }
+        }
     }
 
     #[test]

@@ -70,9 +70,24 @@ pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
 /// Assemble magic, version, preamble, directory, header checksum and
 /// payloads into the canonical file bytes.
 pub(crate) fn assemble(format: &Format, preamble: &[u8], sections: &[(u8, &[u8])]) -> Vec<u8> {
+    let digested: Vec<(u8, &[u8], u64)> = sections
+        .iter()
+        .map(|&(tag, payload)| (tag, payload, fnv1a(payload)))
+        .collect();
+    assemble_digested(format, preamble, &digested)
+}
+
+/// [`assemble`] over `(tag, payload, FNV-1a of payload)` triples, for
+/// a writer that digests its sections itself (the columnar writer does
+/// so on the worker pool).
+pub(crate) fn assemble_digested(
+    format: &Format,
+    preamble: &[u8],
+    sections: &[(u8, &[u8], u64)],
+) -> Vec<u8> {
     debug_assert_eq!(preamble.len(), format.preamble_len);
     let header_len = 8 + 4 + preamble.len() + 4 + sections.len() * DIR_ENTRY_LEN + 8;
-    let payload_len: usize = sections.iter().map(|(_, p)| p.len()).sum();
+    let payload_len: usize = sections.iter().map(|(_, p, _)| p.len()).sum();
     let mut bytes = Vec::with_capacity(header_len + payload_len);
     bytes.extend_from_slice(&format.magic);
     put_u32(&mut bytes, format.version);
@@ -80,16 +95,16 @@ pub(crate) fn assemble(format: &Format, preamble: &[u8], sections: &[(u8, &[u8])
     put_u32(&mut bytes, fits_u32(sections.len(), "section"));
     // Payloads sit back to back, right after the directory + checksum.
     let mut offset = header_len as u64;
-    for (tag, payload) in sections {
+    for (tag, payload, digest) in sections {
         bytes.push(*tag);
         put_u64(&mut bytes, offset);
         put_u64(&mut bytes, payload.len() as u64);
-        put_u64(&mut bytes, fnv1a(payload));
+        put_u64(&mut bytes, *digest);
         offset += payload.len() as u64;
     }
     let header_checksum = fnv1a(&bytes);
     put_u64(&mut bytes, header_checksum);
-    for (_, payload) in sections {
+    for (_, payload, _) in sections {
         bytes.extend_from_slice(payload);
     }
     bytes

@@ -236,15 +236,14 @@ impl From<ColumnarError> for SegmentError {
 }
 
 impl Segment {
-    /// Serialize to the binary sectioned layout.
+    /// Serialize to the binary sectioned layout. The stripe store is
+    /// encoded on the worker pool, so never call this from a pool
+    /// worker.
     pub fn encode(&self) -> Vec<u8> {
         let header = serde_json::to_string(&self.header).expect("segment header serializes");
-        let mut builder = ColumnarBuilder::new();
-        for site in &self.sites {
-            builder.push_site(site);
-        }
-        let store = builder.finish(
+        let store = ColumnarCampaign::from_sites(
             CAMPAIGN_SCHEMA_VERSION,
+            &self.sites,
             &self.allow_list,
             &self.probes,
             self.header.started,

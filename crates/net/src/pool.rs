@@ -28,6 +28,21 @@ pub struct Pooled<R> {
     pub workers: Vec<TraceBuilder>,
 }
 
+/// The worker count for work that has no `--threads` of its own: the
+/// host's [`available_parallelism`](std::thread::available_parallelism)
+/// (which honours the process's CPU affinity), 4 if it is unknown.
+pub fn available_workers() -> usize {
+    std::thread::available_parallelism().map_or(4, |n| n.get())
+}
+
+/// `items` cut into at most `workers` contiguous chunks of near-equal
+/// length, in order: the jobs for work that splits one slice.
+pub fn chunks<T>(items: &[T], workers: usize) -> Vec<&[T]> {
+    items
+        .chunks(items.len().div_ceil(workers.max(1)).max(1))
+        .collect()
+}
+
 /// Run `work` on every job over up to `threads` workers (never more
 /// workers than jobs) and return the results in job order.
 ///
@@ -162,6 +177,22 @@ mod tests {
                 let (workers, items) = traced_items(&tracer, out.workers);
                 assert_eq!(workers, threads.min(jobs), "{tag}: one span per worker");
                 assert_eq!(items, jobs as u64, "{tag}: worker items");
+            }
+        }
+    }
+
+    #[test]
+    fn chunks_cover_the_items_in_order_one_per_worker_at_most() {
+        for workers in [0usize, 1, 2, 3, 8] {
+            for len in [0usize, 1, 2, 7, 1000] {
+                let items: Vec<usize> = (0..len).collect();
+                let cut = chunks(&items, workers);
+                assert!(
+                    cut.len() <= workers.max(1),
+                    "{len} items, {workers} workers"
+                );
+                assert!(cut.iter().all(|c| !c.is_empty()));
+                assert_eq!(cut.concat(), items, "{len} items, {workers} workers");
             }
         }
     }

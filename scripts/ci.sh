@@ -126,6 +126,23 @@ $TL merge --segments "$SHARD_DIR/golden3" > /dev/null
 MERGE_SUMS="$PWD/tests/golden/merge_800_seed5.sha256"
 (cd "$SHARD_DIR/golden3" && sha256sum --quiet -c "$MERGE_SUMS")
 
+echo "== golden crawl and merge on one core (taskset -c 0) =="
+# campaign.col is encoded, and segments are decoded and merged, on as
+# many workers as available_parallelism reports. Pinned to one core it
+# reports 1, so this covers the one-worker path through the CLI, which
+# a multi-core host never takes; the digests must not move.
+taskset -c 0 $TL crawl --sites 800 --seed 5 --fault-profile light --threads 1 --quiet \
+    --out "$SHARD_DIR/golden-core0" --trace-out trace.jsonl > /dev/null
+sed -E 's/"wall_(start|end)_us":[0-9]+,?//g' "$SHARD_DIR/golden-core0/trace.jsonl" \
+    | grep -v '"op":true' > "$SHARD_DIR/golden-core0/trace.stripped.jsonl"
+(cd "$SHARD_DIR/golden-core0" && sha256sum --quiet -c "$GOLDEN_SUMS")
+for K in 1 2 3; do
+    taskset -c 0 $TL shard --shard "$K/3" --sites 800 --seed 5 --fault-profile light --quiet \
+        --out "$SHARD_DIR/golden3-core0" > /dev/null
+done
+taskset -c 0 $TL merge --segments "$SHARD_DIR/golden3-core0" > /dev/null
+(cd "$SHARD_DIR/golden3-core0" && sha256sum --quiet -c "$MERGE_SUMS")
+
 echo "== faulty shard equivalence (light faults, 1-shard and 2-shard merges == single run) =="
 # The benchmark's chaos shape at CI size: retries and fault coins must
 # land identically in every shard, and a flipped segment byte must make
