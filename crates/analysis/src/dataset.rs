@@ -13,6 +13,7 @@ use topics_crawler::record::{
     CampaignOutcome, OutcomeCounts, TopicsCallRecord, VisitOutcome, VisitRecord,
 };
 use topics_net::domain::Domain;
+use topics_net::pool;
 
 /// Which dataset a query runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +38,7 @@ pub struct CpClass {
 
 /// Analysis wrapper around a campaign outcome.
 ///
-/// Construction builds a [`CampaignIndex`] in one pass, so every query
+/// Construction builds a [`CampaignIndex`] once, so every query
 /// (and every figure/table module consuming the wrapper) reads the
 /// shared index instead of re-scanning the outcome.
 pub struct Datasets<'a> {
@@ -47,23 +48,33 @@ pub struct Datasets<'a> {
 }
 
 impl<'a> Datasets<'a> {
-    /// Wrap a campaign outcome (builds the one-pass index).
+    /// Wrap a campaign outcome (builds the index on
+    /// [`pool::available_workers`] workers).
     pub fn new(outcome: &'a CampaignOutcome) -> Datasets<'a> {
-        // Measure what the one-pass index costs in heap (its hash sets,
-        // candidate slots and the ordered maps it hands out), so memory
-        // profiles can attribute it. Zero unless the counting allocator
-        // is enabled.
+        Datasets::new_with(outcome, pool::available_workers())
+    }
+
+    /// [`new`](Self::new) with the index built over `workers` workers.
+    pub(crate) fn new_with(outcome: &'a CampaignOutcome, workers: usize) -> Datasets<'a> {
+        // Measure what the index costs in heap (its hash sets, candidate
+        // slots, the chunk passes and the ordered maps it hands out), so
+        // memory profiles can attribute it. Zero unless the counting
+        // allocator is enabled.
         let aspan = topics_obs::AllocSpan::start();
-        let index = CampaignIndex::new(outcome);
+        let (index, on_workers) = CampaignIndex::new_with(outcome, workers);
         Datasets {
             outcome,
             index,
-            index_alloc: aspan.finish(),
+            index_alloc: aspan.finish() + on_workers,
         }
     }
 
-    /// Heap allocated while building the one-pass index (all-zero
-    /// unless the counting allocator was enabled during construction).
+    /// Heap allocated while building the index (all-zero unless the
+    /// counting allocator was enabled during construction): the
+    /// calling thread's span plus the span of each chunk pass on its
+    /// worker. The workers run side by side, so the peak is the
+    /// caller's peak plus the sum of the workers' peaks, an upper bound
+    /// of the joint peak.
     pub fn index_alloc(&self) -> topics_obs::AllocDelta {
         self.index_alloc
     }
@@ -73,7 +84,7 @@ impl<'a> Datasets<'a> {
         self.outcome
     }
 
-    /// The shared one-pass index.
+    /// The shared index.
     pub fn index(&self) -> &CampaignIndex<'a> {
         &self.index
     }

@@ -6,7 +6,7 @@
 //!
 //! * [`dataset`] — the D_BA / D_AA views and the Allowed/Attested CP
 //!   classification (§2.3–2.4).
-//! * [`index`] — the shared one-pass [`CampaignIndex`] every module
+//! * [`index`] — the shared [`CampaignIndex`] every module
 //!   reads instead of re-scanning the outcome.
 //! * [`colscan`] — the same aggregates computed straight from a
 //!   columnar store's columns, no row structs materialised.
@@ -48,6 +48,16 @@ pub mod timeline;
 
 #[cfg(test)]
 pub(crate) mod testutil;
+
+// The `index_edge_cases` suite's outcomes, for the index's unit tests.
+#[cfg(test)]
+#[path = "../tests/support/index_cases.rs"]
+mod index_cases;
+
+// Counting stays off until a test turns it on (`index_alloc`'s test).
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: topics_obs::alloc::CountingAlloc = topics_obs::alloc::CountingAlloc;
 
 pub use abtest::{alternation_series, clustering_share, fit_fraction, AlternationSeries};
 pub use anomalous::{anomalous_stats, AnomalousStats};

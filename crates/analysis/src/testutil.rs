@@ -222,3 +222,15 @@ pub(crate) fn tiny_outcome() -> CampaignOutcome {
         started: Timestamp::from_days(302),
     }
 }
+
+/// A real 200-site crawl under light faults: failed sites and retried
+/// ones among the ordinary visits.
+pub(crate) fn light_fault_campaign() -> CampaignOutcome {
+    let world = topics_webgen::World::generate(topics_webgen::WorldConfig::scaled(67, 200));
+    let config = topics_crawler::campaign::CampaignConfig {
+        threads: 2,
+        fault: topics_net::fault::FaultProfile::light(),
+        ..Default::default()
+    };
+    topics_crawler::campaign::run_campaign(&world, &config)
+}

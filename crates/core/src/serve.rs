@@ -173,8 +173,8 @@ impl ServeConfig {
 }
 
 /// The immutable query state built once at startup: the resident
-/// columnar store (interned arena) and every endpoint body
-/// pre-rendered.
+/// columnar store (its bytes and header; the sections decoded for the
+/// build are released) and every endpoint body pre-rendered.
 pub struct QueryService {
     store: ColumnarCampaign,
     bodies: BTreeMap<&'static str, (&'static str, Arc<[u8]>)>,
@@ -202,6 +202,10 @@ impl QueryService {
         let store = ColumnarCampaign::decode(bytes).map_err(|e| corrupt(e.to_string()))?;
         let decode_us = lap_us();
         let outcome = store.to_outcome().map_err(|e| corrupt(e.to_string()))?;
+        // Queries never read the decoded sections: release them before
+        // the analysis runs, and keep only the bytes and the header.
+        let store = ColumnarCampaign::decode(store.into_bytes())
+            .expect("bytes that decoded once decode again");
         let to_outcome_us = lap_us();
         let eval = crate::evaluate(&outcome);
         let evaluate_us = lap_us();
@@ -244,7 +248,7 @@ impl QueryService {
         let doctor_us = lap_us();
         let build_wall_ms = started.elapsed().as_millis() as u64;
         // `outcome` and `eval` drop here: the resident state is the
-        // columnar arena and the body cache.
+        // store's bytes and the body cache.
         Ok(QueryService {
             store,
             bodies,
@@ -259,8 +263,8 @@ impl QueryService {
         })
     }
 
-    /// The resident store (interned arena; `bytes().len()` is the
-    /// store footprint).
+    /// The resident store (`bytes().len()` is the store footprint;
+    /// its sections decode again on first use).
     pub fn store(&self) -> &ColumnarCampaign {
         &self.store
     }

@@ -46,6 +46,7 @@ use crate::record::{
     AttestationInfo, AttestationProbe, CampaignOutcome, FaultStats, Phase, SiteOutcome,
     TopicsCallRecord, UnknownSchemaVersion, VisitRecord, CAMPAIGN_SCHEMA_VERSION,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -403,6 +404,19 @@ impl ColumnarBuilder {
         id
     }
 
+    /// [`intern`](Self::intern) of an owned domain: one hash lookup,
+    /// the key moved into the table.
+    fn intern_owned(&mut self, d: Domain) -> u32 {
+        match self.intern.entry(d) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = fits_u32(self.arena.len(), "interned string");
+                self.arena.push(e.key().clone());
+                *e.insert(id)
+            }
+        }
+    }
+
     fn intern_error(&mut self, e: &str) -> u32 {
         if let Some(&id) = self.error_ids.get(e) {
             return id;
@@ -411,6 +425,19 @@ impl ColumnarBuilder {
         self.errors.push(e.to_owned());
         self.error_ids.insert(e.to_owned(), id);
         id
+    }
+
+    /// [`intern_error`](Self::intern_error) of an owned message: one
+    /// hash lookup, the key moved into the table.
+    fn intern_error_owned(&mut self, e: String) -> u32 {
+        match self.error_ids.entry(e) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = fits_u32(self.errors.len(), "error string");
+                self.errors.push(e.key().clone());
+                *e.insert(id)
+            }
+        }
     }
 
     fn push_visit(&mut self, v: &VisitRecord) -> u32 {
@@ -501,9 +528,21 @@ impl ColumnarBuilder {
     /// visit, party and call positions offset by this builder's row
     /// counts.
     fn absorb(&mut self, chunk: ColumnarBuilder) {
-        self.intern.reserve(chunk.arena.len());
-        let ids: Vec<u32> = chunk.arena.iter().map(|d| self.intern(d)).collect();
-        let error_ids: Vec<u32> = chunk.errors.iter().map(|e| self.intern_error(e)).collect();
+        let ColumnarBuilder {
+            arena,
+            errors,
+            sites,
+            visits,
+            parties,
+            calls,
+            ..
+        } = chunk;
+        self.intern.reserve(arena.len());
+        let ids: Vec<u32> = arena.into_iter().map(|d| self.intern_owned(d)).collect();
+        let error_ids: Vec<u32> = errors
+            .into_iter()
+            .map(|e| self.intern_error_owned(e))
+            .collect();
         let id = |i: &u32| ids[*i as usize];
         let opt = |table: &[u32], i: u32| {
             if i == NONE_ID {
@@ -514,11 +553,11 @@ impl ColumnarBuilder {
         };
         // The offset rows must stay addressable, as `push_site` checks.
         let visit_base = fits_u32(self.visits.phase.len(), "visit");
-        fits_u32(self.visits.phase.len() + chunk.visits.phase.len(), "visit");
+        fits_u32(self.visits.phase.len() + visits.phase.len(), "visit");
         let party_base = fits_u32(self.parties.len(), "party id");
-        fits_u32(self.parties.len() + chunk.parties.len(), "party id");
+        fits_u32(self.parties.len() + parties.len(), "party id");
         let call_base = fits_u32(self.calls.caller.len(), "call");
-        fits_u32(self.calls.caller.len() + chunk.calls.caller.len(), "call");
+        fits_u32(self.calls.caller.len() + calls.caller.len(), "call");
         let visit = |i: &u32| {
             if *i == NONE_ID {
                 NONE_ID
@@ -527,7 +566,7 @@ impl ColumnarBuilder {
             }
         };
 
-        let (s, cs) = (&mut self.sites, chunk.sites);
+        let (s, cs) = (&mut self.sites, sites);
         s.rank.extend(cs.rank);
         s.website.extend(cs.website.iter().map(id));
         s.before.extend(cs.before.iter().map(visit));
@@ -536,7 +575,7 @@ impl ColumnarBuilder {
         s.retries.extend(cs.retries);
         s.flags.extend(cs.flags);
 
-        let (v, cv) = (&mut self.visits, chunk.visits);
+        let (v, cv) = (&mut self.visits, visits);
         v.phase.extend(cv.phase);
         v.website.extend(cv.website.iter().map(id));
         v.final_website.extend(cv.final_website.iter().map(id));
@@ -552,9 +591,9 @@ impl ColumnarBuilder {
         v.duration_ms.extend(cv.duration_ms);
         v.banner.extend(cv.banner);
 
-        self.parties.extend(chunk.parties.iter().map(id));
+        self.parties.extend(parties.iter().map(id));
 
-        let (c, cc) = (&mut self.calls, chunk.calls);
+        let (c, cc) = (&mut self.calls, calls);
         c.caller.extend(cc.caller.iter().map(id));
         c.caller_site.extend(cc.caller_site.iter().map(id));
         c.script_source
@@ -919,6 +958,11 @@ impl ColumnarCampaign {
                 format!("bad {}: {e}", path.display()),
             )
         })
+    }
+
+    /// The encoded bytes, giving up the decoded sections.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
     }
 
     /// The canonical encoded bytes (what `campaign.col` holds).
@@ -1639,10 +1683,41 @@ impl ColumnarCampaign {
         })
     }
 
-    /// Rebuild the row-struct [`CampaignOutcome`]. Domain strings are
+    /// Rebuild the row-struct [`CampaignOutcome`] on
+    /// [`pool::available_workers`] workers. Domain strings are
     /// `Arc`-cloned out of the arena, so every repeated domain shares
     /// one allocation.
     pub fn to_outcome(&self) -> Result<CampaignOutcome, ColumnarError> {
+        self.to_outcome_with(pool::available_workers())
+    }
+
+    /// [`to_outcome`](Self::to_outcome) over `workers` workers: the
+    /// eight sections decode as pool jobs, in the order
+    /// [`rebuild`](Self::rebuild) first reads them, each caching its
+    /// result (error included), and `rebuild` then reads them back in
+    /// that order. So the outcome, or the error, is the same for every
+    /// worker count.
+    fn to_outcome_with(&self, workers: usize) -> Result<CampaignOutcome, ColumnarError> {
+        let sections: [fn(&ColumnarCampaign) -> bool; 8] = [
+            |c| c.domains().is_ok(),
+            |c| c.site_cols().is_ok(),
+            |c| c.error_table().is_ok(),
+            |c| c.visit_cols().is_ok(),
+            |c| c.party_ids().is_ok(),
+            |c| c.call_cols().is_ok(),
+            |c| c.allow_ids().is_ok(),
+            |c| c.probe_cols().is_ok(),
+        ];
+        pool::run(sections.to_vec(), workers, None, |decode| decode(self));
+        self.rebuild()
+    }
+
+    /// The rows, rebuilt site by site on the calling thread, each
+    /// section decoded when first read unless already cached. The rows
+    /// stay off the pool: they are most of the outcome's heap, and
+    /// allocated on workers they would land in the workers' allocator
+    /// arenas, which a process that rebuilds again later may not reuse.
+    fn rebuild(&self) -> Result<CampaignOutcome, ColumnarError> {
         let arena = self.domains()?;
         let s = self.site_cols()?;
         let errors = self.error_table()?;
@@ -2218,10 +2293,29 @@ mod tests {
         bytes
     }
 
+    /// A rebuild as comparable text: the outcome's JSON or the error's
+    /// message.
+    fn rebuilt(r: Result<CampaignOutcome, ColumnarError>) -> Result<String, String> {
+        r.map(|o| serde_json::to_string(&o).unwrap())
+            .map_err(|e| e.to_string())
+    }
+
     /// Decode `bytes` and read every section the way `to_outcome` and
-    /// `verify` do, returning the first error.
+    /// `verify` do, returning the first error. On the way, the rebuild
+    /// after pooled section decodes at 1, 2, 3 and 8 workers, each over
+    /// a fresh decode, must give the outcome, or the error, of the
+    /// serial rebuild that decodes each section when first read.
     fn full_read(bytes: Vec<u8>) -> Result<(), ColumnarError> {
-        let store = ColumnarCampaign::decode(bytes)?;
+        let store = ColumnarCampaign::decode(bytes.clone())?;
+        let want = rebuilt(store.rebuild());
+        for workers in [1, 2, 3, 8] {
+            let fresh = ColumnarCampaign::decode(bytes.clone()).unwrap();
+            assert_eq!(
+                rebuilt(fresh.to_outcome_with(workers)),
+                want,
+                "{workers} workers"
+            );
+        }
         store.to_outcome()?;
         store.verify()
     }

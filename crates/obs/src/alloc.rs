@@ -237,6 +237,28 @@ impl AllocDelta {
     }
 }
 
+/// Field-wise sum: the deltas of scopes that split one piece of work
+/// across threads. The summed peak is an upper bound of their joint
+/// peak, which is exact only when the scopes' peaks coincide.
+impl std::ops::Add for AllocDelta {
+    type Output = AllocDelta;
+
+    fn add(self, other: AllocDelta) -> AllocDelta {
+        AllocDelta {
+            alloc_bytes: self.alloc_bytes + other.alloc_bytes,
+            alloc_count: self.alloc_count + other.alloc_count,
+            dealloc_bytes: self.dealloc_bytes + other.dealloc_bytes,
+            peak_bytes: self.peak_bytes + other.peak_bytes,
+        }
+    }
+}
+
+impl std::iter::Sum for AllocDelta {
+    fn sum<I: Iterator<Item = AllocDelta>>(deltas: I) -> AllocDelta {
+        deltas.fold(AllocDelta::default(), |a, b| a + b)
+    }
+}
+
 /// Thread-local allocation scope for one unit of work. Create with
 /// [`AllocSpan::start`], finish with [`AllocSpan::finish`]; the scope
 /// is a no-op (all-zero delta) while counting is disabled.

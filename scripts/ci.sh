@@ -234,6 +234,26 @@ fi
 wait "$SERVE_PID"
 SERVE_PID=""
 
+echo "== serve smoke on one core (taskset -c 0) =="
+# serve rebuilds the campaign's rows and its analysis index on as many
+# workers as available_parallelism reports. Pinned to one core it
+# reports 1, so the rows and the index are built in one chunk, a path a
+# multi-core host never takes; /api/report must not move.
+rm -f "$DOCTOR_DIR/addr.txt"
+taskset -c 0 $TL serve --campaign "$DOCTOR_DIR" --quiet \
+    --addr-file "$DOCTOR_DIR/addr.txt" 2> /dev/null &
+SERVE_PID=$!
+for _ in $(seq 1 100); do
+    [ -s "$DOCTOR_DIR/addr.txt" ] && break
+    sleep 0.1
+done
+ADDR=$(cat "$DOCTOR_DIR/addr.txt")
+$TL fetch --addr "$ADDR" --path /api/report --out "$DOCTOR_DIR/served-report-core0.txt"
+cmp "$DOCTOR_DIR/served-report-core0.txt" "$DOCTOR_DIR/report.txt"
+$TL fetch --addr "$ADDR" --path /shutdown --post > /dev/null
+wait "$SERVE_PID"
+SERVE_PID=""
+
 echo "== shard suites (properties, byte-identity, corruption) =="
 cargo test -q -p topics-crawler --test properties
 cargo test -q -p topics-core --test integration_shard
