@@ -58,6 +58,22 @@ echo "== memprofile on the chaos trace =="
 cargo run --release -q -p topics-core --bin topics-lab -- memprofile \
     --campaign "$DOCTOR_DIR" > /dev/null
 
+echo "== doctor and memprofile text on the pinned trace fixtures =="
+# Fixed trace.col inputs (tests/golden/trace): the CLI mirror of
+# doctor_and_memprofile_text_is_pinned_on_fixed_traces. Every span name,
+# field key and label reaches this text, so it must not move by a byte.
+FIX=tests/golden/trace
+for B in crawl merged; do
+    cargo run --release -q -p topics-core --bin topics-lab -- doctor \
+        --campaign "$FIX/$B" | cmp - "$FIX/$B/doctor.txt"
+done
+cargo run --release -q -p topics-core --bin topics-lab -- memprofile \
+    --campaign "$FIX/crawl" | cmp - "$FIX/crawl/memprofile.txt"
+cargo run --release -q -p topics-core --bin topics-lab -- doctor \
+    --trace "$FIX/sim/trace.col" | cmp - "$FIX/sim/doctor.txt"
+cargo run --release -q -p topics-core --bin topics-lab -- memprofile \
+    --trace "$FIX/sim/trace.col" | cmp - "$FIX/sim/memprofile.txt"
+
 echo "== prometheus render has no duplicate headers =="
 # Each metric family must emit exactly one # HELP and one # TYPE line;
 # duplicates mean the renderer double-registered a family.
@@ -142,6 +158,9 @@ for K in 1 2 3; do
 done
 taskset -c 0 $TL merge --segments "$SHARD_DIR/golden3-core0" > /dev/null
 (cd "$SHARD_DIR/golden3-core0" && sha256sum --quiet -c "$MERGE_SUMS")
+# The trace.col that one-worker merge wrote must read back clean:
+# structure, reconciliation, segments and store.
+$TL doctor --campaign "$SHARD_DIR/golden3-core0" > /dev/null
 
 echo "== faulty shard equivalence (light faults, 1-shard and 2-shard merges == single run) =="
 # The benchmark's chaos shape at CI size: retries and fault coins must
