@@ -16,6 +16,7 @@ use topics_net::clock::Timestamp;
 use topics_net::domain::Domain;
 use topics_net::http::ResourceKind;
 use topics_net::url::Url;
+use topics_obs::Word;
 
 /// The three Topics API call types distinguished by the integration guide
 /// and logged by the paper's modified handler.
@@ -32,12 +33,17 @@ pub enum CallType {
 }
 
 impl CallType {
-    /// Human-readable label.
+    /// Human-readable label: the text of [`CallType::word`].
     pub fn label(self) -> &'static str {
+        self.word().as_str()
+    }
+
+    /// The call type as the trace's `type` field records it.
+    pub fn word(self) -> Word {
         match self {
-            CallType::JavaScript => "JavaScript",
-            CallType::Fetch => "Fetch",
-            CallType::Iframe => "IFrame",
+            CallType::JavaScript => Word::JavaScript,
+            CallType::Fetch => Word::FetchCall,
+            CallType::Iframe => Word::IFrame,
         }
     }
 }

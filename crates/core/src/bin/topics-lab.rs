@@ -35,7 +35,7 @@ use topics_core::export::{
     load_campaign, load_trace, write_artefacts, write_bundle, StoreKind, CAMPAIGN_COLUMNAR_FILE,
     TRACE_FILE,
 };
-use topics_core::obs::{alloc, Obs, Trace};
+use topics_core::obs::{alloc, Obs, Trace, Word};
 use topics_core::{
     comparison_rows, crawler::shard::tally_snapshot, diagnose_bundle, evaluate, render_comparison,
     Lab, LabConfig,
@@ -667,7 +667,7 @@ fn cmd_crawl(args: &Args) -> Result<(), CliError> {
         );
     }
     let lab = {
-        let _span = obs.phase("world-gen");
+        let _span = obs.phase(Word::WorldGen);
         Lab::new(config)
     };
 
@@ -682,11 +682,11 @@ fn cmd_crawl(args: &Args) -> Result<(), CliError> {
     );
 
     let eval = {
-        let _span = obs.phase("analysis");
+        let _span = obs.phase(Word::Analysis);
         evaluate(&run.outcome)
     };
     {
-        let _span = obs.phase("export");
+        let _span = obs.phase(Word::Export);
         write_bundle(
             &out,
             &run.outcome,

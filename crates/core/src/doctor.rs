@@ -15,7 +15,7 @@ use topics_crawler::columnar::{ColumnarCampaign, SectionInfo};
 use topics_crawler::record::{CampaignOutcome, OutcomeCounts};
 use topics_crawler::shard::tally_snapshot;
 use topics_obs::profile::{integrity, profile, Integrity, Profile};
-use topics_obs::{FieldValue, Trace};
+use topics_obs::{FieldValue, Text, Trace, Word};
 
 /// One trace-vs-metric reconciliation line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,7 +36,7 @@ pub struct Reconciliation {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocBalance {
     /// Phase span name.
-    pub phase: String,
+    pub phase: Text,
     /// Bytes the phase window recorded (process-wide, all threads).
     pub phase_bytes: u64,
     /// Sum of the direct children's attributed bytes.
@@ -171,7 +171,7 @@ pub fn diagnose_bundle(
     report
 }
 
-fn u64_field(trace: &Trace, span_name: &str, key: &str) -> u64 {
+fn u64_field(trace: &Trace, span_name: Word, key: Word) -> u64 {
     trace
         .spans
         .iter()
@@ -191,7 +191,7 @@ pub fn diagnose(outcome: &CampaignOutcome, trace: &Trace, top_n: usize) -> Docto
     let mut reconciliation = Vec::new();
 
     // Every attempted site opens exactly one visit span — strict.
-    let visit_spans = trace.count_named("visit") as u64;
+    let visit_spans = trace.count_named(Word::Visit) as u64;
     let attempted = snapshot.counter("sites_attempted_total");
     reconciliation.push(Reconciliation {
         check: "visit spans == sites_attempted_total".to_owned(),
@@ -203,7 +203,7 @@ pub fn diagnose(outcome: &CampaignOutcome, trace: &Trace, top_n: usize) -> Docto
     // Timed-out visits run the full page (tracing their Topics calls)
     // but contribute no VisitRecord, so the trace may legitimately hold
     // MORE calls than the dataset — never fewer.
-    let call_spans = trace.count_named("topics-call") as u64;
+    let call_spans = trace.count_named(Word::TopicsCall) as u64;
     let recorded = snapshot.counter("topics_calls_recorded_total");
     reconciliation.push(Reconciliation {
         check: "topics-call spans >= topics_calls_recorded_total".to_owned(),
@@ -214,8 +214,8 @@ pub fn diagnose(outcome: &CampaignOutcome, trace: &Trace, top_n: usize) -> Docto
 
     // The probe tally counts every probed domain; the trace only spans
     // network probes, with cache hits summarized on the phase span.
-    let probe_spans = trace.count_named("probe") as u64;
-    let cache_hits = u64_field(trace, "attestation-probe", "cache_hits");
+    let probe_spans = trace.count_named(Word::Probe) as u64;
+    let cache_hits = u64_field(trace, Word::AttestationProbe, Word::CacheHits);
     let probes = snapshot.counter("attestation_probes_total");
     reconciliation.push(Reconciliation {
         check: "probe spans + cache_hits == attestation_probes_total".to_owned(),
@@ -243,7 +243,7 @@ pub fn diagnose(outcome: &CampaignOutcome, trace: &Trace, top_n: usize) -> Docto
 /// scopes are thread-local slices of the phase window, so a genuine
 /// overshoot means double counting or a broken seal.
 fn alloc_balance(trace: &Trace) -> Vec<AllocBalance> {
-    let alloc_of = |s: &topics_obs::SpanRecord| match s.field("alloc_bytes") {
+    let alloc_of = |s: &topics_obs::SpanRecord| match s.field(Word::AllocBytes) {
         Some(FieldValue::U64(v)) => Some(*v),
         Some(FieldValue::I64(v)) => Some(*v as u64),
         _ => None,
@@ -611,11 +611,10 @@ mod tests {
         let mut tagged_child = false;
         for s in trace.spans.iter_mut() {
             if s.name == "crawl" {
-                s.fields
-                    .push(("alloc_bytes".to_owned(), FieldValue::U64(1_000)));
+                s.fields.push((Word::AllocBytes, FieldValue::U64(1_000)));
             } else if !tagged_child && s.parent == Some(crawl_id) && s.name == "visit" {
                 s.fields
-                    .push(("alloc_bytes".to_owned(), FieldValue::U64(10_000_000)));
+                    .push((Word::AllocBytes, FieldValue::U64(10_000_000)));
                 tagged_child = true;
             }
         }
@@ -643,11 +642,9 @@ mod tests {
         // Window 1 MB, children well inside it.
         for s in trace.spans.iter_mut() {
             if s.name == "crawl" {
-                s.fields
-                    .push(("alloc_bytes".to_owned(), FieldValue::U64(1 << 20)));
+                s.fields.push((Word::AllocBytes, FieldValue::U64(1 << 20)));
             } else if s.parent == Some(crawl_id) && s.name == "visit" {
-                s.fields
-                    .push(("alloc_bytes".to_owned(), FieldValue::U64(4_096)));
+                s.fields.push((Word::AllocBytes, FieldValue::U64(4_096)));
             }
         }
         let report = diagnose(&outcome, &trace, 5);
@@ -791,7 +788,7 @@ mod tests {
             .iter()
             .position(|s| s.name == "visit")
             .expect("trace has visits");
-        trace.spans[visit_idx].name = "not-a-visit".to_owned();
+        trace.spans[visit_idx].name = Text::from("not-a-visit");
         let report = diagnose(&outcome, &trace, 5);
         assert!(!report.is_healthy());
         assert!(report

@@ -32,19 +32,19 @@ use topics_crawler::shard::{
     shard_token, tally_snapshot, Segment, SegmentHeader, ShardPlan, StreamingMerge, SEGMENT_VERSION,
 };
 use topics_net::{pool, seed};
-use topics_obs::{merge_stripped, MergeRule, MetricsSnapshot, Obs, Trace};
+use topics_obs::{merge_stripped, MergeRule, MetricsSnapshot, Obs, Trace, Word};
 
 /// How the two campaign phases combine across shard traces: visits are
 /// striped disjointly (concatenate in shard order = rank order), probe
 /// subtrees may repeat across shards (dedup by domain, which also
 /// restores the single run's sorted slot order).
-pub const MERGE_RULES: [(&str, MergeRule); 2] = [
-    ("crawl", MergeRule::Concat),
+pub const MERGE_RULES: [(Word, MergeRule); 2] = [
+    (Word::Crawl, MergeRule::Concat),
     (
-        "attestation-probe",
+        Word::AttestationProbe,
         MergeRule::DedupByField {
-            key: "domain",
-            count_field: "probes",
+            key: Word::Domain,
+            count_field: Word::Probes,
         },
     ),
 ];

@@ -12,7 +12,7 @@
 
 use std::path::Path;
 use topics_baseline::simulate::{self, SimConfig, SimRun};
-use topics_obs::{MetricsRegistry, Obs};
+use topics_obs::{MetricsRegistry, Obs, Word};
 
 /// File name of the k-anonymity curve CSV.
 pub const SIM_KANON_FILE: &str = "sim_kanon.csv";
@@ -28,19 +28,19 @@ pub const SIM_REPORT_FILE: &str = "sim_report.txt";
 pub fn run_simulation(cfg: &SimConfig, threads: usize, obs: &Obs) -> Result<SimRun, String> {
     cfg.validate()?;
     let universe = {
-        let _span = obs.phase("sim-universe");
+        let _span = obs.phase(Word::SimUniverse);
         simulate::build_universe(cfg)
     };
     let arena = {
-        let _span = obs.phase("sim-advance");
+        let _span = obs.phase(Word::SimAdvance);
         simulate::build_arena(cfg, &universe, threads)?
     };
     let kanon = {
-        let _span = obs.phase("sim-kanon");
+        let _span = obs.phase(Word::SimKanon);
         simulate::kanon_curve(&arena, threads)
     };
     let (reident, stats) = {
-        let _span = obs.phase("sim-attack");
+        let _span = obs.phase(Word::SimAttack);
         simulate::reident_curve(cfg, &universe, &arena, threads)
     };
     Ok(SimRun {
@@ -116,7 +116,12 @@ mod tests {
         let run = run_simulation(&tiny(), 2, &obs).unwrap();
         assert_eq!(run.kanon.len(), 5);
         let trace = obs.trace.finish();
-        for phase in ["sim-universe", "sim-advance", "sim-kanon", "sim-attack"] {
+        for phase in [
+            Word::SimUniverse,
+            Word::SimAdvance,
+            Word::SimKanon,
+            Word::SimAttack,
+        ] {
             assert_eq!(trace.count_named(phase), 1, "{phase}");
         }
         let report = crate::doctor::diagnose_trace(&trace, 5);
@@ -162,6 +167,6 @@ mod tests {
         let obs = Obs::new().with_trace();
         let bad = SimConfig { users: 1, ..tiny() };
         assert!(run_simulation(&bad, 2, &obs).is_err());
-        assert_eq!(obs.trace.finish().count_named("sim-universe"), 0);
+        assert_eq!(obs.trace.finish().count_named(Word::SimUniverse), 0);
     }
 }

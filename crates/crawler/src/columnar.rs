@@ -171,6 +171,16 @@ pub enum ColumnarError {
     /// An interned string is referenced by no column (referential
     /// integrity: the arena must carry no dead weight).
     OrphanString(u32),
+    /// A span name or field key references a string that is not a word
+    /// of the span vocabulary ([`topics_obs::Word`]).
+    UnknownWord {
+        /// Section name.
+        section: &'static str,
+        /// Column name (`name` or `key`).
+        field: &'static str,
+        /// The string id the column holds.
+        id: u32,
+    },
     /// Anything else structurally wrong, with a human-readable reason.
     Malformed(String),
 }
@@ -230,6 +240,10 @@ impl fmt::Display for ColumnarError {
             ColumnarError::OrphanString(id) => write!(
                 f,
                 "columnar strings: interned string {id} is referenced by no column"
+            ),
+            ColumnarError::UnknownWord { section, field, id } => write!(
+                f,
+                "columnar {section}.{field}: string {id} is not a span vocabulary word"
             ),
             ColumnarError::Malformed(why) => write!(f, "columnar store malformed: {why}"),
         }

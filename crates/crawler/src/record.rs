@@ -12,6 +12,7 @@ use topics_browser::observer::{CallType, ObjectEvent, TopicsCallEvent};
 use topics_net::clock::Timestamp;
 use topics_net::domain::Domain;
 use topics_net::psl::{registrable_domain, registrable_str};
+use topics_obs::Word;
 
 /// Which of the two visits a record belongs to (§2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -191,12 +192,18 @@ pub enum VisitOutcome {
 }
 
 impl VisitOutcome {
-    /// Stable lower-case label (metric label values, trace span fields).
+    /// Stable lower-case label (metric label values): the text of
+    /// [`VisitOutcome::word`].
     pub fn label(self) -> &'static str {
+        self.word().as_str()
+    }
+
+    /// The outcome as the trace's `outcome` field records it.
+    pub fn word(self) -> Word {
         match self {
-            VisitOutcome::Complete => "complete",
-            VisitOutcome::Degraded => "degraded",
-            VisitOutcome::Failed => "failed",
+            VisitOutcome::Complete => Word::Complete,
+            VisitOutcome::Degraded => Word::Degraded,
+            VisitOutcome::Failed => Word::Failed,
         }
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::dns::DnsError;
 use std::fmt;
+use topics_obs::Word;
 
 /// Any failure while fetching a resource over the simulated network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,17 +107,18 @@ impl NetError {
         )
     }
 
-    /// A short stable kind label (trace span fields, metrics labels).
-    pub fn kind(&self) -> &'static str {
+    /// The failure's kind, as the trace's `error` and `cause` fields
+    /// record it.
+    pub fn kind(&self) -> Word {
         match self {
-            NetError::Dns(_) => "dns",
-            NetError::ConnectionFailed { .. } => "connection-failed",
-            NetError::ConnectionReset { .. } => "connection-reset",
-            NetError::TimedOut { .. } => "timed-out",
-            NetError::NotFound { .. } => "not-found",
-            NetError::TooManyRedirects { .. } => "too-many-redirects",
-            NetError::BadRedirect { .. } => "bad-redirect",
-            NetError::BadUrl { .. } => "bad-url",
+            NetError::Dns(_) => Word::Dns,
+            NetError::ConnectionFailed { .. } => Word::ConnectionFailed,
+            NetError::ConnectionReset { .. } => Word::ConnectionReset,
+            NetError::TimedOut { .. } => Word::TimedOut,
+            NetError::NotFound { .. } => Word::NotFound,
+            NetError::TooManyRedirects { .. } => Word::TooManyRedirects,
+            NetError::BadRedirect { .. } => Word::BadRedirect,
+            NetError::BadUrl { .. } => Word::BadUrl,
         }
     }
 }

@@ -6,18 +6,24 @@
 //! path is a couple of relaxed atomic increments — no lock, no lookup.
 
 use crate::http::ResourceKind;
-use topics_obs::{Counter, Histogram, MetricsRegistry};
+use topics_obs::{Counter, Histogram, MetricsRegistry, Word};
 
-/// Label value used for a resource kind in `net_requests_total{kind=…}`.
-pub fn kind_label(kind: ResourceKind) -> &'static str {
+/// A resource kind as the trace's `kind` field records it.
+pub fn kind_word(kind: ResourceKind) -> Word {
     match kind {
-        ResourceKind::Document => "document",
-        ResourceKind::Script => "script",
-        ResourceKind::Fetch => "fetch",
-        ResourceKind::Image => "image",
-        ResourceKind::Style => "style",
-        ResourceKind::WellKnown => "wellknown",
+        ResourceKind::Document => Word::Document,
+        ResourceKind::Script => Word::Script,
+        ResourceKind::Fetch => Word::Fetch,
+        ResourceKind::Image => Word::Image,
+        ResourceKind::Style => Word::Style,
+        ResourceKind::WellKnown => Word::WellKnown,
     }
+}
+
+/// Label value used for a resource kind in `net_requests_total{kind=…}`:
+/// the same text the trace records.
+pub fn kind_label(kind: ResourceKind) -> &'static str {
+    kind_word(kind).as_str()
 }
 
 const KINDS: [ResourceKind; 6] = [

@@ -16,7 +16,7 @@
 
 use std::sync::Mutex;
 use std::time::Instant;
-use topics_obs::{TraceBuilder, Tracer};
+use topics_obs::{TraceBuilder, Tracer, Word};
 
 /// What [`run`] returns.
 #[derive(Debug)]
@@ -52,7 +52,7 @@ pub fn chunks<T>(items: &[T], workers: usize) -> Vec<&[T]> {
 pub fn run<J, R, F>(
     jobs: Vec<J>,
     threads: usize,
-    trace: Option<(&Tracer, &str)>,
+    trace: Option<(&Tracer, Word)>,
     work: F,
 ) -> Pooled<R>
 where
@@ -73,9 +73,9 @@ where
                 scope.spawn(move || {
                     let mut tb = trace.and_then(|(tracer, _)| tracer.visit_builder());
                     let span = tb.as_mut().zip(trace).map(|(tb, (_, phase))| {
-                        let idx = tb.open_op("worker", None);
-                        tb.field(idx, "phase", phase);
-                        tb.field(idx, "worker", w);
+                        let idx = tb.open_op(Word::Worker, None);
+                        tb.field(idx, Word::Phase, phase);
+                        tb.field(idx, Word::Worker, w);
                         idx
                     });
                     let started = Instant::now();
@@ -91,9 +91,9 @@ where
                         }
                     }
                     if let (Some(tb), Some(idx)) = (tb.as_mut(), span) {
-                        tb.field(idx, "busy_us", busy_us);
-                        tb.field(idx, "span_us", started.elapsed().as_micros() as u64);
-                        tb.field(idx, "items", done.len());
+                        tb.field(idx, Word::BusyUs, busy_us);
+                        tb.field(idx, Word::SpanUs, started.elapsed().as_micros() as u64);
+                        tb.field(idx, Word::Items, done.len());
                         tb.close(idx, None);
                     }
                     (done, tb)
@@ -138,10 +138,14 @@ mod tests {
         }
         phase.end(None);
         let trace = tracer.finish();
-        let spans: Vec<_> = trace.spans.iter().filter(|s| s.name == "worker").collect();
+        let spans: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == Word::Worker)
+            .collect();
         let items = spans
             .iter()
-            .map(|s| match s.field("items") {
+            .map(|s| match s.field(Word::Items) {
                 Some(topics_obs::FieldValue::U64(n)) => *n,
                 other => panic!("items field: {other:?}"),
             })
@@ -158,7 +162,7 @@ mod tests {
                 let out = run(
                     (0..jobs).collect(),
                     threads,
-                    Some((&tracer, "pool-test")),
+                    Some((&tracer, Word::Crawl)),
                     |j| {
                         runs[j].fetch_add(1, Ordering::Relaxed);
                         j * 3
@@ -202,7 +206,7 @@ mod tests {
         let out = run(vec![1, 2, 3], 2, None, |j| j + 1);
         assert_eq!(out.results, [2, 3, 4]);
         assert!(out.workers.is_empty());
-        let disabled = run(vec![1], 2, Some((&Tracer::disabled(), "p")), |j| j);
+        let disabled = run(vec![1], 2, Some((&Tracer::disabled(), Word::Crawl)), |j| j);
         assert!(disabled.workers.is_empty());
     }
 

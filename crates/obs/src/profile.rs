@@ -6,7 +6,10 @@
 //! available (deterministic) and falls back to wall time only for spans
 //! that never touch campaign time (e.g. `world-gen`).
 
+use crate::events::FieldValue;
 use crate::trace::{SpanRecord, Trace};
+use crate::vocab::{Text, Word};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Width of a retry-cluster window on the simulated clock.
@@ -129,7 +132,7 @@ pub fn integrity(trace: &Trace) -> Integrity {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStat {
     /// Phase span name (`world-gen`, `crawl`, `attestation-probe`, …).
-    pub name: String,
+    pub name: Text,
     /// Phase duration: simulated ms when the phase has simulated
     /// bounds, otherwise wall-clock ms.
     pub total_ms: u64,
@@ -143,7 +146,7 @@ pub struct PhaseStat {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hop {
     /// Span name.
-    pub name: String,
+    pub name: Text,
     /// Best identifying field (domain, host, or phase name).
     pub label: String,
     /// Simulated start (ms).
@@ -188,8 +191,9 @@ pub struct SlowVisit {
     pub rank: u64,
     /// Simulated visit duration (ms).
     pub duration_ms: u64,
-    /// Name of the longest direct child span (`page-load`, `fetch`, …).
-    pub dominant: String,
+    /// Name of the longest direct child span (`page-load`, `fetch`, …;
+    /// empty when the visit has none).
+    pub dominant: Text,
     /// That child's simulated duration (ms).
     pub dominant_ms: u64,
 }
@@ -297,19 +301,29 @@ impl Profile {
     }
 }
 
-fn label_of(s: &SpanRecord) -> String {
-    for key in ["domain", "host", "phase", "url"] {
-        if let Some(v) = s.field(key) {
-            return v.to_string();
-        }
-    }
-    String::new()
+/// A span's best identifying field (domain, host, phase or URL),
+/// borrowed from the span when it is text; empty when it has none.
+fn label_of(s: &SpanRecord) -> Cow<'_, str> {
+    [Word::Domain, Word::Host, Word::Phase, Word::Url]
+        .into_iter()
+        .find_map(|key| s.field(key))
+        .map_or(Cow::Borrowed(""), |v| match v {
+            FieldValue::Str(t) => Cow::Borrowed(t.as_str()),
+            other => Cow::Owned(other.to_string()),
+        })
 }
 
-fn u64_field(s: &SpanRecord, key: &str) -> u64 {
+/// Push `host` onto a retry window's sample of up to three hosts.
+fn sample_host(hosts: &mut Vec<String>, host: Cow<'_, str>) {
+    if hosts.len() < 3 && !host.is_empty() && !hosts.iter().any(|h| *h == host) {
+        hosts.push(host.into_owned());
+    }
+}
+
+fn u64_field(s: &SpanRecord, key: Word) -> u64 {
     match s.field(key) {
-        Some(crate::events::FieldValue::U64(v)) => *v,
-        Some(crate::events::FieldValue::I64(v)) => *v as u64,
+        Some(FieldValue::U64(v)) => *v,
+        Some(FieldValue::I64(v)) => *v as u64,
         _ => 0,
     }
 }
@@ -385,7 +399,7 @@ pub fn profile(trace: &Trace, top_n: usize) -> Profile {
         let Some(next) = next else { break };
         critical_path.push(Hop {
             name: next.name.clone(),
-            label: label_of(next),
+            label: label_of(next).into_owned(),
             start_ms: next.sim_start_ms.unwrap_or(0),
             end_ms: next.sim_end_ms.unwrap_or(0),
         });
@@ -396,33 +410,28 @@ pub fn profile(trace: &Trace, top_n: usize) -> Profile {
     let workers: Vec<WorkerStat> = trace
         .spans
         .iter()
-        .filter(|s| s.op && s.name == "worker")
+        .filter(|s| s.op && s.name == Word::Worker)
         .map(|s| WorkerStat {
             phase: s
-                .field("phase")
+                .field(Word::Phase)
                 .map(|v| v.to_string())
                 .unwrap_or_else(|| "?".to_owned()),
-            worker: u64_field(s, "worker"),
-            busy_us: u64_field(s, "busy_us"),
-            span_us: u64_field(s, "span_us").max(s.wall_duration_us()),
-            items: u64_field(s, "items"),
+            worker: u64_field(s, Word::Worker),
+            busy_us: u64_field(s, Word::BusyUs),
+            span_us: u64_field(s, Word::SpanUs).max(s.wall_duration_us()),
+            items: u64_field(s, Word::Items),
         })
         .collect();
 
     // Retry storms: bucket retry spans into simulated-minute windows.
     let mut buckets: BTreeMap<u64, (usize, Vec<String>)> = BTreeMap::new();
-    for s in trace.spans.iter().filter(|s| s.name == "retry") {
+    for s in trace.spans.iter().filter(|s| s.name == Word::Retry) {
         let Some(start) = s.sim_start_ms else {
             continue;
         };
         let entry = buckets.entry(start / RETRY_WINDOW_MS).or_default();
         entry.0 += 1;
-        if entry.1.len() < 3 {
-            let host = label_of(s);
-            if !host.is_empty() && !entry.1.contains(&host) {
-                entry.1.push(host);
-            }
-        }
+        sample_host(&mut entry.1, label_of(s));
     }
     let mut retry_clusters: Vec<RetryCluster> = buckets
         .into_iter()
@@ -436,7 +445,11 @@ pub fn profile(trace: &Trace, top_n: usize) -> Profile {
     retry_clusters.truncate(RETRY_CLUSTERS);
 
     // Slowest visits with their dominant child span.
-    let mut visits: Vec<&SpanRecord> = trace.spans.iter().filter(|s| s.name == "visit").collect();
+    let mut visits: Vec<&SpanRecord> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == Word::Visit)
+        .collect();
     visits.sort_by_key(|s| (std::cmp::Reverse(s.sim_duration_ms().unwrap_or(0)), s.id));
     let slowest_visits = visits
         .into_iter()
@@ -450,8 +463,8 @@ pub fn profile(trace: &Trace, top_n: usize) -> Profile {
                 .map(|&i| &trace.spans[i])
                 .max_by_key(|c| (c.sim_duration_ms().unwrap_or(0), std::cmp::Reverse(c.id)));
             SlowVisit {
-                domain: label_of(v),
-                rank: u64_field(v, "rank"),
+                domain: label_of(v).into_owned(),
+                rank: u64_field(v, Word::Rank),
                 duration_ms: v.sim_duration_ms().unwrap_or(0),
                 dominant: dominant.map(|d| d.name.clone()).unwrap_or_default(),
                 dominant_ms: dominant.and_then(|d| d.sim_duration_ms()).unwrap_or(0),
@@ -472,7 +485,7 @@ pub fn profile(trace: &Trace, top_n: usize) -> Profile {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemPhase {
     /// Phase span name (`crawl`, `attestation-probe`, …).
-    pub name: String,
+    pub name: Text,
     /// Bytes allocated process-wide while the phase ran.
     pub total_bytes: u64,
     /// `total_bytes` minus what the phase's direct children attributed
@@ -491,7 +504,7 @@ pub struct MemSpan {
     /// Span ID in the sealed trace.
     pub id: u64,
     /// Span name.
-    pub name: String,
+    pub name: Text,
     /// Best identifying field (domain, host, phase).
     pub label: String,
     /// Bytes the span allocated net of its attributed children.
@@ -615,7 +628,7 @@ pub fn mem_profile(trace: &Trace, top_k: usize) -> MemProfile {
             children.entry(p).or_default().push(i);
         }
     }
-    let alloc_of = |s: &SpanRecord| u64_field(s, "alloc_bytes");
+    let alloc_of = |s: &SpanRecord| u64_field(s, Word::AllocBytes);
     // Self bytes of any attributed span: its own delta minus what its
     // direct children attributed to themselves. Children's thread-local
     // deltas nest inside the parent's scope, so the subtraction cannot
@@ -636,41 +649,46 @@ pub fn mem_profile(trace: &Trace, top_k: usize) -> MemProfile {
     let mut phases = Vec::new();
     for &pi in children.get(&1).map(Vec::as_slice).unwrap_or(&[]) {
         let p = &trace.spans[pi];
-        if p.op || p.field("alloc_bytes").is_none() {
+        if p.op || p.field(Word::AllocBytes).is_none() {
             continue;
         }
         phases.push(MemPhase {
             name: p.name.clone(),
             total_bytes: alloc_of(p),
             self_bytes: self_bytes_of(p),
-            alloc_count: u64_field(p, "alloc_count"),
-            peak_bytes: u64_field(p, "peak_bytes"),
+            alloc_count: u64_field(p, Word::AllocCount),
+            peak_bytes: u64_field(p, Word::PeakBytes),
         });
     }
 
-    // Top-K non-phase spans by self bytes.
-    let mut ranked: Vec<MemSpan> = trace
+    // Top-K non-phase spans by self bytes; only the kept ones are
+    // labelled.
+    let mut ranked: Vec<(u64, &SpanRecord)> = trace
         .spans
         .iter()
-        .filter(|s| s.parent != Some(1) && s.field("alloc_bytes").is_some())
-        .map(|s| MemSpan {
+        .filter(|s| s.parent != Some(1) && s.field(Word::AllocBytes).is_some())
+        .map(|s| (self_bytes_of(s), s))
+        .collect();
+    ranked.sort_by_key(|&(self_bytes, s)| (std::cmp::Reverse(self_bytes), s.id));
+    ranked.truncate(top_k);
+    let top_spans = ranked
+        .into_iter()
+        .map(|(self_bytes, s)| MemSpan {
             id: s.id,
             name: s.name.clone(),
-            label: label_of(s),
-            self_bytes: self_bytes_of(s),
+            label: label_of(s).into_owned(),
+            self_bytes,
             total_bytes: alloc_of(s),
-            alloc_count: u64_field(s, "alloc_count"),
+            alloc_count: u64_field(s, Word::AllocCount),
         })
         .collect();
-    ranked.sort_by_key(|m| (std::cmp::Reverse(m.self_bytes), m.id));
-    ranked.truncate(top_k);
 
     // Retry storms, memory edition: for each retry leaf, climb to the
     // nearest ancestor carrying allocation attribution (the visit or
     // probe that paid for the retries) and charge its bytes to the
     // retry's window — once per (window, span).
     let mut buckets: BTreeMap<u64, (usize, u64, Vec<u64>, Vec<String>)> = BTreeMap::new();
-    for s in trace.spans.iter().filter(|s| s.name == "retry") {
+    for s in trace.spans.iter().filter(|s| s.name == Word::Retry) {
         let Some(start) = s.sim_start_ms else {
             continue;
         };
@@ -680,7 +698,7 @@ pub fn mem_profile(trace: &Trace, top_k: usize) -> MemProfile {
         while let Some(pid) = cursor {
             let Some(&pi) = index_of.get(&pid) else { break };
             let p = &trace.spans[pi];
-            if p.field("alloc_bytes").is_some() {
+            if p.field(Word::AllocBytes).is_some() {
                 if !entry.2.contains(&p.id) {
                     entry.2.push(p.id);
                     entry.1 += alloc_of(p);
@@ -689,12 +707,7 @@ pub fn mem_profile(trace: &Trace, top_k: usize) -> MemProfile {
             }
             cursor = p.parent;
         }
-        if entry.3.len() < 3 {
-            let host = label_of(s);
-            if !host.is_empty() && !entry.3.contains(&host) {
-                entry.3.push(host);
-            }
-        }
+        sample_host(&mut entry.3, label_of(s));
     }
     let mut retry_clusters: Vec<MemRetryCluster> = buckets
         .into_iter()
@@ -712,7 +725,7 @@ pub fn mem_profile(trace: &Trace, top_k: usize) -> MemProfile {
 
     MemProfile {
         phases,
-        top_spans: ranked,
+        top_spans,
         retry_clusters,
     }
 }
@@ -727,27 +740,27 @@ mod tests {
         let crawl = tracer.phase("crawl");
         for (i, (start, end)) in [(0u64, 300u64), (0, 900), (100, 500)].iter().enumerate() {
             let mut b = tracer.visit_builder().unwrap();
-            let v = b.open("visit", Some(*start));
-            b.field(v, "domain", format!("site{i}.example"));
-            b.field(v, "rank", i + 1);
-            let f = b.open("fetch", Some(*start));
-            b.field(f, "host", format!("site{i}.example"));
+            let v = b.open(Word::Visit, Some(*start));
+            b.field(v, Word::Domain, format!("site{i}.example"));
+            b.field(v, Word::Rank, i + 1);
+            let f = b.open(Word::Fetch, Some(*start));
+            b.field(f, Word::Host, format!("site{i}.example"));
             b.close(f, Some(start + (end - start) / 2));
             if i == 1 {
-                let r = b.leaf("retry", Some(start + 10), Some(start + 200));
-                b.field(r, "host", "site1.example");
-                b.field(r, "attempt", 1usize);
+                let r = b.leaf(Word::Retry, Some(start + 10), Some(start + 200));
+                b.field(r, Word::Host, "site1.example");
+                b.field(r, Word::Attempt, 1usize);
             }
             b.close(v, Some(*end));
             crawl.attach(b);
         }
         let mut w = tracer.visit_builder().unwrap();
-        let ws = w.open_op("worker", None);
-        w.field(ws, "phase", "crawl");
-        w.field(ws, "worker", 0usize);
-        w.field(ws, "busy_us", 750u64);
-        w.field(ws, "span_us", 1000u64);
-        w.field(ws, "items", 3usize);
+        let ws = w.open_op(Word::Worker, None);
+        w.field(ws, Word::Phase, "crawl");
+        w.field(ws, Word::Worker, 0usize);
+        w.field(ws, Word::BusyUs, 750u64);
+        w.field(ws, Word::SpanUs, 1000u64);
+        w.field(ws, Word::Items, 3usize);
         w.close(ws, None);
         crawl.attach(w);
         crawl.end(Some((0, 900)));
@@ -827,24 +840,24 @@ mod tests {
         let crawl = tracer.phase("crawl");
         for (i, bytes) in [4_096u64, 65_536, 16_384].iter().enumerate() {
             let mut b = tracer.visit_builder().unwrap();
-            let v = b.open("visit", Some(i as u64 * 100));
-            b.field(v, "domain", format!("site{i}.example"));
-            b.field(v, "alloc_bytes", *bytes);
-            b.field(v, "alloc_count", 10u64 + i as u64);
-            b.field(v, "peak_bytes", bytes / 2);
-            let pl = b.open("page-load", Some(i as u64 * 100));
-            b.field(pl, "alloc_bytes", bytes / 4);
+            let v = b.open(Word::Visit, Some(i as u64 * 100));
+            b.field(v, Word::Domain, format!("site{i}.example"));
+            b.field(v, Word::AllocBytes, *bytes);
+            b.field(v, Word::AllocCount, 10u64 + i as u64);
+            b.field(v, Word::PeakBytes, bytes / 2);
+            let pl = b.open(Word::PageLoad, Some(i as u64 * 100));
+            b.field(pl, Word::AllocBytes, bytes / 4);
             b.close(pl, Some(i as u64 * 100 + 40));
             if i == 1 {
-                let r = b.leaf("retry", Some(110), Some(150));
-                b.field(r, "host", "site1.example");
+                let r = b.leaf(Word::Retry, Some(110), Some(150));
+                b.field(r, Word::Host, "site1.example");
             }
             b.close(v, Some(i as u64 * 100 + 80));
             crawl.attach(b);
         }
-        crawl.field("alloc_bytes", 100_000u64);
-        crawl.field("alloc_count", 40u64);
-        crawl.field("peak_bytes", 50_000u64);
+        crawl.field(Word::AllocBytes, 100_000u64);
+        crawl.field(Word::AllocCount, 40u64);
+        crawl.field(Word::PeakBytes, 50_000u64);
         crawl.end(Some((0, 280)));
         tracer.finish()
     }
