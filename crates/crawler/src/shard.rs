@@ -617,7 +617,7 @@ pub fn split_outcome(
 mod tests {
     use super::*;
     use crate::campaign::{run_campaign, CampaignConfig};
-    use crate::spans::tests::{sample_spans, span_bits};
+    use crate::spans::tests::{non_word_edits, sample_spans, span_bits};
     use topics_webgen::{World, WorldConfig};
 
     fn campaign(seed: u64, n: usize) -> (World, CampaignOutcome) {
@@ -806,6 +806,21 @@ mod tests {
             Segment::decode(b"{\"kind\":\"header\"}\n").unwrap_err(),
             SegmentError::BadMagic
         );
+    }
+
+    /// A spans section naming a span or field key outside the span
+    /// vocabulary is the typed error that names the column, like in
+    /// `trace.col`.
+    #[test]
+    fn resealed_spans_outside_the_vocabulary_are_typed_errors() {
+        let encoded = traced_segment().encode();
+        for (edit, want) in non_word_edits() {
+            let bytes = container::reseal(&FORMAT, &encoded, TAG_SPANS, edit);
+            assert_eq!(
+                Segment::decode(&bytes).unwrap_err(),
+                SegmentError::Container(want)
+            );
+        }
     }
 
     #[test]
