@@ -767,6 +767,48 @@ mod tests {
         tracer.finish()
     }
 
+    /// A corrupting edit of a sealed trace.
+    type Mutation = fn(&mut Trace);
+
+    /// Every field the trace readers compute: integrity; phases with
+    /// time and allocation columns; critical path; workers; retry
+    /// windows with count and bytes; slowest visits; top spans. A corner
+    /// case asserts it whole, so no part of the result can move unseen.
+    fn summary(t: &Trace) -> String {
+        let (i, p, m) = (integrity(t), profile(t, 2), mem_profile(t, 2));
+        let phases: Vec<_> = (p.phases.iter())
+            .map(|x| {
+                let mem = m.phases.iter().find(|y| y.name == x.name);
+                let mem = mem.map(|y| (y.total_bytes, y.self_bytes, y.alloc_count, y.peak_bytes));
+                (&x.name, x.total_ms, x.self_ms, x.simulated, mem)
+            })
+            .collect();
+        let retries: Vec<_> = (p.retry_clusters.iter())
+            .map(|c| {
+                let mem =
+                    (m.retry_clusters.iter()).find(|y| y.window_start_ms == c.window_start_ms);
+                (
+                    c.window_start_ms,
+                    c.retries,
+                    mem.unwrap().alloc_bytes,
+                    &c.hosts,
+                )
+            })
+            .collect();
+        let i = (
+            i.orphans,
+            i.duplicates,
+            i.negative,
+            i.rootless,
+            i.missing_root,
+        );
+        let (path, workers, slow) = (&p.critical_path, &p.workers, &p.slowest_visits);
+        format!(
+            "{i:?} {phases:?} {path:?} {workers:?} {retries:?} {slow:?} {:?}",
+            m.top_spans
+        )
+    }
+
     #[test]
     fn clean_trace_passes_integrity() {
         let t = traced_campaign();
@@ -799,6 +841,41 @@ mod tests {
             empty.violations(),
             ["missing root span (no span 1 without a parent)"]
         );
+
+        // Spans the lookup cannot find at their position: the result is
+        // the same as when every span sits where sealing put it.
+        let cases: [(Mutation, &str); 5] = [
+            (
+                |_| {},
+                r#"([], [], [], [], false) [("crawl", 900, 0, true, None)] [Hop { name: "crawl", label: "", start_ms: 0, end_ms: 900 }, Hop { name: "visit", label: "site1.example", start_ms: 0, end_ms: 900 }, Hop { name: "fetch", label: "site1.example", start_ms: 0, end_ms: 450 }] [WorkerStat { phase: "crawl", worker: 0, busy_us: 750, span_us: 1000, items: 3 }] [(0, 1, 0, ["site1.example"])] [SlowVisit { domain: "site1.example", rank: 2, duration_ms: 900, dominant: "fetch", dominant_ms: 450 }, SlowVisit { domain: "site2.example", rank: 3, duration_ms: 400, dominant: "fetch", dominant_ms: 200 }] []"#,
+            ),
+            (
+                |t| t.spans.reverse(),
+                r#"([], [], [], [], false) [("crawl", 900, 0, true, None)] [Hop { name: "crawl", label: "", start_ms: 0, end_ms: 900 }, Hop { name: "visit", label: "site1.example", start_ms: 0, end_ms: 900 }, Hop { name: "fetch", label: "site1.example", start_ms: 0, end_ms: 450 }] [WorkerStat { phase: "crawl", worker: 0, busy_us: 750, span_us: 1000, items: 3 }] [(0, 1, 0, ["site1.example"])] [SlowVisit { domain: "site1.example", rank: 2, duration_ms: 900, dominant: "fetch", dominant_ms: 450 }, SlowVisit { domain: "site2.example", rank: 3, duration_ms: 400, dominant: "fetch", dominant_ms: 200 }] []"#,
+            ),
+            (
+                |t| {
+                    (t.spans[4].id, t.spans[5].parent) = (500, Some(500));
+                    (t.spans[7].id, t.spans[8].parent) = (0, Some(0));
+                },
+                r#"([7], [], [], [], false) [("crawl", 900, 0, true, None)] [Hop { name: "crawl", label: "", start_ms: 0, end_ms: 900 }, Hop { name: "visit", label: "site1.example", start_ms: 0, end_ms: 900 }, Hop { name: "fetch", label: "site1.example", start_ms: 0, end_ms: 450 }] [WorkerStat { phase: "crawl", worker: 0, busy_us: 750, span_us: 1000, items: 3 }] [(0, 1, 0, ["site1.example"])] [SlowVisit { domain: "site1.example", rank: 2, duration_ms: 900, dominant: "fetch", dominant_ms: 450 }, SlowVisit { domain: "site2.example", rank: 3, duration_ms: 400, dominant: "fetch", dominant_ms: 200 }] []"#,
+            ),
+            // Both copies of ID 5 have children.
+            (
+                |t| (t.spans[7].id, t.spans[8].parent) = (5, Some(5)),
+                r#"([], [5], [], [], false) [("crawl", 900, 0, true, None)] [Hop { name: "crawl", label: "", start_ms: 0, end_ms: 900 }, Hop { name: "visit", label: "site1.example", start_ms: 0, end_ms: 900 }, Hop { name: "fetch", label: "site1.example", start_ms: 0, end_ms: 450 }] [WorkerStat { phase: "crawl", worker: 0, busy_us: 750, span_us: 1000, items: 3 }] [(0, 1, 0, ["site1.example"])] [SlowVisit { domain: "site1.example", rank: 2, duration_ms: 900, dominant: "fetch", dominant_ms: 450 }, SlowVisit { domain: "site2.example", rank: 3, duration_ms: 400, dominant: "fetch", dominant_ms: 450 }] []"#,
+            ),
+            // No span 1, but the phases still name it as their parent.
+            (
+                |t| drop(t.spans.remove(0)),
+                r#"([2], [], [], [], true) [("crawl", 900, 0, true, None)] [Hop { name: "crawl", label: "", start_ms: 0, end_ms: 900 }, Hop { name: "visit", label: "site1.example", start_ms: 0, end_ms: 900 }, Hop { name: "fetch", label: "site1.example", start_ms: 0, end_ms: 450 }] [WorkerStat { phase: "crawl", worker: 0, busy_us: 750, span_us: 1000, items: 3 }] [(0, 1, 0, ["site1.example"])] [SlowVisit { domain: "site1.example", rank: 2, duration_ms: 900, dominant: "fetch", dominant_ms: 450 }, SlowVisit { domain: "site2.example", rank: 3, duration_ms: 400, dominant: "fetch", dominant_ms: 200 }] []"#,
+            ),
+        ];
+        for (mutate, want) in cases {
+            let mut t = traced_campaign();
+            mutate(&mut t);
+            assert_eq!(summary(&t), want);
+        }
     }
 
     #[test]
@@ -897,6 +974,32 @@ mod tests {
             "crawl",
         ] {
             assert!(text.contains(needle), "missing {needle}");
+        }
+
+        let cases: [(Mutation, &str); 3] = [
+            (
+                |_| {},
+                r#"([], [], [], [], false) [("crawl", 280, 40, true, Some((100000, 13984, 40, 50000)))] [Hop { name: "crawl", label: "", start_ms: 0, end_ms: 280 }, Hop { name: "visit", label: "site2.example", start_ms: 200, end_ms: 280 }, Hop { name: "page-load", label: "", start_ms: 200, end_ms: 240 }] [] [(0, 1, 65536, ["site1.example"])] [SlowVisit { domain: "site0.example", rank: 0, duration_ms: 80, dominant: "page-load", dominant_ms: 40 }, SlowVisit { domain: "site1.example", rank: 0, duration_ms: 80, dominant: "page-load", dominant_ms: 40 }] [MemSpan { id: 5, name: "visit", label: "site1.example", self_bytes: 49152, total_bytes: 65536, alloc_count: 11 }, MemSpan { id: 6, name: "page-load", label: "", self_bytes: 16384, total_bytes: 16384, alloc_count: 0 }]"#,
+            ),
+            // Both copies of ID 5 have children; the retry under the
+            // first is charged to the last.
+            (
+                |t| (t.spans[7].id, t.spans[8].parent) = (5, Some(5)),
+                r#"([], [5], [], [], false) [("crawl", 280, 40, true, Some((100000, 13984, 40, 50000)))] [Hop { name: "crawl", label: "", start_ms: 0, end_ms: 280 }, Hop { name: "visit", label: "site2.example", start_ms: 200, end_ms: 280 }, Hop { name: "page-load", label: "", start_ms: 200, end_ms: 240 }] [] [(0, 1, 16384, ["site1.example"])] [SlowVisit { domain: "site0.example", rank: 0, duration_ms: 80, dominant: "page-load", dominant_ms: 40 }, SlowVisit { domain: "site1.example", rank: 0, duration_ms: 80, dominant: "page-load", dominant_ms: 40 }] [MemSpan { id: 5, name: "visit", label: "site1.example", self_bytes: 45056, total_bytes: 65536, alloc_count: 11 }, MemSpan { id: 6, name: "page-load", label: "", self_bytes: 16384, total_bytes: 16384, alloc_count: 0 }]"#,
+            ),
+            // `alloc_bytes` that is not an integer attributes 0 bytes.
+            (
+                |t| {
+                    t.spans[1].fields[0].1 = FieldValue::Str("lots".into());
+                    t.spans[4].fields[1].1 = FieldValue::F64(1.5);
+                },
+                r#"([], [], [], [], false) [("crawl", 280, 40, true, Some((0, 0, 40, 50000)))] [Hop { name: "crawl", label: "", start_ms: 0, end_ms: 280 }, Hop { name: "visit", label: "site2.example", start_ms: 200, end_ms: 280 }, Hop { name: "page-load", label: "", start_ms: 200, end_ms: 240 }] [] [(0, 1, 0, ["site1.example"])] [SlowVisit { domain: "site0.example", rank: 0, duration_ms: 80, dominant: "page-load", dominant_ms: 40 }, SlowVisit { domain: "site1.example", rank: 0, duration_ms: 80, dominant: "page-load", dominant_ms: 40 }] [MemSpan { id: 6, name: "page-load", label: "", self_bytes: 16384, total_bytes: 16384, alloc_count: 0 }, MemSpan { id: 8, name: "visit", label: "site2.example", self_bytes: 12288, total_bytes: 16384, alloc_count: 12 }]"#,
+            ),
+        ];
+        for (mutate, want) in cases {
+            let mut t = traced_campaign_with_alloc();
+            mutate(&mut t);
+            assert_eq!(summary(&t), want);
         }
     }
 
