@@ -820,7 +820,7 @@ fn cmd_doctor(args: &Args) -> Result<(), CliError> {
         // `simulate` trace, which has no campaign dataset at all.
         let path = trace_path(args)
             .ok_or("doctor needs --campaign DIR|FILE (or --trace FILE for trace-only mode)")?;
-        let report = topics_core::diagnose_trace(&load_trace_cli(&path)?, top);
+        let report = topics_core::diagnose(None, &load_trace_cli(&path)?, top);
         return verdict(report.render(), report.violations().len());
     };
     let outcome = load_campaign_cli(&campaign)?;
@@ -831,15 +831,15 @@ fn cmd_doctor(args: &Args) -> Result<(), CliError> {
 
 fn cmd_memprofile(args: &Args) -> Result<(), CliError> {
     let path = trace_path(args).ok_or("memprofile needs --trace FILE or --campaign DIR")?;
-    let profile = topics_core::obs::mem_profile(&load_trace_cli(&path)?, args.get("--top"));
-    if profile.is_empty() {
+    let profile = topics_core::obs::profile(&load_trace_cli(&path)?, args.get("--top"));
+    if !profile.has_alloc() {
         return Err(format!(
             "trace {} carries no allocation attribution (record it with crawl --alloc-stats --trace-out)",
             path.display()
         )
         .into());
     }
-    print!("{}", profile.render());
+    print!("{}", profile.render_memory());
     Ok(())
 }
 

@@ -1,21 +1,20 @@
 //! Run-health doctor: reconcile a saved campaign with its trace.
 //!
-//! The doctor cross-checks three independent records of the same run —
-//! the measurement dataset (`campaign.col`), the authoritative metric
-//! tally recomputed from it, and the span trace — and renders one
-//! report: outcome partition, trace/metric reconciliation, critical
-//! path, per-phase self/total time, worker utilization, retry
-//! hot-spots, and the slowest visits. Any structural trace violation or
-//! reconciliation mismatch makes the report unhealthy (the CLI exits
-//! non-zero on those).
+//! The doctor cross-checks three records of the same run: the dataset
+//! (`campaign.col`), the metric tally recomputed from it, and the span
+//! trace, read once into a [`Profile`]. It renders one report; any
+//! structural trace violation or failed check makes it unhealthy (the
+//! CLI exits non-zero on those). Without a campaign it reports on the
+//! trace alone.
 
 use crate::export::CAMPAIGN_COLUMNAR_FILE;
+use std::fmt::Write;
 use std::path::Path;
 use topics_crawler::columnar::{ColumnarCampaign, SectionInfo};
 use topics_crawler::record::{CampaignOutcome, OutcomeCounts};
 use topics_crawler::shard::tally_snapshot;
-use topics_obs::profile::{integrity, profile, Integrity, Profile};
-use topics_obs::{FieldValue, Text, Trace, Word};
+use topics_obs::profile::{profile, PhaseStat, Profile, SpanCounts};
+use topics_obs::Trace;
 
 /// One trace-vs-metric reconciliation line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,45 +29,32 @@ pub struct Reconciliation {
     pub ok: bool,
 }
 
-/// One phase's allocation-balance check: the thread-local deltas its
-/// sealed child spans attributed to themselves must fit inside the
-/// phase's process-wide allocation window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllocBalance {
-    /// Phase span name.
-    pub phase: Text,
-    /// Bytes the phase window recorded (process-wide, all threads).
-    pub phase_bytes: u64,
-    /// Sum of the direct children's attributed bytes.
-    pub children_bytes: u64,
-    /// True when `children_bytes` fits in `phase_bytes` within
-    /// tolerance.
-    pub ok: bool,
-}
-
 /// Slack allowed on the allocation balance: child scopes are sampled
 /// with relaxed atomics while the window is racing, so a small
 /// overshoot is measurement noise, not an accounting bug.
 const ALLOC_BALANCE_TOLERANCE: f64 = 0.02;
 const ALLOC_BALANCE_SLACK_BYTES: u64 = 64 * 1024;
 
-/// The full doctor output for one campaign + trace pair.
+/// The doctor's report: the trace's one-pass [`Profile`] (integrity
+/// included) and, when a campaign was given, the checks against it.
 #[derive(Debug, Clone)]
 pub struct DoctorReport {
+    /// Everything read off the trace.
+    pub profile: Profile,
+    /// The campaign checks; `None` for a trace on its own (`doctor
+    /// --trace FILE`, e.g. over a `simulate` trace).
+    pub campaign: Option<CampaignChecks>,
+}
+
+/// The part of a doctor report that needs the campaign.
+#[derive(Debug, Clone, Default)]
+pub struct CampaignChecks {
     /// Sites attempted (length of the outcome's site list).
     pub attempted: usize,
     /// Per-outcome site partition.
     pub outcomes: OutcomeCounts,
-    /// Structural trace checks (orphans, duplicates, negative spans).
-    pub integrity: Integrity,
     /// Trace-vs-metric count checks.
     pub reconciliation: Vec<Reconciliation>,
-    /// Per-phase allocation-balance checks (empty when the trace has no
-    /// allocation attribution).
-    pub alloc_balance: Vec<AllocBalance>,
-    /// Analyzer output: critical path, phases, workers, retries,
-    /// slowest visits.
-    pub profile: Profile,
     /// Shard-segment files verified (0 when the campaign has none).
     pub segments_checked: usize,
     /// Segment-integrity and shard-coverage violations (see
@@ -98,21 +84,18 @@ pub struct ColumnarCheck {
 /// no columnar store.
 pub fn verify_columnar(dir: &Path) -> Option<ColumnarCheck> {
     let bytes = std::fs::read(dir.join(CAMPAIGN_COLUMNAR_FILE)).ok()?;
-    let mut check = ColumnarCheck {
-        bytes: bytes.len() as u64,
-        sections: Vec::new(),
-        violations: Vec::new(),
+    let len = bytes.len() as u64;
+    let (sections, verdict) = match ColumnarCampaign::decode(bytes) {
+        Ok(store) => (store.section_map(), store.verify()),
+        Err(e) => (Vec::new(), Err(e)),
     };
-    match ColumnarCampaign::decode(bytes) {
-        Ok(store) => {
-            check.sections = store.section_map();
-            if let Err(e) = store.verify() {
-                check.violations.push(format!("campaign.col: {e}"));
-            }
-        }
-        Err(e) => check.violations.push(format!("campaign.col: {e}")),
-    }
-    Some(check)
+    let violations = verdict.err().map(|e| format!("campaign.col: {e}"));
+    let violations = violations.into_iter().collect();
+    Some(ColumnarCheck {
+        bytes: len,
+        sections,
+        violations,
+    })
 }
 
 /// Segment-integrity and shard-coverage checks over every `*.seg` file
@@ -159,391 +142,263 @@ pub fn diagnose_bundle(
     trace: &Trace,
     top_n: usize,
 ) -> DoctorReport {
-    let mut report = diagnose(outcome, trace, top_n);
+    let mut report = diagnose(Some(outcome), trace, top_n);
+    let checks = report.campaign.as_mut().expect("a campaign was given");
     if let Some(dir) = campaign.parent().filter(|d| d.is_dir()) {
-        let (checked, violations) = verify_segments(dir);
-        if checked > 0 {
-            report.segments_checked = checked;
-            report.segment_violations = violations;
-        }
-        report.columnar = verify_columnar(dir);
+        (checks.segments_checked, checks.segment_violations) = verify_segments(dir);
+        checks.columnar = verify_columnar(dir);
     }
     report
 }
 
-fn u64_field(trace: &Trace, span_name: Word, key: Word) -> u64 {
-    trace
-        .spans
-        .iter()
-        .filter(|s| s.name == span_name)
-        .map(|s| match s.field(key) {
-            Some(FieldValue::U64(v)) => *v,
-            Some(FieldValue::I64(v)) => *v as u64,
-            _ => 0,
-        })
-        .sum()
+/// Diagnose a trace in one pass, reconciled with `outcome` when there
+/// is one. `top_n` bounds the slowest-visit and top-span lists.
+pub fn diagnose(outcome: Option<&CampaignOutcome>, trace: &Trace, top_n: usize) -> DoctorReport {
+    let profile = profile(trace, top_n);
+    let campaign = outcome.map(|outcome| reconcile(outcome, profile.counts));
+    DoctorReport { profile, campaign }
 }
 
-/// Diagnose a campaign against its trace. `top_n` bounds the
-/// slowest-visit list.
-pub fn diagnose(outcome: &CampaignOutcome, trace: &Trace, top_n: usize) -> DoctorReport {
-    let snapshot = tally_snapshot(outcome);
-    let mut reconciliation = Vec::new();
-
-    // Every attempted site opens exactly one visit span — strict.
-    let visit_spans = trace.count_named(Word::Visit) as u64;
-    let attempted = snapshot.counter("sites_attempted_total");
-    reconciliation.push(Reconciliation {
-        check: "visit spans == sites_attempted_total".to_owned(),
-        traced: visit_spans,
-        tallied: attempted,
-        ok: visit_spans == attempted,
-    });
-
-    // Timed-out visits run the full page (tracing their Topics calls)
-    // but contribute no VisitRecord, so the trace may legitimately hold
-    // MORE calls than the dataset — never fewer.
-    let call_spans = trace.count_named(Word::TopicsCall) as u64;
-    let recorded = snapshot.counter("topics_calls_recorded_total");
-    reconciliation.push(Reconciliation {
-        check: "topics-call spans >= topics_calls_recorded_total".to_owned(),
-        traced: call_spans,
-        tallied: recorded,
-        ok: call_spans >= recorded,
-    });
-
-    // The probe tally counts every probed domain; the trace only spans
-    // network probes, with cache hits summarized on the phase span.
-    let probe_spans = trace.count_named(Word::Probe) as u64;
-    let cache_hits = u64_field(trace, Word::AttestationProbe, Word::CacheHits);
-    let probes = snapshot.counter("attestation_probes_total");
-    reconciliation.push(Reconciliation {
-        check: "probe spans + cache_hits == attestation_probes_total".to_owned(),
-        traced: probe_spans + cache_hits,
-        tallied: probes,
-        ok: probe_spans + cache_hits == probes,
-    });
-
-    DoctorReport {
+/// Check the trace's span counts against the metric tally recomputed
+/// from `outcome`. Every attempted site opens exactly one visit span.
+/// Timed-out visits run the full page (tracing their Topics calls) but
+/// contribute no VisitRecord, so the trace may hold MORE calls than the
+/// dataset, never fewer. The probe tally counts every probed domain; the
+/// trace only spans network probes, with cache hits summarized on the
+/// phase span.
+fn reconcile(outcome: &CampaignOutcome, traced: SpanCounts) -> CampaignChecks {
+    let tally = tally_snapshot(outcome);
+    let line = |rule: &str, traced, metric| {
+        let tallied = tally.counter(metric);
+        let ok = traced == tallied || rule.ends_with(">=") && traced > tallied;
+        let check = format!("{rule} {metric}");
+        Reconciliation {
+            check,
+            traced,
+            tallied,
+            ok,
+        }
+    };
+    let (calls, p) = (traced.topics_calls, traced.probes + traced.cache_hits);
+    CampaignChecks {
         attempted: outcome.sites.len(),
         outcomes: outcome.outcome_counts(),
-        integrity: integrity(trace),
-        reconciliation,
-        alloc_balance: alloc_balance(trace),
-        profile: profile(trace, top_n),
-        segments_checked: 0,
-        segment_violations: Vec::new(),
-        columnar: None,
-    }
-}
-
-/// Check, for every phase span carrying allocation attribution, that
-/// the self-attributed deltas of its direct children sum to no more
-/// than the phase's process-wide window (within tolerance). Child
-/// scopes are thread-local slices of the phase window, so a genuine
-/// overshoot means double counting or a broken seal.
-fn alloc_balance(trace: &Trace) -> Vec<AllocBalance> {
-    let alloc_of = |s: &topics_obs::SpanRecord| match s.field(Word::AllocBytes) {
-        Some(FieldValue::U64(v)) => Some(*v),
-        Some(FieldValue::I64(v)) => Some(*v as u64),
-        _ => None,
-    };
-    let mut out = Vec::new();
-    for phase in trace.spans.iter().filter(|s| s.parent == Some(1) && !s.op) {
-        let Some(phase_bytes) = alloc_of(phase) else {
-            continue;
-        };
-        let children_bytes: u64 = trace
-            .spans
-            .iter()
-            .filter(|s| s.parent == Some(phase.id))
-            .filter_map(alloc_of)
-            .sum();
-        let budget = phase_bytes
-            + (phase_bytes as f64 * ALLOC_BALANCE_TOLERANCE) as u64
-            + ALLOC_BALANCE_SLACK_BYTES;
-        out.push(AllocBalance {
-            phase: phase.name.clone(),
-            phase_bytes,
-            children_bytes,
-            ok: children_bytes <= budget,
-        });
-    }
-    out
-}
-
-/// A trace-only health report: the structural and allocation checks of
-/// [`diagnose`] without a campaign to reconcile against. This is what
-/// `topics-lab doctor --trace FILE` (no `--campaign`) runs — e.g. over
-/// a `simulate` trace, which has no campaign dataset at all.
-#[derive(Debug, Clone)]
-pub struct TraceReport {
-    /// Structural trace checks (orphans, duplicates, negative spans).
-    pub integrity: Integrity,
-    /// Per-phase allocation-balance checks (empty when the trace has no
-    /// allocation attribution).
-    pub alloc_balance: Vec<AllocBalance>,
-    /// Analyzer output: critical path, phases, workers, retries.
-    pub profile: Profile,
-}
-
-/// Diagnose a trace on its own: integrity, allocation balance, and the
-/// span profile. `top_n` bounds the analyzer's slowest-span lists.
-pub fn diagnose_trace(trace: &Trace, top_n: usize) -> TraceReport {
-    TraceReport {
-        integrity: integrity(trace),
-        alloc_balance: alloc_balance(trace),
-        profile: profile(trace, top_n),
-    }
-}
-
-impl TraceReport {
-    /// Every violation found: structural trace problems plus failed
-    /// allocation-balance checks. Empty iff [`TraceReport::is_healthy`].
-    pub fn violations(&self) -> Vec<String> {
-        let mut out = self.integrity.violations();
-        out.extend(alloc_violations(&self.alloc_balance));
-        out
-    }
-
-    /// True when the trace is structurally sound and every
-    /// allocation-balance check passed.
-    pub fn is_healthy(&self) -> bool {
-        self.violations().is_empty()
-    }
-
-    /// Render the report as plain text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("== Doctor: trace health (no campaign) ==\n");
-        out.push_str(&format!(
-            "integrity: {}\n",
-            if self.integrity.is_clean() {
-                "clean"
-            } else {
-                "VIOLATIONS"
-            }
-        ));
-        out.push('\n');
-        render_phases(&mut out, &self.profile);
-        render_alloc_balance(&mut out, &self.alloc_balance, "record");
-
-        let violations = self.violations();
-        if !violations.is_empty() {
-            out.push('\n');
-            out.push_str("== Violations ==\n");
-            for v in &violations {
-                out.push_str(&format!("- {v}\n"));
-            }
-        }
-        out
+        reconciliation: vec![
+            line("visit spans ==", traced.visits, "sites_attempted_total"),
+            line("topics-call spans >=", calls, "topics_calls_recorded_total"),
+            line("probe spans + cache_hits ==", p, "attestation_probes_total"),
+        ],
+        ..CampaignChecks::default()
     }
 }
 
 impl DoctorReport {
-    /// Every violation found: structural trace problems plus failed
-    /// reconciliation checks. Empty iff [`DoctorReport::is_healthy`].
+    /// The allocation-balance rows, read off the profile's phases that
+    /// carry attribution: the thread-local deltas a phase's children
+    /// attributed to themselves must fit inside its process-wide window
+    /// (within tolerance), or something counted twice.
+    pub fn balance(&self) -> impl Iterator<Item = (&PhaseStat, bool)> {
+        let rows = self.profile.phases.iter().filter(|p| p.attributed);
+        rows.map(|p| {
+            let slack = (p.total_bytes as f64 * ALLOC_BALANCE_TOLERANCE) as u64;
+            let budget = p.total_bytes + slack + ALLOC_BALANCE_SLACK_BYTES;
+            (p, p.children_bytes <= budget)
+        })
+    }
+
+    /// Every violation found: structural trace problems, then failed
+    /// segment, store and reconciliation checks, then failed allocation
+    /// balances. Empty iff [`DoctorReport::is_healthy`].
     pub fn violations(&self) -> Vec<String> {
-        let mut out = self.integrity.violations();
-        out.extend(self.segment_violations.iter().cloned());
-        if let Some(col) = &self.columnar {
-            out.extend(col.violations.iter().cloned());
+        let mut out = self.profile.integrity.violations();
+        if let Some(c) = &self.campaign {
+            out.extend(c.segment_violations.iter().cloned());
+            out.extend(
+                c.columnar
+                    .iter()
+                    .flat_map(|col| col.violations.iter().cloned()),
+            );
+            out.extend(c.reconciliation.iter().filter(|r| !r.ok).map(|r| {
+                let (check, traced, tallied) = (&r.check, r.traced, r.tallied);
+                format!("reconciliation failed: {check} (trace {traced}, tally {tallied})")
+            }));
         }
-        for r in self.reconciliation.iter().filter(|r| !r.ok) {
-            out.push(format!(
-                "reconciliation failed: {} (trace {}, tally {})",
-                r.check, r.traced, r.tallied
-            ));
-        }
-        out.extend(alloc_violations(&self.alloc_balance));
+        out.extend(self.balance().filter(|(_, ok)| !ok).map(|(p, _)| {
+            let (phase, window, children) = (&p.name, p.total_bytes, p.children_bytes);
+            format!("allocation balance failed: phase {phase} window {window} B < children {children} B")
+        }));
         out
     }
 
-    /// True when the trace is structurally sound and every
-    /// reconciliation, allocation-balance, segment and store check
-    /// passed.
+    /// True when every check passed.
     pub fn is_healthy(&self) -> bool {
         self.violations().is_empty()
     }
 
-    /// Render the report as plain text.
+    /// Render the report as plain text: the run-health report with a
+    /// campaign, the trace-health report without one.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str("== Doctor: run health ==\n");
-        out.push_str(&format!(
-            "sites: {} attempted — {} complete, {} degraded, {} failed\n",
-            self.attempted, self.outcomes.complete, self.outcomes.degraded, self.outcomes.failed,
-        ));
-        out.push('\n');
-
-        out.push_str("== Trace/metric reconciliation ==\n");
-        for r in &self.reconciliation {
-            out.push_str(&format!(
-                "[{}] {} (trace {}, tally {})\n",
-                if r.ok { "ok" } else { "FAIL" },
-                r.check,
-                r.traced,
-                r.tallied,
-            ));
+        let profile = &self.profile;
+        match &self.campaign {
+            None => {
+                let clean = profile.integrity.is_clean();
+                let integrity = if clean { "clean" } else { "VIOLATIONS" };
+                out.push_str("== Doctor: trace health (no campaign) ==\n");
+                let _ = writeln!(out, "integrity: {integrity}\n");
+            }
+            Some(c) => {
+                let (n, o) = (c.attempted, &c.outcomes);
+                let _ = write!(
+                    out,
+                    "== Doctor: run health ==\nsites: {n} attempted — {} complete, {} degraded, {} failed\n\n",
+                    o.complete, o.degraded, o.failed
+                );
+                out.push_str("== Trace/metric reconciliation ==\n");
+                for r in &c.reconciliation {
+                    let mark = if r.ok { "ok" } else { "FAIL" };
+                    let (check, traced, tallied) = (&r.check, r.traced, r.tallied);
+                    let _ = writeln!(out, "[{mark}] {check} (trace {traced}, tally {tallied})");
+                }
+                out.push('\n');
+            }
+        }
+        out.push_str("== Phases (simulated unless noted) ==\n");
+        for p in &profile.phases {
+            let (name, total, own) = (&p.name, p.total_ms, p.self_ms);
+            let wall = if p.simulated { "" } else { "  (wall)" };
+            let _ = writeln!(
+                out,
+                "{name:<18} total {total:>9} ms  self {own:>9} ms{wall}"
+            );
         }
         out.push('\n');
-        render_phases(&mut out, &self.profile);
-
-        out.push_str("== Critical path ==\n");
-        for hop in &self.profile.critical_path {
-            let label = if hop.label.is_empty() {
-                String::new()
-            } else {
-                format!(" {}", hop.label)
-            };
-            out.push_str(&format!(
-                "  {}{} [{}..{} ms]\n",
-                hop.name, label, hop.start_ms, hop.end_ms,
-            ));
-        }
-        out.push('\n');
-
-        out.push_str("== Worker utilization ==\n");
-        let idle = self.profile.idle_fractions();
-        if idle.is_empty() {
-            out.push_str("no worker spans in trace (stripped or single-pass run)\n");
-        } else {
+        if self.campaign.is_some() {
+            out.push_str("== Critical path ==\n");
+            for hop in &profile.critical_path {
+                let label = if hop.label.is_empty() { "" } else { " " };
+                let (name, start, end) = (&hop.name, hop.start_ms, hop.end_ms);
+                let _ = writeln!(out, "  {name}{label}{} [{start}..{end} ms]", hop.label);
+            }
+            out.push_str("\n== Worker utilization ==\n");
+            let idle = profile.idle_fractions();
+            if idle.is_empty() {
+                out.push_str("no worker spans in trace (stripped or single-pass run)\n");
+            }
             for (phase, frac) in &idle {
-                out.push_str(&format!("{phase:<18} idle fraction {:.1}%\n", frac * 100.0));
+                let _ = writeln!(out, "{phase:<18} idle fraction {:.1}%", frac * 100.0);
             }
-            for w in &self.profile.workers {
-                out.push_str(&format!(
-                    "  {} worker {}: {} items, busy {} µs of {} µs\n",
-                    w.phase, w.worker, w.items, w.busy_us, w.span_us,
-                ));
-            }
-        }
-        out.push('\n');
-
-        render_alloc_balance(&mut out, &self.alloc_balance, "run");
-        out.push('\n');
-
-        if self.segments_checked > 0 {
-            out.push_str("== Shard segments ==\n");
-            if self.segment_violations.is_empty() {
-                out.push_str(&format!(
-                    "[ok] {} segment file(s): checksums verified, shard coverage complete, merge reproduces campaign.col\n",
-                    self.segments_checked,
-                ));
-            } else {
-                for v in &self.segment_violations {
-                    out.push_str(&format!("[FAIL] {v}\n"));
-                }
+            for w in profile.workers.iter().filter(|_| !idle.is_empty()) {
+                let (phase, worker, items) = (&w.phase, w.worker, w.items);
+                let _ = writeln!(
+                    out,
+                    "  {phase} worker {worker}: {items} items, busy {} µs of {} µs",
+                    w.busy_us, w.span_us
+                );
             }
             out.push('\n');
         }
 
-        if let Some(col) = &self.columnar {
-            out.push_str("== Columnar store ==\n");
-            if col.violations.is_empty() {
-                out.push_str(&format!(
-                    "[ok] campaign.col ({} B): header + section checksums verified, intern table referentially intact\n",
-                    col.bytes,
-                ));
-            } else {
-                for v in &col.violations {
-                    out.push_str(&format!("[FAIL] {v}\n"));
-                }
-            }
-            for s in &col.sections {
-                out.push_str(&format!(
-                    "  section {:<8} {:>10} B  fnv1a {:016x}\n",
-                    s.name, s.len, s.fnv1a,
-                ));
-            }
+        out.push_str("== Allocation balance ==\n");
+        if self.balance().next().is_none() {
+            let verb = self.campaign.as_ref().map_or("record", |_| "run");
+            let _ = writeln!(
+                out,
+                "no allocation attribution in trace ({verb} with --alloc-stats)"
+            );
+        }
+        for (p, ok) in self.balance() {
+            let mark = if ok { "ok" } else { "FAIL" };
+            let (name, window, children) = (&p.name, p.total_bytes, p.children_bytes);
+            let _ = writeln!(
+                out,
+                "[{mark}] {name:<18} phase window {window:>12} B  children {children:>12} B"
+            );
+        }
+        if let Some(c) = &self.campaign {
             out.push('\n');
-        }
-
-        out.push_str("== Retry hot-spots ==\n");
-        if self.profile.retry_clusters.is_empty() {
-            out.push_str("no retries recorded\n");
-        } else {
-            for c in &self.profile.retry_clusters {
-                out.push_str(&format!(
-                    "window @{:>9} ms: {} retries ({})\n",
-                    c.window_start_ms,
-                    c.retries,
-                    c.hosts.join(", "),
-                ));
+            render_stores(&mut out, c);
+            out.push_str("== Retry hot-spots ==\n");
+            let retries = profile.top_retries(|c| c.retries as u64);
+            if retries.is_empty() {
+                out.push_str("no retries recorded\n");
             }
-        }
-        out.push('\n');
-
-        out.push_str("== Slowest visits ==\n");
-        for v in &self.profile.slowest_visits {
-            out.push_str(&format!(
-                "{:<28} rank {:>5}  {:>7} ms  (dominant: {} {} ms)\n",
-                v.domain, v.rank, v.duration_ms, v.dominant, v.dominant_ms,
-            ));
+            for c in retries {
+                let (start, n, hosts) = (c.window_start_ms, c.retries, c.hosts.join(", "));
+                let _ = writeln!(out, "window @{start:>9} ms: {n} retries ({hosts})");
+            }
+            out.push_str("\n== Slowest visits ==\n");
+            for v in &profile.slowest_visits {
+                let (domain, rank, ms) = (&v.domain, v.rank, v.duration_ms);
+                let (dominant, dominant_ms) = (&v.dominant, v.dominant_ms);
+                let _ = writeln!(
+                    out,
+                    "{domain:<28} rank {rank:>5}  {ms:>7} ms  (dominant: {dominant} {dominant_ms} ms)"
+                );
+            }
         }
 
         let violations = self.violations();
         if !violations.is_empty() {
-            out.push('\n');
-            out.push_str("== Violations ==\n");
+            out.push_str("\n== Violations ==\n");
             for v in &violations {
-                out.push_str(&format!("- {v}\n"));
+                let _ = writeln!(out, "- {v}");
             }
         }
         out
     }
 }
 
-/// The per-phase time section both reports print.
-fn render_phases(out: &mut String, profile: &Profile) {
-    out.push_str("== Phases (simulated unless noted) ==\n");
-    for p in &profile.phases {
-        out.push_str(&format!(
-            "{:<18} total {:>9} ms  self {:>9} ms{}\n",
-            p.name,
-            p.total_ms,
-            p.self_ms,
-            if p.simulated { "" } else { "  (wall)" },
-        ));
+/// The shard-segment and columnar-store sections of a run report.
+fn render_stores(out: &mut String, c: &CampaignChecks) {
+    if c.segments_checked > 0 {
+        out.push_str("== Shard segments ==\n");
+        if c.segment_violations.is_empty() {
+            let _ = writeln!(
+                out,
+                "[ok] {} segment file(s): checksums verified, shard coverage complete, merge reproduces campaign.col",
+                c.segments_checked,
+            );
+        }
+        for v in &c.segment_violations {
+            let _ = writeln!(out, "[FAIL] {v}");
+        }
+        out.push('\n');
     }
-    out.push('\n');
-}
-
-/// The allocation-balance section both reports print; `verb` starts
-/// the hint shown when the trace has no attribution.
-fn render_alloc_balance(out: &mut String, rows: &[AllocBalance], verb: &str) {
-    out.push_str("== Allocation balance ==\n");
-    if rows.is_empty() {
-        out.push_str(&format!(
-            "no allocation attribution in trace ({verb} with --alloc-stats)\n"
-        ));
+    if let Some(col) = &c.columnar {
+        out.push_str("== Columnar store ==\n");
+        if col.violations.is_empty() {
+            let _ = writeln!(
+                out,
+                "[ok] campaign.col ({} B): header + section checksums verified, intern table referentially intact",
+                col.bytes,
+            );
+        }
+        for v in &col.violations {
+            let _ = writeln!(out, "[FAIL] {v}");
+        }
+        for s in &col.sections {
+            let (name, len, fnv) = (&s.name, s.len, s.fnv1a);
+            let _ = writeln!(out, "  section {name:<8} {len:>10} B  fnv1a {fnv:016x}");
+        }
+        out.push('\n');
     }
-    for b in rows {
-        out.push_str(&format!(
-            "[{}] {:<18} phase window {:>12} B  children {:>12} B\n",
-            if b.ok { "ok" } else { "FAIL" },
-            b.phase,
-            b.phase_bytes,
-            b.children_bytes,
-        ));
-    }
-}
-
-/// One violation line per failed allocation-balance check.
-fn alloc_violations(rows: &[AllocBalance]) -> impl Iterator<Item = String> + '_ {
-    rows.iter().filter(|b| !b.ok).map(|b| {
-        format!(
-            "allocation balance failed: phase {} window {} B < children {} B",
-            b.phase, b.phase_bytes, b.children_bytes
-        )
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::LabConfig;
-    use topics_obs::Obs;
+    use topics_obs::{FieldValue, Obs, SpanRecord, Text, Word};
+
+    /// Assert that some violation names every one of `needles`.
+    #[track_caller]
+    fn assert_named(violations: &[String], needles: &[&str]) {
+        let found = violations
+            .iter()
+            .any(|v| needles.iter().all(|n| v.contains(n)));
+        assert!(found, "{needles:?} not in {violations:?}");
+    }
 
     fn traced_run() -> (CampaignOutcome, Trace) {
         let obs = Obs::new().with_trace();
@@ -552,13 +407,23 @@ mod tests {
         (run.outcome, obs.trace.finish())
     }
 
+    /// The report on a traced 40-site run after `edit` changed its trace.
+    fn diagnosed(edit: impl FnOnce(&mut Trace)) -> DoctorReport {
+        let (outcome, mut trace) = traced_run();
+        edit(&mut trace);
+        diagnose(Some(&outcome), &trace, 5)
+    }
+
+    fn first_visit(trace: &mut Trace) -> &mut SpanRecord {
+        trace.spans.iter_mut().find(|s| s.name == "visit").unwrap()
+    }
+
     #[test]
     fn healthy_run_reconciles_and_renders() {
-        let (outcome, trace) = traced_run();
-        let report = diagnose(&outcome, &trace, 5);
+        let report = diagnosed(|_| {});
         assert!(report.is_healthy(), "violations: {:?}", report.violations());
-        assert_eq!(report.attempted, 40);
-        assert_eq!(report.reconciliation.len(), 3);
+        let checks = report.campaign.as_ref().unwrap();
+        assert_eq!((checks.attempted, checks.reconciliation.len()), (40, 3));
         let text = report.render();
         for needle in [
             "Doctor: run health",
@@ -569,88 +434,54 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing section {needle}");
         }
-        assert!(!text.contains("FAIL"));
-        assert!(!text.contains("Violations"));
+        assert!(!text.contains("FAIL") && !text.contains("Violations"));
     }
 
     #[test]
     fn corrupted_trace_fails_doctor() {
-        let (outcome, mut trace) = traced_run();
-        // Inject an orphan span and drop a visit span.
-        let visit_idx = trace
-            .spans
-            .iter()
-            .position(|s| s.name == "visit")
-            .expect("trace has visits");
-        trace.spans[visit_idx].parent = Some(999_999);
-        let report = diagnose(&outcome, &trace, 5);
-        assert!(!report.is_healthy());
-        assert!(report
-            .violations()
-            .iter()
-            .any(|v| v.contains("orphan span")));
+        // Inject an orphan span.
+        let report = diagnosed(|t| first_visit(t).parent = Some(999_999));
+        assert_named(&report.violations(), &["orphan span"]);
         assert!(report.render().contains("Violations"));
+    }
+
+    /// `trace` with `alloc_bytes` on the crawl phase and on its first
+    /// `visits` visits.
+    fn attribute(trace: &mut Trace, phase_bytes: u64, visit_bytes: u64, visits: usize) {
+        let bytes = |n| (Word::AllocBytes, FieldValue::U64(n));
+        let crawl = trace.spans.iter().position(|s| s.name == "crawl").unwrap();
+        trace.spans[crawl].fields.push(bytes(phase_bytes));
+        let id = Some(trace.spans[crawl].id);
+        let children = trace.spans.iter_mut().filter(|s| s.parent == id);
+        for s in children.filter(|s| s.name == "visit").take(visits) {
+            s.fields.push(bytes(visit_bytes));
+        }
     }
 
     #[test]
     fn allocation_imbalance_fails_doctor() {
-        let (outcome, mut trace) = traced_run();
         // Without attribution the check list is empty and healthy.
-        let clean = diagnose(&outcome, &trace, 5);
-        assert!(clean.alloc_balance.is_empty());
+        let clean = diagnosed(|_| {});
+        assert_eq!(clean.balance().count(), 0);
         assert!(clean.render().contains("no allocation attribution"));
 
         // Forge an imbalance: the crawl window claims 1 kB while one
         // child visit claims 10 MB.
-        let crawl_id = trace
-            .spans
-            .iter()
-            .find(|s| s.name == "crawl")
-            .expect("crawl phase span")
-            .id;
-        let mut tagged_child = false;
-        for s in trace.spans.iter_mut() {
-            if s.name == "crawl" {
-                s.fields.push((Word::AllocBytes, FieldValue::U64(1_000)));
-            } else if !tagged_child && s.parent == Some(crawl_id) && s.name == "visit" {
-                s.fields
-                    .push((Word::AllocBytes, FieldValue::U64(10_000_000)));
-                tagged_child = true;
-            }
-        }
-        assert!(tagged_child, "found a visit child to tag");
-        let report = diagnose(&outcome, &trace, 5);
-        assert_eq!(report.alloc_balance.len(), 1);
-        assert!(!report.is_healthy());
-        assert!(report
-            .violations()
-            .iter()
-            .any(|v| v.contains("allocation balance")));
-        assert!(report.render().contains("== Allocation balance =="));
-        assert!(report.render().contains("FAIL"));
+        let report = diagnosed(|t| attribute(t, 1_000, 10_000_000, 1));
+        assert_eq!(report.balance().count(), 1);
+        assert_named(&report.violations(), &["allocation balance"]);
+        let text = report.render();
+        assert!(text.contains("== Allocation balance ==") && text.contains("FAIL"));
     }
 
     #[test]
     fn balanced_allocation_passes_doctor() {
-        let (outcome, mut trace) = traced_run();
-        let crawl_id = trace
-            .spans
-            .iter()
-            .find(|s| s.name == "crawl")
-            .expect("crawl phase span")
-            .id;
         // Window 1 MB, children well inside it.
-        for s in trace.spans.iter_mut() {
-            if s.name == "crawl" {
-                s.fields.push((Word::AllocBytes, FieldValue::U64(1 << 20)));
-            } else if s.parent == Some(crawl_id) && s.name == "visit" {
-                s.fields.push((Word::AllocBytes, FieldValue::U64(4_096)));
-            }
-        }
-        let report = diagnose(&outcome, &trace, 5);
-        assert_eq!(report.alloc_balance.len(), 1);
+        let report = diagnosed(|t| attribute(t, 1 << 20, 4_096, usize::MAX));
+        let rows: Vec<_> = report.balance().collect();
+        assert_eq!(rows.len(), 1);
+        assert!(rows[0].1 && rows[0].0.children_bytes > 0);
         assert!(report.is_healthy(), "violations: {:?}", report.violations());
-        assert!(report.alloc_balance[0].children_bytes > 0);
     }
 
     /// Offset of a byte in the middle of a segment's `store` section:
@@ -680,12 +511,7 @@ mod tests {
         // Segments without a store next to them have nothing to reproduce.
         let (checked, violations) = verify_segments(&dir);
         assert_eq!(checked, 2);
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.contains("reading campaign.col")),
-            "{violations:?}"
-        );
+        assert_named(&violations, &["reading campaign.col"]);
 
         std::fs::write(&col_path, merged.store.bytes()).unwrap();
         let (checked, violations) = verify_segments(&dir);
@@ -701,10 +527,7 @@ mod tests {
         short.sites.pop();
         std::fs::write(&col_path, ColumnarCampaign::from_outcome(&short).bytes()).unwrap();
         let (_, violations) = verify_segments(&dir);
-        assert!(
-            violations.iter().any(|v| v.contains("coverage gap")),
-            "{violations:?}"
-        );
+        assert_named(&violations, &["coverage gap"]);
         std::fs::write(&col_path, merged.store.bytes()).unwrap();
 
         // Flip one byte inside a segment's stripe store: only the
@@ -716,12 +539,7 @@ mod tests {
         let (checked, violations) = verify_segments(&dir);
         assert_eq!(checked, 2);
         let name = paths[0].file_name().unwrap().to_str().unwrap();
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.contains("checksum mismatch") && v.contains(name)),
-            "{violations:?}"
-        );
+        assert_named(&violations, &["checksum mismatch", name]);
         let report = diagnose_bundle(&col_path, &merged.outcome, &merged.trace, 5);
         assert!(!report.is_healthy());
         assert!(report.render().contains("[FAIL]"));
@@ -729,12 +547,7 @@ mod tests {
         // Truncation is named too.
         std::fs::write(&paths[0], &pristine[..pristine.len() / 2]).unwrap();
         let (_, violations) = verify_segments(&dir);
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.contains("truncated") && v.contains(name)),
-            "{violations:?}"
-        );
+        assert_named(&violations, &["truncated", name]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -769,11 +582,7 @@ mod tests {
         bytes[last] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let check = verify_columnar(&dir).unwrap();
-        assert!(
-            check.violations.iter().any(|v| v.contains("checksum")),
-            "{:?}",
-            check.violations
-        );
+        assert_named(&check.violations, &["checksum"]);
         let report = diagnose_bundle(&path, &outcome, &trace, 5);
         assert!(!report.is_healthy());
         assert!(report.render().contains("[FAIL]"));
@@ -782,18 +591,7 @@ mod tests {
 
     #[test]
     fn missing_visit_span_breaks_reconciliation() {
-        let (outcome, mut trace) = traced_run();
-        let visit_idx = trace
-            .spans
-            .iter()
-            .position(|s| s.name == "visit")
-            .expect("trace has visits");
-        trace.spans[visit_idx].name = Text::from("not-a-visit");
-        let report = diagnose(&outcome, &trace, 5);
-        assert!(!report.is_healthy());
-        assert!(report
-            .violations()
-            .iter()
-            .any(|v| v.contains("sites_attempted_total")));
+        let report = diagnosed(|t| first_visit(t).name = Text::from("not-a-visit"));
+        assert_named(&report.violations(), &["sites_attempted_total"]);
     }
 }

@@ -55,8 +55,8 @@ pub mod sim;
 pub use compare::{comparison_rows, render_comparison, ComparisonRow};
 pub use config::LabConfig;
 pub use doctor::{
-    diagnose, diagnose_bundle, diagnose_trace, verify_columnar, verify_segments, ColumnarCheck,
-    DoctorReport, TraceReport,
+    diagnose, diagnose_bundle, verify_columnar, verify_segments, CampaignChecks, ColumnarCheck,
+    DoctorReport,
 };
 pub use export::{load_campaign, load_trace, write_bundle, StoreKind, TRACE_FILE};
 pub use fidelity::{fidelity, FidelityReport};

@@ -124,7 +124,7 @@ mod tests {
         ] {
             assert_eq!(trace.count_named(phase), 1, "{phase}");
         }
-        let report = crate::doctor::diagnose_trace(&trace, 5);
+        let report = crate::doctor::diagnose(None, &trace, 5);
         assert!(report.is_healthy(), "{:?}", report.violations());
         assert!(report.render().contains("sim-advance"));
     }

@@ -46,7 +46,7 @@ pub use metrics::{
     escape_label_value, labeled, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
     MetricsSnapshot,
 };
-pub use profile::{mem_profile, profile, Integrity, MemProfile, Profile};
+pub use profile::{profile, Integrity, Profile};
 pub use trace::{
     merge_stripped, MergeRule, SpanRecord, Trace, TraceBuilder, Tracer, TracerSpan,
     ALLOC_FIELD_KEYS,

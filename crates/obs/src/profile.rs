@@ -1,16 +1,17 @@
-//! Trace analysis: critical path, per-phase self/total time, worker
-//! utilization, retry-storm clusters, slowest visits, and structural
-//! integrity checks over a sealed [`Trace`].
-//!
-//! Everything here is computed from simulated-clock span bounds where
-//! available (deterministic) and falls back to wall time only for spans
-//! that never touch campaign time (e.g. `world-gen`).
+//! Trace analysis in one pass over a sealed [`Trace`]: integrity,
+//! per-phase time and allocation, critical path, worker utilization,
+//! retry-storm windows, slowest visits, top allocating spans and the
+//! span counts the doctor reconciles, all in one [`Profile`]. Time comes
+//! from simulated-clock bounds where a span has them (deterministic),
+//! else from wall time (e.g. `world-gen`).
 
 use crate::events::FieldValue;
 use crate::trace::{SpanRecord, Trace};
 use crate::vocab::{Text, Word};
 use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// Width of a retry-cluster window on the simulated clock.
 const RETRY_WINDOW_MS: u64 = 60_000;
@@ -28,6 +29,9 @@ pub struct Integrity {
     pub negative: Vec<u64>,
     /// Non-root spans with no parent link at all.
     pub rootless: Vec<u64>,
+    /// Spans whose parent chain loops instead of ending, so it never
+    /// reaches the root: the spans of a parent cycle and all under them.
+    pub cyclic: Vec<u64>,
     /// No root span: a sealed trace always starts with span 1, which
     /// has no parent, so an empty or headless trace is not one.
     pub missing_root: bool,
@@ -36,11 +40,7 @@ pub struct Integrity {
 impl Integrity {
     /// True when the trace is structurally sound.
     pub fn is_clean(&self) -> bool {
-        self.orphans.is_empty()
-            && self.duplicates.is_empty()
-            && self.negative.is_empty()
-            && self.rootless.is_empty()
-            && !self.missing_root
+        self.violations().is_empty()
     }
 
     /// Human-readable violation lines (empty when clean).
@@ -49,97 +49,46 @@ impl Integrity {
         if self.missing_root {
             out.push("missing root span (no span 1 without a parent)".to_owned());
         }
-        if !self.orphans.is_empty() {
-            out.push(format!(
-                "{} orphan span(s) (missing parent): IDs {:?}",
-                self.orphans.len(),
-                preview(&self.orphans)
-            ));
-        }
-        if !self.duplicates.is_empty() {
-            out.push(format!(
-                "{} duplicate span ID(s): {:?}",
-                self.duplicates.len(),
-                preview(&self.duplicates)
-            ));
-        }
-        if !self.negative.is_empty() {
-            out.push(format!(
-                "{} span(s) with negative duration: IDs {:?}",
-                self.negative.len(),
-                preview(&self.negative)
-            ));
-        }
-        if !self.rootless.is_empty() {
-            out.push(format!(
-                "{} non-root span(s) without a parent: IDs {:?}",
-                self.rootless.len(),
-                preview(&self.rootless)
-            ));
+        for (ids, what) in [
+            (&self.orphans, "orphan span(s) (missing parent): IDs"),
+            (&self.duplicates, "duplicate span ID(s):"),
+            (&self.negative, "span(s) with negative duration: IDs"),
+            (&self.rootless, "non-root span(s) without a parent: IDs"),
+            (&self.cyclic, "looping span(s) (never reach root): IDs"),
+        ] {
+            let preview = &ids[..ids.len().min(8)];
+            if !ids.is_empty() {
+                out.push(format!("{} {what} {preview:?}", ids.len()));
+            }
         }
         out
     }
 }
 
-fn preview(ids: &[u64]) -> Vec<u64> {
-    ids.iter().take(8).copied().collect()
-}
-
-/// Check a trace for a missing root, orphan spans, duplicate IDs, and
-/// negative durations.
-pub fn integrity(trace: &Trace) -> Integrity {
-    let mut seen: BTreeMap<u64, usize> = BTreeMap::new();
-    for s in &trace.spans {
-        *seen.entry(s.id).or_insert(0) += 1;
-    }
-    let duplicates: Vec<u64> = seen
-        .iter()
-        .filter(|(_, &n)| n > 1)
-        .map(|(&id, _)| id)
-        .collect();
-    let mut orphans = Vec::new();
-    let mut rootless = Vec::new();
-    let mut negative = Vec::new();
-    for s in &trace.spans {
-        match s.parent {
-            Some(p) => {
-                if !seen.contains_key(&p) {
-                    orphans.push(s.id);
-                }
-            }
-            None => {
-                if s.id != 1 {
-                    rootless.push(s.id);
-                }
-            }
-        }
-        let sim_bad = matches!((s.sim_start_ms, s.sim_end_ms), (Some(a), Some(b)) if b < a);
-        let wall_bad = s.wall_start_us > 0 && s.wall_end_us > 0 && s.wall_end_us < s.wall_start_us;
-        if sim_bad || wall_bad {
-            negative.push(s.id);
-        }
-    }
-    Integrity {
-        orphans,
-        duplicates,
-        negative,
-        rootless,
-        missing_root: !trace.spans.iter().any(|s| s.id == 1 && s.parent.is_none()),
-    }
-}
-
-/// Total vs self time of one top-level phase.
+/// One top-level phase: its time and, when it carries attribution, its
+/// allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStat {
     /// Phase span name (`world-gen`, `crawl`, `attestation-probe`, …).
     pub name: Text,
-    /// Phase duration: simulated ms when the phase has simulated
-    /// bounds, otherwise wall-clock ms.
+    /// Duration in ms: simulated when the phase has simulated bounds.
     pub total_ms: u64,
     /// Time not covered by any direct child (same clock as `total_ms`).
     pub self_ms: u64,
-    /// True when the stats are on the simulated clock.
+    /// True when the time columns are on the simulated clock.
     pub simulated: bool,
+    /// True when the phase carries `alloc_bytes` (else bytes are 0).
+    pub attributed: bool,
+    /// Bytes allocated process-wide while the phase ran.
+    pub total_bytes: u64,
+    /// What the phase's direct children attributed to themselves.
+    pub children_bytes: u64,
+    /// `total_bytes − children_bytes`: coordination, channels, results.
+    pub self_bytes: u64,
+    /// Allocation calls inside the phase.
+    pub alloc_count: u64,
+    /// Peak live-heap growth above the phase's starting level.
+    pub peak_bytes: u64,
 }
 
 /// One hop of the campaign critical path.
@@ -172,12 +121,16 @@ pub struct WorkerStat {
 }
 
 /// A burst of retries inside one simulated-minute window.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RetryCluster {
     /// Window start on the simulated clock (ms).
     pub window_start_ms: u64,
     /// Retry attempts inside the window.
     pub retries: usize,
+    /// Bytes allocated by the visits/probes doing those retries (each
+    /// retrying span counted once per window) — the memory face of a
+    /// retry storm.
+    pub alloc_bytes: u64,
     /// Up to three sample hosts seen retrying.
     pub hosts: Vec<String>,
 }
@@ -198,21 +151,56 @@ pub struct SlowVisit {
     pub dominant_ms: u64,
 }
 
-/// The full analyzer output.
+/// One of the top allocating spans (visit, probe, page-load, …).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MemSpan {
+    /// Span ID in the sealed trace.
+    pub id: u64,
+    /// Span name.
+    pub name: Text,
+    /// Best identifying field (domain, host, phase).
+    pub label: String,
+    /// Bytes the span allocated net of its attributed children.
+    pub self_bytes: u64,
+    /// Bytes the span allocated including children.
+    pub total_bytes: u64,
+    /// Allocation calls (including children).
+    pub alloc_count: u64,
+}
+
+/// The span counts the doctor reconciles against a campaign's tally.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanCounts {
+    /// `visit` spans.
+    pub visits: u64,
+    /// `topics-call` spans.
+    pub topics_calls: u64,
+    /// `probe` spans (network probes only).
+    pub probes: u64,
+    /// Probe cache hits, summed over the `attestation-probe` phase spans.
+    pub cache_hits: u64,
+}
+
+/// Everything read off a trace, in one pass ([`profile`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
-    /// Per-phase total vs self time, in sealed span order.
+    /// Structural checks.
+    pub integrity: Integrity,
+    /// Per-phase time and allocation, in sealed span order.
     pub phases: Vec<PhaseStat>,
-    /// Root-to-leaf chain of latest-finishing spans on the simulated
-    /// clock.
+    /// Root-to-leaf chain of latest-finishing spans (simulated clock).
     pub critical_path: Vec<Hop>,
     /// Per-worker utilization (empty when the trace has no worker
     /// spans, e.g. a stripped trace).
     pub workers: Vec<WorkerStat>,
-    /// Retry windows ordered by retry count, densest first.
+    /// Every retry window, in window order; see [`Profile::top_retries`].
     pub retry_clusters: Vec<RetryCluster>,
     /// Top-N visits by simulated duration.
     pub slowest_visits: Vec<SlowVisit>,
+    /// Top-N non-phase spans by self-allocated bytes.
+    pub top_spans: Vec<MemSpan>,
+    /// Span counts for the doctor's reconciliation.
+    pub counts: SpanCounts,
 }
 
 impl Profile {
@@ -234,70 +222,113 @@ impl Profile {
             .collect()
     }
 
-    /// Plain-text report (the `topics-lab serve` `/api/profile` body).
+    /// The reported retry windows, largest `key` first: by retry count
+    /// in the time view, by the retrying spans' bytes in the memory view.
+    pub fn top_retries(&self, key: impl Fn(&RetryCluster) -> u64) -> Vec<&RetryCluster> {
+        let mut top: Vec<&RetryCluster> = self.retry_clusters.iter().collect();
+        top.sort_by_key(|c| (Reverse(key(c)), c.window_start_ms));
+        top.truncate(RETRY_CLUSTERS);
+        top
+    }
+
+    /// True when the trace carries allocation attribution (recorded
+    /// with `--alloc-stats` and not stripped).
+    pub fn has_alloc(&self) -> bool {
+        self.phases.iter().any(|p| p.attributed) || !self.top_spans.is_empty()
+    }
+
+    /// The time view as plain text (the `topics-lab serve`
+    /// `/api/profile` body).
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("== Per-phase time ==\n");
-        out.push_str(&format!(
-            "{:<20} {:>10} {:>10}  clock\n",
-            "phase", "total ms", "self ms"
-        ));
+        let mut out = String::from(
+            "== Per-phase time ==\nphase                  total ms    self ms  clock\n",
+        );
         for p in &self.phases {
-            out.push_str(&format!(
-                "{:<20} {:>10} {:>10}  {}\n",
-                p.name,
-                p.total_ms,
-                p.self_ms,
-                if p.simulated { "sim" } else { "wall" },
-            ));
+            let (name, total, own) = (&p.name, p.total_ms, p.self_ms);
+            let clock = if p.simulated { "sim" } else { "wall" };
+            let _ = writeln!(out, "{name:<20} {total:>10} {own:>10}  {clock}");
         }
-        out.push('\n');
-        out.push_str("== Critical path (simulated clock) ==\n");
+        out.push_str("\n== Critical path (simulated clock) ==\n");
         if self.critical_path.is_empty() {
             out.push_str("(no simulated spans in trace)\n");
         }
         for h in &self.critical_path {
-            out.push_str(&format!(
-                "{:<16} {:<28} {:>8} → {:>8} ms\n",
-                h.name, h.label, h.start_ms, h.end_ms
-            ));
+            let (name, label, start, end) = (&h.name, &h.label, h.start_ms, h.end_ms);
+            let _ = writeln!(out, "{name:<16} {label:<28} {start:>8} → {end:>8} ms");
         }
-        out.push('\n');
-        out.push_str("== Worker idle fractions ==\n");
+        out.push_str("\n== Worker idle fractions ==\n");
         let idle = self.idle_fractions();
         if idle.is_empty() {
             out.push_str("(no worker spans in trace)\n");
         }
         for (phase, frac) in &idle {
-            out.push_str(&format!("{phase:<20} {:>6.1}% idle\n", frac * 100.0));
+            let _ = writeln!(out, "{phase:<20} {:>6.1}% idle", frac * 100.0);
         }
-        out.push('\n');
-        out.push_str("== Retry clusters ==\n");
-        if self.retry_clusters.is_empty() {
+        out.push_str("\n== Retry clusters ==\n");
+        let retries = self.top_retries(|c| c.retries as u64);
+        if retries.is_empty() {
             out.push_str("(no retries in trace)\n");
         }
-        for c in &self.retry_clusters {
-            out.push_str(&format!(
-                "window @{:>8} ms: {:>4} retries (e.g. {})\n",
-                c.window_start_ms,
-                c.retries,
-                c.hosts.join(", "),
-            ));
+        for c in retries {
+            let (start, n, hosts) = (c.window_start_ms, c.retries, c.hosts.join(", "));
+            let _ = writeln!(out, "window @{start:>8} ms: {n:>4} retries (e.g. {hosts})");
         }
-        out.push('\n');
-        out.push_str("== Slowest visits ==\n");
+        out.push_str("\n== Slowest visits ==\n");
         for (i, v) in self.slowest_visits.iter().enumerate() {
-            out.push_str(&format!(
-                "{:>3}. {:<28} rank {:>6}  {:>8} ms (dominant: {} {} ms)\n",
+            let (domain, rank, ms, dominant) = (&v.domain, v.rank, v.duration_ms, &v.dominant);
+            let _ = writeln!(
+                out,
+                "{:>3}. {domain:<28} rank {rank:>6}  {ms:>8} ms (dominant: {dominant} {} ms)",
                 i + 1,
-                v.domain,
-                v.rank,
-                v.duration_ms,
-                v.dominant,
-                v.dominant_ms,
-            ));
+                v.dominant_ms
+            );
         }
         out
+    }
+
+    /// The memory view as plain text (the `topics-lab memprofile`
+    /// body).
+    pub fn render_memory(&self) -> String {
+        let mut out = String::from("== Per-phase allocation ==\nphase                         total           self       allocs           peak\n");
+        for p in self.phases.iter().filter(|p| p.attributed) {
+            let (name, total, own) = (&p.name, fmt_bytes(p.total_bytes), fmt_bytes(p.self_bytes));
+            let (n, peak) = (p.alloc_count, fmt_bytes(p.peak_bytes));
+            let _ = writeln!(out, "{name:<20} {total:>14} {own:>14} {n:>12} {peak:>14}");
+        }
+        out.push_str("\n== Top allocating spans ==\n");
+        for (i, s) in self.top_spans.iter().enumerate() {
+            let (name, label, own) = (&s.name, &s.label, fmt_bytes(s.self_bytes));
+            let (total, allocs) = (fmt_bytes(s.total_bytes), s.alloc_count);
+            let _ = writeln!(
+                out,
+                "{:>3}. {name:<12} {label:<28} self {own:>12}  total {total:>12}  allocs {allocs}",
+                i + 1
+            );
+        }
+        out.push_str("\n== Retry-storm allocation ==\n");
+        let retries = self.top_retries(|c| c.alloc_bytes);
+        if retries.is_empty() {
+            out.push_str("(no retries in trace)\n");
+        }
+        for c in retries {
+            let (start, n, bytes) = (c.window_start_ms, c.retries, fmt_bytes(c.alloc_bytes));
+            let hosts = c.hosts.join(", ");
+            let _ = writeln!(
+                out,
+                "window @{start:>8} ms: {n:>4} retries, {bytes:>12} allocated by retrying spans (e.g. {hosts})"
+            );
+        }
+        out
+    }
+}
+
+/// Human-readable byte count (binary units, one decimal).
+fn fmt_bytes(b: u64) -> String {
+    let unit = ((63 - b.max(1).leading_zeros()) / 10).min(4);
+    let v = b as f64 / (1u64 << (10 * unit)) as f64;
+    match unit {
+        0 => format!("{b} B"),
+        _ => format!("{v:.1} {}", ["", "KiB", "MiB", "GiB", "TiB"][unit as usize]),
     }
 }
 
@@ -320,6 +351,7 @@ fn sample_host(hosts: &mut Vec<String>, host: Cow<'_, str>) {
     }
 }
 
+/// An integer field's value; 0 when absent or not an integer.
 fn u64_field(s: &SpanRecord, key: Word) -> u64 {
     match s.field(key) {
         Some(FieldValue::U64(v)) => *v,
@@ -328,406 +360,285 @@ fn u64_field(s: &SpanRecord, key: Word) -> u64 {
     }
 }
 
-/// Analyze a sealed trace. `top_n` bounds the slowest-visit list.
-pub fn profile(trace: &Trace, top_n: usize) -> Profile {
-    let mut children: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    for (i, s) in trace.spans.iter().enumerate() {
-        if let Some(p) = s.parent {
-            children.entry(p).or_default().push(i);
+/// Ends a child list in [`Tree`].
+const NONE: usize = usize::MAX;
+
+/// Spans found by position. A sealed trace's span `id` sits at position
+/// `id - 1`, so only a span anywhere else (an edited or corrupted trace)
+/// goes through `moved`, which is empty on a sealed trace.
+struct Tree<'a> {
+    spans: &'a [SpanRecord],
+    /// `(id, position)` of every span not at `id - 1`, sorted.
+    moved: Vec<(u64, usize)>,
+    /// Children as linked lists in span order: `first[k]` starts slot
+    /// `k`'s list and `next[i]` follows span `i` in its list. A slot is
+    /// the parent's position, or `spans.len()` for the children of a
+    /// missing span 1.
+    first: Vec<usize>,
+    next: Vec<usize>,
+}
+
+impl<'a> Tree<'a> {
+    fn new(spans: &'a [SpanRecord]) -> Self {
+        let mut moved: Vec<(u64, usize)> = (spans.iter().enumerate())
+            .filter(|&(i, s)| s.id != i as u64 + 1)
+            .map(|(i, s)| (s.id, i))
+            .collect();
+        moved.sort_unstable();
+        let (first, next) = (vec![NONE; spans.len() + 1], vec![NONE; spans.len()]);
+        let mut tree = Tree {
+            spans,
+            moved,
+            first,
+            next,
+        };
+        for i in (0..spans.len()).rev() {
+            if let Some(k) = tree.parent_slot(i) {
+                (tree.next[i], tree.first[k]) = (tree.first[k], i);
+            }
         }
+        tree
     }
 
-    // Per-phase total vs self time.
-    let mut phases = Vec::new();
-    for &pi in children.get(&1).map(Vec::as_slice).unwrap_or(&[]) {
-        let p = &trace.spans[pi];
-        if p.op {
-            continue;
-        }
-        let (total_ms, simulated) = match p.sim_duration_ms() {
-            Some(d) => (d, true),
-            None => (p.wall_duration_us() / 1000, false),
-        };
-        let self_ms = if simulated {
-            let (ps, pe) = (p.sim_start_ms.unwrap(), p.sim_end_ms.unwrap());
-            let mut intervals: Vec<(u64, u64)> = children
-                .get(&p.id)
-                .map(Vec::as_slice)
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(|&ci| {
-                    let c = &trace.spans[ci];
-                    match (c.sim_start_ms, c.sim_end_ms) {
-                        (Some(a), Some(b)) if b > a => Some((a.max(ps), b.min(pe))),
-                        _ => None,
-                    }
-                })
-                .filter(|(a, b)| b > a)
-                .collect();
-            intervals.sort_unstable();
-            let mut covered = 0u64;
-            let mut cursor = ps;
-            for (a, b) in intervals {
-                let a = a.max(cursor);
-                if b > a {
-                    covered += b - a;
-                    cursor = b;
-                }
+    /// Position of the span `id`: the last copy when it is duplicated.
+    fn pos(&self, id: u64) -> Option<usize> {
+        let home = (id as usize)
+            .checked_sub(1)
+            .filter(|&i| self.spans.get(i).is_some_and(|s| s.id == id));
+        let k = self.moved.partition_point(|&(m, _)| m <= id);
+        let moved = k.checked_sub(1).map(|k| self.moved[k]);
+        home.max(moved.filter(|m| m.0 == id).map(|m| m.1))
+    }
+
+    fn parent(&self, i: usize) -> Option<usize> {
+        self.pos(self.spans[i].parent?)
+    }
+
+    fn parent_slot(&self, i: usize) -> Option<usize> {
+        let names_one = self.spans[i].parent == Some(1);
+        self.parent(i).or(names_one.then_some(self.spans.len()))
+    }
+
+    /// The children in slot `k`.
+    fn kids(&self, k: usize) -> impl Iterator<Item = usize> + '_ {
+        let link = |i: usize| Some(i).filter(|&i| i != NONE);
+        std::iter::successors(link(self.first[k]), move |&i| link(self.next[i]))
+    }
+
+    /// The children of every span with the ID of the one at `i` (that
+    /// ID is always found: at `i`, or at a later copy).
+    fn children(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.kids(self.pos(self.spans[i].id).unwrap_or(i))
+    }
+
+    /// Per position: true when the span's parent chain loops instead of
+    /// ending. The chains that end are the spans reached walking down
+    /// from every span whose parent is absent or not found.
+    fn loops(&self) -> Vec<bool> {
+        let mut loops = vec![true; self.spans.len()];
+        let mut down: Vec<usize> = (0..self.spans.len())
+            .filter(|&i| self.parent(i).is_none())
+            .collect();
+        while let Some(i) = down.pop() {
+            if std::mem::replace(&mut loops[i], false) {
+                down.extend(self.kids(i));
             }
-            total_ms.saturating_sub(covered)
-        } else {
-            total_ms
-        };
-        phases.push(PhaseStat {
-            name: p.name.clone(),
+        }
+        loops
+    }
+}
+
+/// Analyze a sealed trace in one pass. `top_n` bounds the slowest-visit
+/// and top-allocating-span lists.
+pub fn profile(trace: &Trace, top_n: usize) -> Profile {
+    let spans = trace.spans.as_slice();
+    let tree = Tree::new(spans);
+    let loops = tree.loops();
+    let alloc_of = |s: &SpanRecord| u64_field(s, Word::AllocBytes);
+    let attributed = |s: &SpanRecord| s.field(Word::AllocBytes).is_some();
+    // What a span's direct children attributed to themselves. Their
+    // thread-local deltas nest inside its scope, so subtracting it does
+    // not go negative on a well-formed trace; saturate anyway.
+    let kid_bytes = |i: usize| -> u64 { tree.children(i).map(|c| alloc_of(&spans[c])).sum() };
+
+    let mut p = Profile::default();
+    let mut root = false;
+    let mut windows: BTreeMap<u64, (RetryCluster, Vec<usize>)> = BTreeMap::new();
+    let (mut visits, mut allocating) = (Vec::new(), Vec::new());
+    for (i, s) in spans.iter().enumerate() {
+        let integrity = &mut p.integrity;
+        match s.parent {
+            Some(parent) if tree.pos(parent).is_none() => integrity.orphans.push(s.id),
+            None if s.id == 1 => root = true,
+            None => integrity.rootless.push(s.id),
+            Some(_) => {}
+        }
+        // Every copy of a duplicated ID but the last.
+        if tree.pos(s.id) != Some(i) {
+            integrity.duplicates.push(s.id);
+        }
+        let sim_bad = matches!((s.sim_start_ms, s.sim_end_ms), (Some(a), Some(b)) if b < a);
+        let wall_bad = s.wall_start_us > 0 && s.wall_end_us > 0 && s.wall_end_us < s.wall_start_us;
+        if sim_bad || wall_bad {
+            integrity.negative.push(s.id);
+        }
+        if loops[i] {
+            integrity.cyclic.push(s.id);
+        }
+        if s.parent != Some(1) && attributed(s) {
+            allocating.push((alloc_of(s).saturating_sub(kid_bytes(i)), i));
+        }
+
+        if s.name == Word::Visit {
+            p.counts.visits += 1;
+            visits.push(i);
+        } else if s.name == Word::TopicsCall {
+            p.counts.topics_calls += 1;
+        } else if s.name == Word::Probe {
+            p.counts.probes += 1;
+        } else if s.name == Word::AttestationProbe {
+            p.counts.cache_hits += u64_field(s, Word::CacheHits);
+        } else if s.op && s.name == Word::Worker {
+            p.workers.push(WorkerStat {
+                phase: (s.field(Word::Phase)).map_or_else(|| "?".to_owned(), |v| v.to_string()),
+                worker: u64_field(s, Word::Worker),
+                busy_us: u64_field(s, Word::BusyUs),
+                span_us: u64_field(s, Word::SpanUs).max(s.wall_duration_us()),
+                items: u64_field(s, Word::Items),
+            });
+        } else if s.name == Word::Retry {
+            let Some(start) = s.sim_start_ms else {
+                continue;
+            };
+            // Retries go into simulated-minute windows. Each window is
+            // charged once for the nearest ancestor carrying attribution
+            // (the visit or probe that paid for the retries); a chain
+            // that loops has none to find.
+            let (window, charged) = windows.entry(start / RETRY_WINDOW_MS).or_default();
+            window.window_start_ms = start - start % RETRY_WINDOW_MS;
+            window.retries += 1;
+            let mut up = if loops[i] { None } else { tree.parent(i) };
+            while let Some(a) = up {
+                if attributed(&spans[a]) {
+                    if !charged.contains(&a) {
+                        charged.push(a);
+                        window.alloc_bytes += alloc_of(&spans[a]);
+                    }
+                    break;
+                }
+                up = tree.parent(a);
+            }
+            sample_host(&mut window.hosts, label_of(s));
+        }
+    }
+    p.integrity.missing_root = !root;
+    p.integrity.duplicates.sort_unstable();
+    p.integrity.duplicates.dedup();
+    p.retry_clusters = windows.into_values().map(|(cluster, _)| cluster).collect();
+
+    // The phases are the root's children; a missing span 1 still has
+    // the children that name it.
+    let root = tree.pos(1).unwrap_or(spans.len());
+    for i in tree.kids(root).filter(|&i| !spans[i].op) {
+        let s = &spans[i];
+        let (total_ms, self_ms, simulated) = phase_time(s, tree.children(i), spans);
+        let (total_bytes, children_bytes) = (alloc_of(s), kid_bytes(i));
+        p.phases.push(PhaseStat {
+            name: s.name.clone(),
             total_ms,
             self_ms,
             simulated,
+            attributed: attributed(s),
+            total_bytes,
+            children_bytes,
+            self_bytes: total_bytes.saturating_sub(children_bytes),
+            alloc_count: u64_field(s, Word::AllocCount),
+            peak_bytes: u64_field(s, Word::PeakBytes),
         });
     }
 
     // Critical path: from the root, repeatedly descend into the child
-    // that finishes last on the simulated clock.
-    let mut critical_path = Vec::new();
-    let mut cursor = 1u64;
-    while let Some(kids) = children.get(&cursor) {
-        let next = kids
-            .iter()
-            .map(|&i| &trace.spans[i])
-            .filter(|s| !s.op && s.sim_end_ms.is_some())
-            .max_by_key(|s| (s.sim_end_ms, std::cmp::Reverse(s.id)));
+    // that finishes last on the simulated clock, never into one slot
+    // twice (duplicated IDs can lead back up the tree).
+    let mut seen = vec![false; spans.len() + 1];
+    let mut slot = Some(root);
+    while let Some(k) = slot.filter(|&k| !std::mem::replace(&mut seen[k], true)) {
+        let next = (tree.kids(k))
+            .map(|c| &spans[c])
+            .filter(|c| !c.op && c.sim_end_ms.is_some())
+            .max_by_key(|c| (c.sim_end_ms, Reverse(c.id)));
         let Some(next) = next else { break };
-        critical_path.push(Hop {
+        p.critical_path.push(Hop {
             name: next.name.clone(),
             label: label_of(next).into_owned(),
             start_ms: next.sim_start_ms.unwrap_or(0),
             end_ms: next.sim_end_ms.unwrap_or(0),
         });
-        cursor = next.id;
+        slot = tree.pos(next.id);
     }
-
-    // Worker utilization from operational `worker` spans.
-    let workers: Vec<WorkerStat> = trace
-        .spans
-        .iter()
-        .filter(|s| s.op && s.name == Word::Worker)
-        .map(|s| WorkerStat {
-            phase: s
-                .field(Word::Phase)
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "?".to_owned()),
-            worker: u64_field(s, Word::Worker),
-            busy_us: u64_field(s, Word::BusyUs),
-            span_us: u64_field(s, Word::SpanUs).max(s.wall_duration_us()),
-            items: u64_field(s, Word::Items),
-        })
-        .collect();
-
-    // Retry storms: bucket retry spans into simulated-minute windows.
-    let mut buckets: BTreeMap<u64, (usize, Vec<String>)> = BTreeMap::new();
-    for s in trace.spans.iter().filter(|s| s.name == Word::Retry) {
-        let Some(start) = s.sim_start_ms else {
-            continue;
-        };
-        let entry = buckets.entry(start / RETRY_WINDOW_MS).or_default();
-        entry.0 += 1;
-        sample_host(&mut entry.1, label_of(s));
-    }
-    let mut retry_clusters: Vec<RetryCluster> = buckets
-        .into_iter()
-        .map(|(window, (retries, hosts))| RetryCluster {
-            window_start_ms: window * RETRY_WINDOW_MS,
-            retries,
-            hosts,
-        })
-        .collect();
-    retry_clusters.sort_by_key(|c| (std::cmp::Reverse(c.retries), c.window_start_ms));
-    retry_clusters.truncate(RETRY_CLUSTERS);
 
     // Slowest visits with their dominant child span.
-    let mut visits: Vec<&SpanRecord> = trace
-        .spans
-        .iter()
-        .filter(|s| s.name == Word::Visit)
-        .collect();
-    visits.sort_by_key(|s| (std::cmp::Reverse(s.sim_duration_ms().unwrap_or(0)), s.id));
-    let slowest_visits = visits
-        .into_iter()
-        .take(top_n)
-        .map(|v| {
-            let dominant = children
-                .get(&v.id)
-                .map(Vec::as_slice)
-                .unwrap_or(&[])
-                .iter()
-                .map(|&i| &trace.spans[i])
-                .max_by_key(|c| (c.sim_duration_ms().unwrap_or(0), std::cmp::Reverse(c.id)));
+    let duration = |s: &SpanRecord| s.sim_duration_ms().unwrap_or(0);
+    visits.sort_by_key(|&i| (Reverse(duration(&spans[i])), spans[i].id));
+    p.slowest_visits = (visits.into_iter().take(top_n))
+        .map(|i| {
+            let dominant = (tree.children(i))
+                .map(|c| &spans[c])
+                .max_by_key(|c| (duration(c), Reverse(c.id)));
             SlowVisit {
-                domain: label_of(v).into_owned(),
-                rank: u64_field(v, Word::Rank),
-                duration_ms: v.sim_duration_ms().unwrap_or(0),
+                domain: label_of(&spans[i]).into_owned(),
+                rank: u64_field(&spans[i], Word::Rank),
+                duration_ms: duration(&spans[i]),
                 dominant: dominant.map(|d| d.name.clone()).unwrap_or_default(),
-                dominant_ms: dominant.and_then(|d| d.sim_duration_ms()).unwrap_or(0),
+                dominant_ms: dominant.map_or(0, duration),
             }
         })
         .collect();
 
-    Profile {
-        phases,
-        critical_path,
-        workers,
-        retry_clusters,
-        slowest_visits,
-    }
-}
-
-/// Allocation attributed to one top-level phase span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemPhase {
-    /// Phase span name (`crawl`, `attestation-probe`, …).
-    pub name: Text,
-    /// Bytes allocated process-wide while the phase ran.
-    pub total_bytes: u64,
-    /// `total_bytes` minus what the phase's direct children attributed
-    /// to themselves (coordination overhead, channels, result
-    /// collection).
-    pub self_bytes: u64,
-    /// Allocation calls inside the phase.
-    pub alloc_count: u64,
-    /// Peak live-heap growth above the phase's starting level.
-    pub peak_bytes: u64,
-}
-
-/// One of the top allocating spans (visit, probe, page-load, …).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemSpan {
-    /// Span ID in the sealed trace.
-    pub id: u64,
-    /// Span name.
-    pub name: Text,
-    /// Best identifying field (domain, host, phase).
-    pub label: String,
-    /// Bytes the span allocated net of its attributed children.
-    pub self_bytes: u64,
-    /// Bytes the span allocated including children.
-    pub total_bytes: u64,
-    /// Allocation calls (including children).
-    pub alloc_count: u64,
-}
-
-/// Allocation attributed to retries inside one simulated-minute window
-/// — the memory face of a retry storm (buffers rebuilt per attempt).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemRetryCluster {
-    /// Window start on the simulated clock (ms).
-    pub window_start_ms: u64,
-    /// Retry attempts inside the window.
-    pub retries: usize,
-    /// Bytes allocated by the visits/probes doing those retries
-    /// (each retrying span counted once per window).
-    pub alloc_bytes: u64,
-    /// Up to three sample hosts seen retrying.
-    pub hosts: Vec<String>,
-}
-
-/// The memory-attribution analyzer output ([`mem_profile`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MemProfile {
-    /// Per-phase allocation, in sealed span order.
-    pub phases: Vec<MemPhase>,
-    /// Top-K spans by self-allocated bytes (phases excluded).
-    pub top_spans: Vec<MemSpan>,
-    /// Retry windows ordered by attributed bytes, heaviest first.
-    pub retry_clusters: Vec<MemRetryCluster>,
-}
-
-impl MemProfile {
-    /// True when the trace carried no allocation attribution at all
-    /// (campaign ran without `--alloc-stats`, or the trace was
-    /// stripped).
-    pub fn is_empty(&self) -> bool {
-        self.phases.is_empty() && self.top_spans.is_empty()
-    }
-
-    /// Plain-text report (the `topics-lab memprofile` body).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("== Per-phase allocation ==\n");
-        out.push_str(&format!(
-            "{:<20} {:>14} {:>14} {:>12} {:>14}\n",
-            "phase", "total", "self", "allocs", "peak"
-        ));
-        for p in &self.phases {
-            out.push_str(&format!(
-                "{:<20} {:>14} {:>14} {:>12} {:>14}\n",
-                p.name,
-                fmt_bytes(p.total_bytes),
-                fmt_bytes(p.self_bytes),
-                p.alloc_count,
-                fmt_bytes(p.peak_bytes),
-            ));
-        }
-        out.push('\n');
-        out.push_str("== Top allocating spans ==\n");
-        for (i, s) in self.top_spans.iter().enumerate() {
-            out.push_str(&format!(
-                "{:>3}. {:<12} {:<28} self {:>12}  total {:>12}  allocs {}\n",
-                i + 1,
-                s.name,
-                s.label,
-                fmt_bytes(s.self_bytes),
-                fmt_bytes(s.total_bytes),
-                s.alloc_count,
-            ));
-        }
-        out.push('\n');
-        out.push_str("== Retry-storm allocation ==\n");
-        if self.retry_clusters.is_empty() {
-            out.push_str("(no retries in trace)\n");
-        }
-        for c in &self.retry_clusters {
-            out.push_str(&format!(
-                "window @{:>8} ms: {:>4} retries, {:>12} allocated by retrying spans (e.g. {})\n",
-                c.window_start_ms,
-                c.retries,
-                fmt_bytes(c.alloc_bytes),
-                c.hosts.join(", "),
-            ));
-        }
-        out
-    }
-}
-
-/// Human-readable byte count (binary units, one decimal).
-pub fn fmt_bytes(b: u64) -> String {
-    const UNITS: &[&str] = &["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut v = b as f64;
-    let mut unit = 0;
-    while v >= 1024.0 && unit < UNITS.len() - 1 {
-        v /= 1024.0;
-        unit += 1;
-    }
-    if unit == 0 {
-        format!("{b} B")
-    } else {
-        format!("{v:.1} {}", UNITS[unit])
-    }
-}
-
-/// Analyze allocation attribution in a sealed trace: per-phase
-/// total/self bytes, the `top_k` spans by self-allocated bytes, and
-/// retry-storm allocation clusters. Spans without `alloc_bytes` fields
-/// (instrumentation off) contribute nothing; [`MemProfile::is_empty`]
-/// reports whether any attribution was found.
-pub fn mem_profile(trace: &Trace, top_k: usize) -> MemProfile {
-    let mut children: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    let mut index_of: BTreeMap<u64, usize> = BTreeMap::new();
-    for (i, s) in trace.spans.iter().enumerate() {
-        index_of.insert(s.id, i);
-        if let Some(p) = s.parent {
-            children.entry(p).or_default().push(i);
-        }
-    }
-    let alloc_of = |s: &SpanRecord| u64_field(s, Word::AllocBytes);
-    // Self bytes of any attributed span: its own delta minus what its
-    // direct children attributed to themselves. Children's thread-local
-    // deltas nest inside the parent's scope, so the subtraction cannot
-    // go negative on a well-formed trace; saturate anyway.
-    let self_bytes_of = |s: &SpanRecord| {
-        let kid_sum: u64 = children
-            .get(&s.id)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-            .iter()
-            .map(|&ci| alloc_of(&trace.spans[ci]))
-            .sum();
-        alloc_of(s).saturating_sub(kid_sum)
-    };
-
-    // Per-phase rows: direct children of the campaign root that carry
-    // allocation attribution.
-    let mut phases = Vec::new();
-    for &pi in children.get(&1).map(Vec::as_slice).unwrap_or(&[]) {
-        let p = &trace.spans[pi];
-        if p.op || p.field(Word::AllocBytes).is_none() {
-            continue;
-        }
-        phases.push(MemPhase {
-            name: p.name.clone(),
-            total_bytes: alloc_of(p),
-            self_bytes: self_bytes_of(p),
-            alloc_count: u64_field(p, Word::AllocCount),
-            peak_bytes: u64_field(p, Word::PeakBytes),
-        });
-    }
-
-    // Top-K non-phase spans by self bytes; only the kept ones are
-    // labelled.
-    let mut ranked: Vec<(u64, &SpanRecord)> = trace
-        .spans
-        .iter()
-        .filter(|s| s.parent != Some(1) && s.field(Word::AllocBytes).is_some())
-        .map(|s| (self_bytes_of(s), s))
-        .collect();
-    ranked.sort_by_key(|&(self_bytes, s)| (std::cmp::Reverse(self_bytes), s.id));
-    ranked.truncate(top_k);
-    let top_spans = ranked
-        .into_iter()
-        .map(|(self_bytes, s)| MemSpan {
-            id: s.id,
-            name: s.name.clone(),
-            label: label_of(s).into_owned(),
+    // Top non-phase spans by self bytes; only the kept ones are labelled.
+    allocating.sort_by_key(|&(bytes, i)| (Reverse(bytes), spans[i].id));
+    allocating.truncate(top_n);
+    p.top_spans = (allocating.into_iter())
+        .map(|(self_bytes, i)| MemSpan {
+            id: spans[i].id,
+            name: spans[i].name.clone(),
+            label: label_of(&spans[i]).into_owned(),
             self_bytes,
-            total_bytes: alloc_of(s),
-            alloc_count: u64_field(s, Word::AllocCount),
+            total_bytes: alloc_of(&spans[i]),
+            alloc_count: u64_field(&spans[i], Word::AllocCount),
         })
         .collect();
+    p
+}
 
-    // Retry storms, memory edition: for each retry leaf, climb to the
-    // nearest ancestor carrying allocation attribution (the visit or
-    // probe that paid for the retries) and charge its bytes to the
-    // retry's window — once per (window, span).
-    let mut buckets: BTreeMap<u64, (usize, u64, Vec<u64>, Vec<String>)> = BTreeMap::new();
-    for s in trace.spans.iter().filter(|s| s.name == Word::Retry) {
-        let Some(start) = s.sim_start_ms else {
-            continue;
-        };
-        let entry = buckets.entry(start / RETRY_WINDOW_MS).or_default();
-        entry.0 += 1;
-        let mut cursor = s.parent;
-        while let Some(pid) = cursor {
-            let Some(&pi) = index_of.get(&pid) else { break };
-            let p = &trace.spans[pi];
-            if p.field(Word::AllocBytes).is_some() {
-                if !entry.2.contains(&p.id) {
-                    entry.2.push(p.id);
-                    entry.1 += alloc_of(p);
-                }
-                break;
-            }
-            cursor = p.parent;
-        }
-        sample_host(&mut entry.3, label_of(s));
-    }
-    let mut retry_clusters: Vec<MemRetryCluster> = buckets
-        .into_iter()
-        .map(
-            |(window, (retries, alloc_bytes, _, hosts))| MemRetryCluster {
-                window_start_ms: window * RETRY_WINDOW_MS,
-                retries,
-                alloc_bytes,
-                hosts,
-            },
-        )
+/// A phase's total and self time, and whether both are on the simulated
+/// clock. Self time is the simulated time none of its `kids` covers, or
+/// the whole wall-clock total.
+fn phase_time(
+    phase: &SpanRecord,
+    kids: impl Iterator<Item = usize>,
+    spans: &[SpanRecord],
+) -> (u64, u64, bool) {
+    let Some(total) = phase.sim_duration_ms() else {
+        let wall = phase.wall_duration_us() / 1000;
+        return (wall, wall, false);
+    };
+    let start = phase.sim_start_ms.unwrap_or(0);
+    let mut intervals: Vec<(u64, u64)> = kids
+        .filter_map(|c| Some((spans[c].sim_start_ms?, spans[c].sim_end_ms?)))
+        .map(|(a, b)| (a.max(start), b.min(start + total)))
+        .filter(|(a, b)| b > a)
         .collect();
-    retry_clusters.sort_by_key(|c| (std::cmp::Reverse(c.alloc_bytes), c.window_start_ms));
-    retry_clusters.truncate(RETRY_CLUSTERS);
-
-    MemProfile {
-        phases,
-        top_spans,
-        retry_clusters,
+    intervals.sort_unstable();
+    let (mut covered, mut cursor) = (0, start);
+    for (a, b) in intervals {
+        let a = a.max(cursor);
+        if b > a {
+            covered += b - a;
+            cursor = b;
+        }
     }
+    (total, total.saturating_sub(covered), true)
 }
 
 #[cfg(test)]
@@ -770,49 +681,36 @@ mod tests {
     /// A corrupting edit of a sealed trace.
     type Mutation = fn(&mut Trace);
 
-    /// Every field the trace readers compute: integrity; phases with
-    /// time and allocation columns; critical path; workers; retry
-    /// windows with count and bytes; slowest visits; top spans. A corner
-    /// case asserts it whole, so no part of the result can move unseen.
+    /// Every field the trace pass computes: integrity; phases with time
+    /// and allocation columns; critical path; workers; retry windows
+    /// with count and bytes; slowest visits; top spans. A corner case
+    /// asserts it whole, so no part of the result can move unseen.
     fn summary(t: &Trace) -> String {
-        let (i, p, m) = (integrity(t), profile(t, 2), mem_profile(t, 2));
+        let p = profile(t, 2);
+        let i = &p.integrity;
+        assert!(i.cyclic.is_empty(), "{:?}", i.cyclic);
+        let (o, d, n, r) = (&i.orphans, &i.duplicates, &i.negative, &i.rootless);
+        let i = (o, d, n, r, i.missing_root);
         let phases: Vec<_> = (p.phases.iter())
             .map(|x| {
-                let mem = m.phases.iter().find(|y| y.name == x.name);
-                let mem = mem.map(|y| (y.total_bytes, y.self_bytes, y.alloc_count, y.peak_bytes));
+                let mem = (x.total_bytes, x.self_bytes, x.alloc_count, x.peak_bytes);
+                let mem = x.attributed.then_some(mem);
                 (&x.name, x.total_ms, x.self_ms, x.simulated, mem)
             })
             .collect();
-        let retries: Vec<_> = (p.retry_clusters.iter())
-            .map(|c| {
-                let mem =
-                    (m.retry_clusters.iter()).find(|y| y.window_start_ms == c.window_start_ms);
-                (
-                    c.window_start_ms,
-                    c.retries,
-                    mem.unwrap().alloc_bytes,
-                    &c.hosts,
-                )
-            })
+        let retries: Vec<_> = (p.top_retries(|c| c.retries as u64).into_iter())
+            .map(|c| (c.window_start_ms, c.retries, c.alloc_bytes, &c.hosts))
             .collect();
-        let i = (
-            i.orphans,
-            i.duplicates,
-            i.negative,
-            i.rootless,
-            i.missing_root,
-        );
         let (path, workers, slow) = (&p.critical_path, &p.workers, &p.slowest_visits);
         format!(
             "{i:?} {phases:?} {path:?} {workers:?} {retries:?} {slow:?} {:?}",
-            m.top_spans
+            p.top_spans
         )
     }
 
     #[test]
     fn clean_trace_passes_integrity() {
-        let t = traced_campaign();
-        let report = integrity(&t);
+        let report = profile(&traced_campaign(), 10).integrity;
         assert!(report.is_clean(), "violations: {:?}", report.violations());
     }
 
@@ -828,22 +726,25 @@ mod tests {
         let last = t.spans.len() - 1;
         t.spans[last].sim_start_ms = Some(100);
         t.spans[last].sim_end_ms = Some(50);
-        let report = integrity(&t);
+        let report = profile(&t, 10).integrity;
         assert!(!report.is_clean());
         assert!(report.orphans.contains(&t.spans[2].id));
         assert!(!report.duplicates.is_empty());
         assert!(!report.negative.is_empty());
         assert_eq!(report.violations().len(), 3);
         // A sealed trace always has its root span: an empty one does not.
-        let empty = integrity(&Trace::default());
+        let empty = profile(&Trace::default(), 10).integrity;
         assert!(empty.missing_root && !empty.is_clean());
         assert_eq!(
             empty.violations(),
             ["missing root span (no span 1 without a parent)"]
         );
 
-        // Spans the lookup cannot find at their position: the result is
-        // the same as when every span sits where sealing put it.
+        // The sealed trace pins the whole profile: the visits cover the
+        // crawl (self 0 ms), the critical path descends through the
+        // latest finisher to its fetch, and the slowest visits rank by
+        // simulated duration with their dominant child. Spans the lookup
+        // cannot find at their position give the same result.
         let cases: [(Mutation, &str); 5] = [
             (
                 |_| {},
@@ -879,37 +780,13 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_follows_latest_finisher() {
-        let t = traced_campaign();
-        let p = profile(&t, 10);
-        assert_eq!(p.critical_path[0].name, "crawl");
-        assert_eq!(p.critical_path[1].name, "visit");
-        assert_eq!(p.critical_path[1].label, "site1.example");
-        assert_eq!(p.critical_path[1].end_ms, 900);
-    }
-
-    #[test]
-    fn phase_self_time_subtracts_child_cover() {
-        let t = traced_campaign();
-        let p = profile(&t, 10);
-        let crawl = p.phases.iter().find(|s| s.name == "crawl").unwrap();
-        assert!(crawl.simulated);
-        assert_eq!(crawl.total_ms, 900);
-        // Visits cover [0,900] completely.
-        assert_eq!(crawl.self_ms, 0);
-    }
-
-    #[test]
     fn worker_idle_fraction_and_retry_clusters() {
-        let t = traced_campaign();
-        let p = profile(&t, 10);
+        let p = profile(&traced_campaign(), 10);
         let idle = p.idle_fractions();
-        assert_eq!(idle.len(), 1);
-        assert_eq!(idle[0].0, "crawl");
-        assert!((idle[0].1 - 0.25).abs() < 1e-9);
-        assert_eq!(p.retry_clusters.len(), 1);
-        assert_eq!(p.retry_clusters[0].retries, 1);
-        assert_eq!(p.retry_clusters[0].hosts, vec!["site1.example".to_owned()]);
+        assert!(idle.len() == 1 && idle[0].0 == "crawl" && (idle[0].1 - 0.25).abs() < 1e-9);
+        let retries = &p.retry_clusters;
+        assert!(retries.len() == 1 && retries[0].retries == 1);
+        assert_eq!(retries[0].hosts, ["site1.example"]);
     }
 
     fn traced_campaign_with_alloc() -> Trace {
@@ -941,41 +818,10 @@ mod tests {
 
     #[test]
     fn mem_profile_attributes_phases_spans_and_retries() {
-        let t = traced_campaign_with_alloc();
-        let m = mem_profile(&t, 2);
-        assert!(!m.is_empty());
-
-        assert_eq!(m.phases.len(), 1);
-        let crawl = &m.phases[0];
-        assert_eq!(crawl.name, "crawl");
-        assert_eq!(crawl.total_bytes, 100_000);
-        // Self = 100000 − (4096 + 65536 + 16384).
-        assert_eq!(crawl.self_bytes, 100_000 - 86_016);
-        assert_eq!(crawl.peak_bytes, 50_000);
-
-        // Visit 1 allocated the most net of its page-load child.
-        assert_eq!(m.top_spans.len(), 2);
-        assert_eq!(m.top_spans[0].name, "visit");
-        assert_eq!(m.top_spans[0].label, "site1.example");
-        assert_eq!(m.top_spans[0].total_bytes, 65_536);
-        assert_eq!(m.top_spans[0].self_bytes, 65_536 - 65_536 / 4);
-
-        // The retry window charges the retrying visit's bytes once.
-        assert_eq!(m.retry_clusters.len(), 1);
-        assert_eq!(m.retry_clusters[0].retries, 1);
-        assert_eq!(m.retry_clusters[0].alloc_bytes, 65_536);
-        assert_eq!(m.retry_clusters[0].hosts, vec!["site1.example".to_owned()]);
-
-        let text = m.render();
-        for needle in [
-            "Per-phase allocation",
-            "Top allocating spans",
-            "Retry-storm allocation",
-            "crawl",
-        ] {
-            assert!(text.contains(needle), "missing {needle}");
-        }
-
+        assert!(profile(&traced_campaign_with_alloc(), 2).has_alloc());
+        // Crawl self = 100000 − (4096 + 65536 + 16384); visit 1 allocated
+        // the most net of its page-load child; the retry window charges
+        // the retrying visit's bytes once.
         let cases: [(Mutation, &str); 3] = [
             (
                 |_| {},
@@ -1005,10 +851,20 @@ mod tests {
 
     #[test]
     fn mem_profile_is_empty_without_attribution() {
-        let t = traced_campaign();
-        let m = mem_profile(&t, 5);
-        assert!(m.is_empty());
-        assert!(m.render().contains("no retries in trace") || !m.render().is_empty());
+        let p = profile(&traced_campaign(), 5);
+        assert!(!p.has_alloc());
+        // No phase row, no span; the retry window is charged nothing.
+        assert_eq!(
+            p.render_memory(),
+            "== Per-phase allocation ==
+phase                         total           self       allocs           peak
+
+== Top allocating spans ==
+
+== Retry-storm allocation ==
+window @       0 ms:    1 retries,          0 B allocated by retrying spans (e.g. site1.example)
+"
+        );
     }
 
     #[test]
@@ -1016,17 +872,7 @@ mod tests {
         assert_eq!(fmt_bytes(512), "512 B");
         assert_eq!(fmt_bytes(2048), "2.0 KiB");
         assert_eq!(fmt_bytes(3 << 20), "3.0 MiB");
-    }
-
-    #[test]
-    fn slowest_visits_rank_by_sim_duration_with_dominant_child() {
-        let t = traced_campaign();
-        let p = profile(&t, 2);
-        assert_eq!(p.slowest_visits.len(), 2);
-        assert_eq!(p.slowest_visits[0].domain, "site1.example");
-        assert_eq!(p.slowest_visits[0].duration_ms, 900);
-        assert_eq!(p.slowest_visits[0].dominant, "fetch");
-        assert_eq!(p.slowest_visits[0].dominant_ms, 450);
-        assert_eq!(p.slowest_visits[1].domain, "site2.example");
+        assert_eq!(fmt_bytes(1023), "1023 B");
+        assert_eq!(fmt_bytes(u64::MAX), "16777216.0 TiB");
     }
 }

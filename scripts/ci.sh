@@ -74,6 +74,19 @@ cargo run --release -q -p topics-core --bin topics-lab -- doctor \
 cargo run --release -q -p topics-core --bin topics-lab -- memprofile \
     --trace "$FIX/sim/trace.col" | cmp - "$FIX/sim/memprofile.txt"
 
+echo "== doctor and memprofile end on a trace with a parent cycle =="
+# tests/golden/trace/cycle: a retry under two spans that name each
+# other as parent. The doctor must exit 1 naming the spans that never
+# reach the root, and memprofile must return; both used to spin.
+TL_BIN=target/release/topics-lab
+CODE=0
+CYCLE_OUT=$(timeout 60 "$TL_BIN" doctor --trace "$FIX/cycle/trace.col") || CODE=$?
+if [ "$CODE" -ne 1 ] || ! grep -q "never reach root" <<< "$CYCLE_OUT"; then
+    echo "error: doctor on the cyclic trace exited $CODE without naming the cycle" >&2
+    exit 1
+fi
+timeout 60 "$TL_BIN" memprofile --trace "$FIX/cycle/trace.col" > /dev/null
+
 echo "== prometheus render has no duplicate headers =="
 # Each metric family must emit exactly one # HELP and one # TYPE line;
 # duplicates mean the renderer double-registered a family.

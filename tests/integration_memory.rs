@@ -4,7 +4,7 @@
 //! or off, the same seed serializes to a byte-identical campaign and a
 //! byte-identical stripped trace, at any probe-thread count. With it
 //! on, the trace carries per-phase/per-span allocation attribution that
-//! `mem_profile` can report and the doctor's allocation-balance check
+//! the memory view of `profile` can report and the doctor's allocation-balance check
 //! can audit — on clean and fault-injected campaigns alike.
 
 use std::sync::Mutex;
@@ -12,7 +12,7 @@ use topics_core::analysis::dataset::Datasets;
 use topics_core::baseline::SimConfig;
 use topics_core::crawler::spans::{decode_trace, encode_trace};
 use topics_core::net::fault::FaultProfile;
-use topics_core::obs::{alloc, mem_profile, Obs, Text, Trace, Word};
+use topics_core::obs::{alloc, profile, Obs, Text, Trace, Word};
 use topics_core::{diagnose, run_simulation, Lab, LabConfig};
 
 /// The test binary routes its heap through the counting allocator, the
@@ -100,11 +100,14 @@ fn attribution_reaches_phases_visits_and_memprofile() {
     assert!(attributed_visits > SITES / 2, "{attributed_visits} visits");
 
     // The profile report assembles from the same trace.
-    let profile = mem_profile(&out.trace, 10);
-    assert!(!profile.is_empty());
-    assert!(profile.phases.iter().any(|p| p.name == "crawl"));
+    let profile = profile(&out.trace, 10);
+    assert!(profile.has_alloc());
+    assert!(profile
+        .phases
+        .iter()
+        .any(|p| p.attributed && p.name == "crawl"));
     assert!(!profile.top_spans.is_empty());
-    let text = profile.render();
+    let text = profile.render_memory();
     for needle in [
         "Per-phase allocation",
         "Top allocating spans",
@@ -177,14 +180,14 @@ fn doctor_allocation_balance_holds_on_clean_and_faulty_campaigns() {
         true,
     );
     for (label, out) in [("clean", &clean), ("5%-fault", &faulty)] {
-        let report = diagnose(&out.outcome, &out.trace, 10);
+        let report = diagnose(Some(&out.outcome), &out.trace, 10);
         assert!(
             report.is_healthy(),
             "{label}: violations {:?}",
             report.violations()
         );
         assert!(
-            !report.alloc_balance.is_empty(),
+            report.balance().count() > 0,
             "{label}: no balance rows despite attribution"
         );
         assert!(report.render().contains("Allocation balance"));

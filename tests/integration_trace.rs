@@ -13,10 +13,10 @@ use topics_core::crawler::record::CampaignOutcome;
 use topics_core::crawler::spans::{decode_trace, encode_trace};
 use topics_core::crawler::ColumnarError;
 use topics_core::net::fault::FaultProfile;
-use topics_core::obs::{mem_profile, FieldValue, Obs, Trace, Word};
+use topics_core::obs::{profile, FieldValue, Obs, SpanRecord, Text, Trace, Word};
 use topics_core::{
-    diagnose, diagnose_bundle, diagnose_trace, load_campaign, load_trace, Lab, LabConfig,
-    QueryService, StoreKind, TRACE_FILE,
+    diagnose, diagnose_bundle, load_campaign, load_trace, Lab, LabConfig, QueryService, StoreKind,
+    TRACE_FILE,
 };
 
 const SITES: usize = 500;
@@ -136,9 +136,9 @@ fn doctor_profiles_a_faulty_campaign() {
             .with_threads(2)
             .with_fault_profile(FaultProfile::parse("0.05").unwrap()),
     );
-    let report = diagnose(&outcome, &trace, 10);
+    let report = diagnose(Some(&outcome), &trace, 10);
     assert!(report.is_healthy(), "violations: {:?}", report.violations());
-    assert_eq!(report.attempted, SITES);
+    assert_eq!(report.campaign.as_ref().unwrap().attempted, SITES);
 
     // Critical path descends from a phase into campaign work.
     assert!(report.profile.critical_path.len() >= 2);
@@ -263,7 +263,7 @@ fn doctor_and_memprofile_text_is_pinned_on_fixed_traces() {
     }
     let crawl = load("crawl/trace.col");
     let memprofile = pinned("crawl/memprofile.txt");
-    assert_eq!(mem_profile(&crawl, 10).render(), memprofile);
+    assert_eq!(profile(&crawl, 10).render_memory(), memprofile);
     let dir = trace_fixture("crawl");
     assert_eq!(
         cli_stdout(&["memprofile", "--campaign", dir.to_str().unwrap()]),
@@ -273,12 +273,15 @@ fn doctor_and_memprofile_text_is_pinned_on_fixed_traces() {
     let sim = load("sim/trace.col");
     let path = trace_fixture("sim/trace.col");
     let path = path.to_str().unwrap();
-    assert_eq!(diagnose_trace(&sim, 10).render(), pinned("sim/doctor.txt"));
+    assert_eq!(diagnose(None, &sim, 10).render(), pinned("sim/doctor.txt"));
     assert_eq!(
         cli_stdout(&["doctor", "--trace", path]),
         pinned("sim/doctor.txt")
     );
-    assert_eq!(mem_profile(&sim, 10).render(), pinned("sim/memprofile.txt"));
+    assert_eq!(
+        profile(&sim, 10).render_memory(),
+        pinned("sim/memprofile.txt")
+    );
     assert_eq!(
         cli_stdout(&["memprofile", "--trace", path]),
         pinned("sim/memprofile.txt")
@@ -307,4 +310,108 @@ fn api_doctor_and_profile_bodies_are_pinned_on_fixed_traces() {
             );
         }
     }
+}
+
+/// A hand-built trace with a retry, an `alloc_bytes` phase and a parent
+/// cycle: the visit (span 3) and its page load (span 4) name each other
+/// as parent, and the retry (span 5) hangs under them with no
+/// attributed ancestor to charge. `tests/golden/trace/cycle/trace.col`
+/// is this trace, encoded.
+fn cyclic_trace() -> Trace {
+    let span = |id, parent, name, sim_start_ms, sim_end_ms| SpanRecord {
+        id,
+        parent: Some(parent).filter(|&p| p > 0),
+        name: Text::Word(name),
+        sim_start_ms: Some(sim_start_ms),
+        sim_end_ms: Some(sim_end_ms),
+        ..SpanRecord::default()
+    };
+    let mut spans = vec![
+        span(1, 0, Word::Campaign, 0, 1_000),
+        span(2, 1, Word::Crawl, 0, 1_000),
+        span(3, 4, Word::Visit, 0, 900),
+        span(4, 3, Word::PageLoad, 0, 800),
+        span(5, 4, Word::Retry, 10, 200),
+    ];
+    spans[1].fields = [
+        (Word::AllocBytes, 4_096),
+        (Word::AllocCount, 12),
+        (Word::PeakBytes, 2_048),
+    ]
+    .map(|(k, v)| (k, FieldValue::U64(v)))
+    .to_vec();
+    spans[2].fields = vec![(Word::Domain, FieldValue::Str("site.example".into()))];
+    spans[4].fields = vec![(Word::Host, FieldValue::Str("site.example".into()))];
+    Trace { spans }
+}
+
+/// A parent cycle used to hang the trace readers: the critical path and
+/// the retry-window climb followed parents without a bound, and a cycle
+/// beside a sound root read as clean. Three shapes (the fixture's cycle
+/// under a retry, span 1 under its own phase, and a cycle detached from
+/// the root) each end, name the spans that never reach the root, and
+/// still render the memory view.
+#[test]
+fn parent_cycles_are_violations_and_every_reader_returns() {
+    let fixture = trace_fixture("cycle/trace.col");
+    assert_eq!(
+        std::fs::read(&fixture).unwrap(),
+        encode_trace(&cyclic_trace())
+    );
+    type Edit = fn(&mut Trace);
+    let shapes: [(Edit, &str); 3] = [
+        (
+            |_| {},
+            "3 looping span(s) (never reach root): IDs [3, 4, 5]",
+        ),
+        (
+            |t| (t.spans[0].parent, t.spans[2].parent) = (Some(2), Some(2)),
+            "5 looping span(s) (never reach root): IDs [1, 2, 3, 4, 5]",
+        ),
+        (
+            |t| (t.spans[1].parent, t.spans[2].parent) = (Some(3), Some(2)),
+            "4 looping span(s) (never reach root): IDs [2, 3, 4, 5]",
+        ),
+    ];
+    for (mutate, want) in shapes {
+        let mut trace = cyclic_trace();
+        mutate(&mut trace);
+        let report = diagnose(None, &trace, 10);
+        assert!(
+            report.violations().iter().any(|v| v == want),
+            "{:?}",
+            report.violations()
+        );
+        assert!(report.render().contains(want));
+        let memory = profile(&trace, 10).render_memory();
+        assert!(
+            memory.contains("crawl") && memory.contains("1 retries"),
+            "{memory}"
+        );
+    }
+
+    let out = Command::new(env!("CARGO_BIN_EXE_topics-lab"))
+        .args(["doctor", "--trace", fixture.to_str().unwrap()])
+        .output()
+        .expect("doctor runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains(shapes[0].1), "{stdout}");
+}
+
+/// `memprofile` refuses a trace recorded without `--alloc-stats`.
+#[test]
+fn memprofile_rejects_a_trace_without_attribution() {
+    let dir = trace_fixture("merged");
+    let out = Command::new(env!("CARGO_BIN_EXE_topics-lab"))
+        .args(["memprofile", "--campaign", dir.to_str().unwrap()])
+        .output()
+        .expect("memprofile runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("carries no allocation attribution"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
 }
