@@ -41,8 +41,7 @@ const ALLOC_BALANCE_SLACK_BYTES: u64 = 64 * 1024;
 pub struct DoctorReport {
     /// Everything read off the trace.
     pub profile: Profile,
-    /// The campaign checks; `None` for a trace on its own (`doctor
-    /// --trace FILE`, e.g. over a `simulate` trace).
+    /// The campaign checks; `None` for a trace alone (`doctor --trace`).
     pub campaign: Option<CampaignChecks>,
 }
 
@@ -57,11 +56,9 @@ pub struct CampaignChecks {
     pub reconciliation: Vec<Reconciliation>,
     /// Shard-segment files verified (0 when the campaign has none).
     pub segments_checked: usize,
-    /// Segment-integrity and shard-coverage violations (see
-    /// [`verify_segments`]).
+    /// Segment-integrity and shard-coverage violations ([`verify_segments`]).
     pub segment_violations: Vec<String>,
-    /// Columnar-store check, when `campaign.col` sits in the bundle
-    /// (see [`verify_columnar`]).
+    /// The `campaign.col` check, when the bundle has one ([`verify_columnar`]).
     pub columnar: Option<ColumnarCheck>,
 }
 
@@ -142,13 +139,14 @@ pub fn diagnose_bundle(
     trace: &Trace,
     top_n: usize,
 ) -> DoctorReport {
-    let mut report = diagnose(Some(outcome), trace, top_n);
-    let checks = report.campaign.as_mut().expect("a campaign was given");
+    let profile = profile(trace, top_n);
+    let mut checks = reconcile(outcome, profile.counts);
     if let Some(dir) = campaign.parent().filter(|d| d.is_dir()) {
         (checks.segments_checked, checks.segment_violations) = verify_segments(dir);
         checks.columnar = verify_columnar(dir);
     }
-    report
+    let campaign = Some(checks);
+    DoctorReport { profile, campaign }
 }
 
 /// Diagnose a trace in one pass, reconciled with `outcome` when there

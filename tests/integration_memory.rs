@@ -4,8 +4,9 @@
 //! or off, the same seed serializes to a byte-identical campaign and a
 //! byte-identical stripped trace, at any probe-thread count. With it
 //! on, the trace carries per-phase/per-span allocation attribution that
-//! the memory view of `profile` can report and the doctor's allocation-balance check
-//! can audit — on clean and fault-injected campaigns alike.
+//! the memory view of `profile` can report and the doctor's
+//! allocation-balance check can audit — on clean and fault-injected
+//! campaigns alike.
 
 use std::sync::Mutex;
 use topics_core::analysis::dataset::Datasets;
