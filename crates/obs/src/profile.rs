@@ -780,6 +780,25 @@ mod tests {
     }
 
     #[test]
+    fn critical_path_follows_latest_finisher() {
+        let p = profile(&traced_campaign(), 10);
+        assert_eq!(p.critical_path[0].name, "crawl");
+        assert_eq!(p.critical_path[1].name, "visit");
+        assert_eq!(p.critical_path[1].label, "site1.example");
+        assert_eq!(p.critical_path[1].end_ms, 900);
+    }
+
+    #[test]
+    fn phase_self_time_subtracts_child_cover() {
+        let p = profile(&traced_campaign(), 10);
+        let crawl = p.phases.iter().find(|s| s.name == "crawl").unwrap();
+        assert!(crawl.simulated);
+        assert_eq!(crawl.total_ms, 900);
+        // Visits cover [0,900] completely.
+        assert_eq!(crawl.self_ms, 0);
+    }
+
+    #[test]
     fn worker_idle_fraction_and_retry_clusters() {
         let p = profile(&traced_campaign(), 10);
         let idle = p.idle_fractions();
@@ -874,5 +893,16 @@ window @       0 ms:    1 retries,          0 B allocated by retrying spans (e.g
         assert_eq!(fmt_bytes(3 << 20), "3.0 MiB");
         assert_eq!(fmt_bytes(1023), "1023 B");
         assert_eq!(fmt_bytes(u64::MAX), "16777216.0 TiB");
+    }
+
+    #[test]
+    fn slowest_visits_rank_by_sim_duration_with_dominant_child() {
+        let p = profile(&traced_campaign(), 2);
+        assert_eq!(p.slowest_visits.len(), 2);
+        assert_eq!(p.slowest_visits[0].domain, "site1.example");
+        assert_eq!(p.slowest_visits[0].duration_ms, 900);
+        assert_eq!(p.slowest_visits[0].dominant, "fetch");
+        assert_eq!(p.slowest_visits[0].dominant_ms, 450);
+        assert_eq!(p.slowest_visits[1].domain, "site2.example");
     }
 }
